@@ -16,7 +16,6 @@ import numpy as np
 from .core import MAX, DecisionMatrix, WeightVector, normalize_minmax, require_valid
 from .correlation import INPUT_ORDER, rank_from_scores
 from .errors import InputError, NumericalError
-from .evaluation import _aligned_weights
 
 TOPSIS = "topsis"
 MABAC = "mabac"
@@ -55,7 +54,7 @@ class BenchmarkScore:
 
 def _prepare(matrix: DecisionMatrix, weights: WeightVector):
     require_valid(matrix)
-    w = _aligned_weights(matrix, weights)
+    w = weights.aligned(matrix.criterion_ids)
     profit = np.array([obj == MAX for obj in matrix.objectives])
     return matrix.values, w, profit
 

@@ -193,10 +193,23 @@ class WeightVector:
             raise InputError(f"negative weight {arr.min():.3e}")
         if abs(arr.sum() - 1.0) > TOL:
             raise InputError(f"weights sum to {arr.sum():.12f}, expected 1")
+        for i, cid in enumerate(self.criterion_ids):
+            if cid in self.criterion_ids[:i]:
+                raise InputError(f"duplicate weight id '{cid}'")
         _frozen_array(self, "weights", np.clip(arr, 0.0, None))
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.criterion_ids, self.weights.tolist()))
+
+    def aligned(self, criterion_ids) -> np.ndarray:
+        """Weights reordered into the given id order, matched by id."""
+        if set(self.criterion_ids) != set(criterion_ids):
+            raise InputError(
+                f"weight ids do not match: weights for {sorted(self.criterion_ids)}, "
+                f"expected {sorted(criterion_ids)}"
+            )
+        by_id = self.as_dict()
+        return np.array([by_id[c] for c in criterion_ids])
 
 
 @dataclass(frozen=True)

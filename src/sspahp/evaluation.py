@@ -116,20 +116,6 @@ def _coeff_vector(s, n: int) -> np.ndarray:
     return vec
 
 
-def _aligned_weights(matrix: DecisionMatrix, weights: WeightVector) -> np.ndarray:
-    """Weights reordered into the matrix column order, matched by id."""
-    if weights.criterion_ids == matrix.criterion_ids:
-        return weights.weights
-    if set(weights.criterion_ids) != set(matrix.criterion_ids):
-        raise InputError(
-            "weight ids do not match matrix criteria: weights for "
-            f"{sorted(weights.criterion_ids)}, matrix has "
-            f"{sorted(matrix.criterion_ids)}"
-        )
-    by_id = weights.as_dict()
-    return np.array([by_id[c] for c in matrix.criterion_ids])
-
-
 def mad_transform(normalized: NormalizedMatrix, s) -> np.ndarray:
     """Subtract the scaled absolute deviation from the column mean.
 
@@ -150,7 +136,7 @@ def evaluate(matrix: DecisionMatrix, weights: WeightVector, s=0.0) -> Evaluation
     the transformed normalized matrix; ranks sort utilities descending with
     ties broken by input order (tie presence is flagged on the result).
     """
-    w = _aligned_weights(matrix, weights)
+    w = weights.aligned(matrix.criterion_ids)
     norm = normalize_minmax(matrix)
     b = mad_transform(norm, s)
     utilities = b @ w

@@ -165,6 +165,9 @@ def load_decision_matrix(path, hierarchy: CriteriaHierarchy) -> DecisionMatrix:
     file_cids = header[1:]
     if not file_cids:
         raise InputError(f"{path}: no criterion columns")
+    for c, cid in enumerate(file_cids):
+        if cid in file_cids[:c]:
+            raise InputError(f"{path}: duplicate criterion column '{cid}'")
 
     canonical = [cid for cid, _ in flatten_hierarchy(hierarchy)]
     unknown = [c for c in file_cids if c not in set(canonical)]
@@ -288,15 +291,13 @@ def load_weights(path, hierarchy: CriteriaHierarchy | None = None) -> WeightVect
             raise InputError(f"{path}: row {r} needs criterion_id and weight")
         ids.append(row[0].strip())
         weights.append(_parse_number(row[1], f"row {r}, column 2"))
-    wv = WeightVector(np.asarray(weights), tuple(ids))
-    if hierarchy is not None:
-        canonical = tuple(cid for cid, _ in flatten_hierarchy(hierarchy))
-        if set(ids) != set(canonical):
-            raise InputError(
-                f"{path}: weight ids do not match the hierarchy criteria"
-            )
-        by_id = wv.as_dict()
-        wv = WeightVector(np.array([by_id[c] for c in canonical]), canonical)
+    try:
+        wv = WeightVector(np.asarray(weights), tuple(ids))
+        if hierarchy is not None:
+            canonical = hierarchy.criterion_ids()
+            wv = WeightVector(wv.aligned(canonical), canonical)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     return wv
 
 

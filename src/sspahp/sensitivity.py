@@ -3,8 +3,11 @@
 A sweep evaluates the decision problem for every combination of (dimension
 subset, coefficient value) on a grid, tracking how each alternative's rank
 evolves as compensation is progressively reduced inside the selected
-groups. Cells are independent pure computations; they are evaluated in a
-fixed order so that serialized results are byte-stable across runs.
+groups. The matrix is normalized once; because each utility is affine in
+the coefficient, the whole sweep follows from one penalty per (subset,
+alternative). Results are held as dense ``utilities`` and ``ranks`` arrays
+shaped [subset, s, alternative], so serialized output is byte-stable
+across runs.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CriteriaHierarchy, DecisionMatrix, WeightVector
-from .correlation import pearson, weighted_spearman
+from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, normalize_minmax
+from .correlation import pearson, rank_from_scores, weighted_spearman
 from .errors import InputError, SspahpError
-from .evaluation import EvaluationResult, evaluate_with_group_s
+from .evaluation import SustainabilityCoefficients
 
 DEFAULT_STEP = 0.05
 
@@ -84,6 +87,8 @@ class SweepSpec:
         if subsets is None:
             subsets = enumerate_group_subsets(self.hierarchy.dimension_ids())
         subsets = tuple(tuple(s) for s in subsets)
+        if not subsets:
+            raise InputError("need at least one group subset")
         if len(set(subsets)) != len(subsets):
             raise InputError("group subsets must be unique")
         object.__setattr__(self, "group_subsets", subsets)
@@ -91,20 +96,21 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Evaluation results for every (subset, s) cell of a sweep."""
+    """Utilities and ranks for every (subset, s) cell of a sweep.
+
+    Both arrays are shaped [subset, s, alternative], in the order of
+    ``subsets``, ``s_grid`` and ``alternative_ids``.
+    """
 
     alternative_ids: tuple[str, ...]
     subsets: tuple[tuple[str, ...], ...]
     s_grid: np.ndarray
-    cells: tuple[tuple[EvaluationResult, ...], ...]  # [subset][s]
-
-    def baseline(self) -> EvaluationResult:
-        """The evaluation at the first grid point of the first subset."""
-        return self.cells[0][0]
+    utilities: np.ndarray
+    ranks: np.ndarray
 
     def final_rankings(self) -> dict[tuple[str, ...], np.ndarray]:
         """Per subset, the ranking at the last (deepest) grid point."""
-        return {sub: self.cells[i][-1].ranking for i, sub in enumerate(self.subsets)}
+        return {sub: self.ranks[i, -1] for i, sub in enumerate(self.subsets)}
 
     def rank_trajectory(self, alternative_id: str, subset) -> np.ndarray:
         """Rank of one alternative along the grid for one subset."""
@@ -113,52 +119,56 @@ class SweepResult:
             si = self.subsets.index(subset)
         except ValueError:
             raise InputError(f"subset {subset_label(subset) or '()'} not in sweep")
-        ai = self.alternative_ids.index(alternative_id)
-        return np.array([cell.ranking[ai] for cell in self.cells[si]])
+        return self.ranks[si, :, self.alternative_ids.index(alternative_id)]
 
     def to_records(self) -> list[dict]:
         """Long-format rows: subset, s, alternative, utility, rank."""
-        rows = []
-        for si, sub in enumerate(self.subsets):
-            label = subset_label(sub)
-            for gi, s in enumerate(self.s_grid):
-                cell = self.cells[si][gi]
-                for ai, alt in enumerate(self.alternative_ids):
-                    rows.append(
-                        {
-                            "subset": label,
-                            "s": float(s),
-                            "alternative": alt,
-                            "utility": float(cell.utilities[ai]),
-                            "rank": int(cell.ranking[ai]),
-                        }
-                    )
-        return rows
+        grid, utilities, ranks = self.s_grid.tolist(), self.utilities.tolist(), self.ranks.tolist()
+        return [
+            {"subset": subset_label(sub), "s": s, "alternative": alt, "utility": u, "rank": r}
+            for sub, u_rows, r_rows in zip(self.subsets, utilities, ranks)
+            for s, u_row, r_row in zip(grid, u_rows, r_rows)
+            for alt, u, r in zip(self.alternative_ids, u_row, r_row)
+        ]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every (subset, s) cell of the spec, in deterministic order."""
-    all_cells = []
-    for subset in spec.group_subsets:
-        row = []
-        for s in spec.s_grid:
-            try:
-                row.append(
-                    evaluate_with_group_s(
-                        spec.matrix, spec.weights, spec.hierarchy, subset, float(s)
-                    )
-                )
-            except SspahpError as exc:
-                raise type(exc)(
-                    f"sweep cell (subset={subset_label(subset) or '()'}, "
-                    f"s={float(s):g}): {exc}"
-                ) from exc
-        all_cells.append(tuple(row))
+    """Evaluate every (subset, s) cell of the spec in one pass.
+
+    For a fixed subset S every utility is affine in s:
+    U[S, s] = r.w - s * P[S], where r is the normalized matrix and P[S]
+    sums the weighted deviations |mean(r) - r| * w over the criteria of the
+    dimensions in S. Matrix and weight errors name the first cell; an
+    unknown group id names its own subset.
+    """
+    matrix, grid, subsets = spec.matrix, spec.s_grid, spec.group_subsets
+    subset = subsets[0]
+    try:
+        w = spec.weights.aligned(matrix.criterion_ids)
+        r = normalize_minmax(matrix).values
+        membership = []
+        for subset in subsets:
+            membership.append(
+                SustainabilityCoefficients.for_groups(
+                    spec.hierarchy, subset, 1.0, criterion_ids=matrix.criterion_ids
+                ).s
+            )
+    except SspahpError as exc:
+        raise type(exc)(
+            f"sweep cell (subset={subset_label(subset) or '()'}, s={grid[0]:g}): {exc}"
+        ) from exc
+
+    penalty = np.array(membership) @ (np.abs(r.mean(axis=0) - r) * w).T  # [subset, alternative]
+    utilities = (r @ w) - grid[None, :, None] * penalty[:, None, :]
+    ranks = np.apply_along_axis(rank_from_scores, 2, utilities).astype(int)
+    utilities.setflags(write=False)
+    ranks.setflags(write=False)
     return SweepResult(
-        alternative_ids=spec.matrix.alternative_ids,
-        subsets=spec.group_subsets,
-        s_grid=spec.s_grid,
-        cells=tuple(all_cells),
+        alternative_ids=matrix.alternative_ids,
+        subsets=subsets,
+        s_grid=grid,
+        utilities=utilities,
+        ranks=ranks,
     )
 
 
@@ -199,14 +209,10 @@ def stability_report(result: SweepResult) -> dict[str, dict]:
     does both.
     """
     report = {}
-    deepest = result.subsets[-1]
-    for alt in result.alternative_ids:
-        ai = result.alternative_ids.index(alt)
-        ranks = np.array(
-            [cell.ranking[ai] for row in result.cells for cell in row]
-        )
-        trajectory = result.rank_trajectory(alt, deepest)
-        deltas = np.diff(trajectory)
+    lowest = result.ranks.min(axis=(0, 1))
+    highest = result.ranks.max(axis=(0, 1))
+    for ai, alt in enumerate(result.alternative_ids):
+        deltas = np.diff(result.ranks[-1, :, ai])
         if (deltas == 0).all():
             direction = "flat"
         elif (deltas <= 0).all():
@@ -215,10 +221,10 @@ def stability_report(result: SweepResult) -> dict[str, dict]:
             direction = "declining"
         else:
             direction = "mixed"
-        span = int(ranks.max() - ranks.min())
+        span = int(highest[ai] - lowest[ai])
         report[alt] = {
-            "min_rank": int(ranks.min()),
-            "max_rank": int(ranks.max()),
+            "min_rank": int(lowest[ai]),
+            "max_rank": int(highest[ai]),
             "span": span,
             "stable": span <= 1,
             "monotone_direction": direction,

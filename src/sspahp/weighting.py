@@ -299,22 +299,15 @@ def distribute_weights(
     mass. ``dimension_weights`` ids must match the hierarchy's dimension ids.
     """
     flatten_hierarchy(hierarchy)  # surfaces duplicate memberships before splitting
-    dim_ids = hierarchy.dimension_ids()
-    if set(dimension_weights.criterion_ids) != set(dim_ids):
-        raise InputError(
-            "dimension weights do not match the hierarchy: weights for "
-            f"{sorted(dimension_weights.criterion_ids)}, hierarchy has "
-            f"{sorted(dim_ids)}"
-        )
-    by_id = dimension_weights.as_dict()
+    dim_weights = dimension_weights.aligned(hierarchy.dimension_ids())
 
     weights: list[float] = []
     ids: list[str] = []
-    for dim in hierarchy.dimensions:
+    for dim, dim_weight in zip(hierarchy.dimensions, dim_weights):
         subs = dim.sub_dimensions
         if not subs:
             raise InputError(f"dimension '{dim.id}' has no sub-dimensions")
-        sub_share = by_id[dim.id] / len(subs)
+        sub_share = dim_weight / len(subs)
         for sub in subs:
             if not sub.criterion_ids:
                 raise InputError(

@@ -164,6 +164,16 @@ class TestWeightVector:
         wv = WeightVector(np.array([0.25, 0.75]), ("c1", "c2"))
         assert wv.as_dict() == {"c1": 0.25, "c2": 0.75}
 
+    def test_rejects_duplicate_ids(self):
+        with pytest.raises(InputError, match="duplicate weight id 'C1'"):
+            WeightVector(np.array([0.5, 0.3, 0.2]), ("C1", "C1", "C2"))
+
+    def test_aligned_reorders_by_id(self):
+        wv = WeightVector(np.array([0.25, 0.75]), ("c1", "c2"))
+        assert wv.aligned(("c2", "c1")).tolist() == [0.75, 0.25]
+        with pytest.raises(InputError, match="do not match"):
+            wv.aligned(("c1", "c3"))
+
 
 class TestFlattenHierarchy:
     def test_dimension_major_order_with_group_labels(self):

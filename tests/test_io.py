@@ -146,6 +146,13 @@ class TestLoadDecisionMatrix:
         with pytest.raises(InputError, match="CX"):
             load_decision_matrix(path, h)
 
+    def test_duplicate_criterion_column_is_rejected(self, tmp_path):
+        h = small_hierarchy_file(tmp_path)
+        path = tmp_path / "m.csv"
+        path.write_text("alternative,C1,C2,C1\na1,1,2,7\na2,3,4,8\n")
+        with pytest.raises(InputError, match="duplicate criterion column 'C1'"):
+            load_decision_matrix(path, h)
+
     def test_missing_hierarchy_criterion_is_binding_error(self, tmp_path):
         h = small_hierarchy_file(tmp_path, n=3)
         path = tmp_path / "m.csv"
@@ -247,6 +254,12 @@ class TestLoadWeights:
         wv = load_weights(path, h)
         assert wv.criterion_ids == ("C1", "C2")
         assert wv.weights.tolist() == [0.25, 0.75]
+
+    def test_repeated_id_names_the_file(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("C1,0.5\nC1,0.3\nC2,0.2\n")
+        with pytest.raises(InputError, match=r"w\.csv: duplicate weight id 'C1'"):
+            load_weights(path)
 
     def test_id_mismatch_with_hierarchy_is_rejected(self, tmp_path):
         h = small_hierarchy_file(tmp_path)

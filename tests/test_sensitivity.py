@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sspahp import (
-    EvaluationResult,
     InputError,
     SweepResult,
     SweepSpec,
@@ -11,6 +12,8 @@ from sspahp import (
     default_s_grid,
     enumerate_group_subsets,
     evaluate,
+    evaluate_with_group_s,
+    rank_from_scores,
     run_sweep,
     stability_report,
 )
@@ -102,23 +105,29 @@ class TestSweepSpec:
                 group_subsets=(("G1",), ("G1",)),
             )
 
+    def test_rejects_empty_subset_list(self):
+        h = two_level_hierarchy()
+        m = make_matrix(np.ones((2, 6)) * [[1.0], [2.0]], crit_prefix="C")
+        w = WeightVector(np.full(6, 1 / 6), m.criterion_ids)
+        with pytest.raises(InputError, match="at least one group subset"):
+            SweepSpec(matrix=m, hierarchy=h, weights=w, group_subsets=())
+
 
 class TestRunSweep:
     def test_every_subset_starts_at_the_common_baseline(self):
         spec, result = small_sweep()
         baseline = evaluate(spec.matrix, spec.weights, 0.0)
         for si in range(len(result.subsets)):
-            cell = result.cells[si][0]
-            assert np.array_equal(cell.ranking, baseline.ranking)
-            assert np.array_equal(cell.utilities, baseline.utilities)
+            assert np.array_equal(result.ranks[si, 0], baseline.ranking)
+            assert np.array_equal(result.utilities[si, 0], baseline.utilities)
 
     def test_empty_subset_row_never_moves(self):
         _, result = small_sweep()
         empty_index = result.subsets.index(())
-        first = result.cells[empty_index][0]
-        for cell in result.cells[empty_index]:
-            assert np.array_equal(cell.ranking, first.ranking)
-            assert np.array_equal(cell.utilities, first.utilities)
+        ranks, utilities = result.ranks[empty_index], result.utilities[empty_index]
+        for gi in range(len(result.s_grid)):
+            assert np.array_equal(ranks[gi], ranks[0])
+            assert np.array_equal(utilities[gi], utilities[0])
 
     def test_larger_subsets_never_raise_utilities(self):
         spec, result = small_sweep()
@@ -128,8 +137,8 @@ class TestRunSweep:
             for other, oi in by_subset.items():
                 if set(sub) < set(other):
                     for gi in range(grid_len):
-                        u_small = result.cells[si][gi].utilities
-                        u_large = result.cells[oi][gi].utilities
+                        u_small = result.utilities[si, gi]
+                        u_large = result.utilities[oi, gi]
                         assert (u_large <= u_small + 1e-12).all()
 
     def test_serialization_is_deterministic(self):
@@ -149,7 +158,7 @@ class TestRunSweep:
         spec, result = small_sweep()
         traj = result.rank_trajectory("a1", ("G1", "G2", "G3"))
         assert traj.shape == (len(spec.s_grid),)
-        assert traj[0] == result.baseline().ranking[0]
+        assert traj[0] == result.ranks[0, 0, 0]
 
     def test_unknown_subset_in_trajectory_is_rejected(self):
         _, result = small_sweep()
@@ -166,6 +175,56 @@ class TestRunSweep:
         )
         with pytest.raises(InputError, match=r"sweep cell \(subset=G2, s=0\)"):
             run_sweep(spec)
+
+    def test_unknown_group_names_its_own_subset(self):
+        h = two_level_hierarchy()
+        rng = np.random.default_rng(107)
+        m = make_matrix(rng.uniform(1.0, 9.0, size=(4, 6)), crit_prefix="C")
+        spec = SweepSpec(
+            matrix=m,
+            hierarchy=h,
+            weights=random_weights(rng, m),
+            group_subsets=(("G1",), ("G9",)),
+        )
+        with pytest.raises(InputError, match=r"sweep cell \(subset=G9, s=0\)"):
+            run_sweep(spec)
+
+
+@st.composite
+def sweep_case(draw):
+    """Six-criterion matrix with levels that tie, constant columns and copied rows."""
+    m = draw(st.integers(min_value=2, max_value=7))
+    cell = st.one_of(st.floats(min_value=0.0, max_value=10.0), st.sampled_from([1.0, 5.0]))
+    row = st.lists(cell, min_size=6, max_size=6)
+    values = np.array(draw(st.lists(row, min_size=m, max_size=m)))
+    for j, constant in enumerate(draw(st.lists(st.booleans(), min_size=6, max_size=6))):
+        if constant:
+            values[:, j] = 3.0
+    if draw(st.booleans()):
+        values[-1] = values[0]
+    objectives = draw(st.lists(st.sampled_from(["max", "min"]), min_size=6, max_size=6))
+    levels = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])
+    raw = np.array(draw(st.lists(levels, min_size=6, max_size=6)))
+    raw[draw(st.integers(min_value=0, max_value=5))] = 1.0
+    matrix = make_matrix(values, objectives, crit_prefix="C")
+    return matrix, WeightVector(raw / raw.sum(), matrix.criterion_ids)
+
+
+@given(sweep_case())
+@settings(max_examples=40, deadline=None)
+def test_sweep_matches_cell_by_cell_evaluation(case):
+    matrix, weights = case
+    h = two_level_hierarchy()
+    spec = SweepSpec(matrix=matrix, hierarchy=h, weights=weights)
+    result = run_sweep(spec)
+    for si, subset in enumerate(spec.group_subsets):
+        for gi, s in enumerate(spec.s_grid):
+            cell = evaluate_with_group_s(matrix, weights, h, subset, float(s))
+            utilities = result.utilities[si, gi]
+            assert np.abs(utilities - cell.utilities).max() <= 1e-12
+            assert np.array_equal(result.ranks[si, gi], rank_from_scores(utilities))
+            if (np.diff(np.sort(cell.utilities)) > 1e-12).all():
+                assert np.array_equal(result.ranks[si, gi], cell.ranking)
 
 
 class TestCompareRankings:
@@ -198,21 +257,15 @@ def fake_sweep_from_trajectory(trajectory):
     """SweepResult with one subset whose first alternative follows the ranks."""
     m = max(trajectory)
     alt_ids = tuple(f"a{i + 1}" for i in range(m))
-    cells = []
-    for target in trajectory:
-        others = [r for r in range(1, m + 1) if r != target]
-        ranking = np.array([target] + others)
-        utilities = 1.0 - ranking / (m + 1.0)
-        cells.append(
-            EvaluationResult(
-                utilities=utilities, ranking=ranking, alternative_ids=alt_ids
-            )
-        )
+    ranks = np.array(
+        [[target] + [r for r in range(1, m + 1) if r != target] for target in trajectory]
+    )
     return SweepResult(
         alternative_ids=alt_ids,
         subsets=(("G1",),),
         s_grid=np.linspace(0, 1, len(trajectory)),
-        cells=(tuple(cells),),
+        utilities=(1.0 - ranks / (m + 1.0))[None],
+        ranks=ranks[None],
     )
 
 
