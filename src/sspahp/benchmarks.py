@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX, DecisionMatrix, WeightVector, normalize_minmax, require_valid
+from .core import MAX, DecisionMatrix, WeightVector, _frozen_array, normalize_minmax, require_valid
 from .correlation import INPUT_ORDER, rank_from_scores
 from .errors import InputError, NumericalError
 
@@ -44,12 +44,8 @@ class BenchmarkScore:
 
     def __post_init__(self):
         object.__setattr__(self, "alternative_ids", tuple(self.alternative_ids))
-        v = np.asarray(self.values, dtype=float)
-        r = np.asarray(self.ranking, dtype=int)
-        v.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "ranking", r)
+        _frozen_array(self, "values", np.asarray(self.values, dtype=float))
+        _frozen_array(self, "ranking", np.asarray(self.ranking, dtype=int))
 
 
 def _prepare(matrix: DecisionMatrix, weights: WeightVector):
@@ -102,8 +98,8 @@ def mabac(matrix: DecisionMatrix, weights: WeightVector) -> BenchmarkScore:
     score is the row sum of distances from that border. Scores land in
     [-1, 1], larger is better.
     """
-    _, w, _ = _prepare(matrix, weights)
     r = normalize_minmax(matrix).values
+    w = weights.aligned(matrix.criterion_ids)
     v = w * (r + 1.0)
     # w_j = 0 zeroes the whole column; its border is 0 as well
     safe = np.where(v > 0, v, 1.0)

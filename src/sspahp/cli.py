@@ -100,11 +100,8 @@ def _parse_groups(text: str | None):
 
 
 def _load_inputs(matrix_path, hierarchy_path):
-    _require(hierarchy_path is not None, "--hierarchy is required")
     hierarchy = sio.load_hierarchy(hierarchy_path)
-    _require(matrix_path is not None, "--matrix is required")
-    matrix = sio.load_decision_matrix(matrix_path, hierarchy)
-    return matrix, hierarchy
+    return sio.load_decision_matrix(matrix_path, hierarchy), hierarchy
 
 
 def _ahp_from_path(pairwise_path, hierarchy=None, strict_cr=False):
@@ -135,22 +132,20 @@ def _ahp_from_path(pairwise_path, hierarchy=None, strict_cr=False):
     return weights, report
 
 
-def _criterion_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr):
-    """Resolve the weight vector for evaluation-style commands."""
+def _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr):
+    """Criterion weights, plus the ahp consistency report and dimension weights or None."""
     if method == "ahp":
         _require(pairwise is not None, "--weights-method ahp requires --pairwise")
-        dim_weights, report = _ahp_from_path(pairwise, hierarchy, strict_cr)
-        if set(dim_weights.criterion_ids) == set(hierarchy.dimension_ids()):
-            return distribute_weights(dim_weights, hierarchy), report
-        return dim_weights, report
-    if method == "entropy":
-        return entropy_weights(matrix), None
-    if method == "critic":
-        return critic_weights(matrix), None
+        w, report = _ahp_from_path(pairwise, hierarchy, strict_cr)
+        if hierarchy is not None and set(w.criterion_ids) == set(hierarchy.dimension_ids()):
+            return distribute_weights(w, hierarchy), report, w
+        return w, report, None
     if method == "file":
         _require(weights_file is not None, "--weights-method file requires --weights-file")
-        return sio.load_weights(weights_file, hierarchy), None
-    raise InputError(f"unknown weighting method '{method}'")
+        return sio.load_weights(weights_file, hierarchy), None, None
+    _require(matrix is not None, f"--weights-method {method} requires --matrix and --hierarchy")
+    weigh = entropy_weights if method == "entropy" else critic_weights
+    return weigh(matrix), None, None
 
 
 def _weights_payload(weights: WeightVector, report, dim_weights=None) -> dict:
@@ -173,6 +168,21 @@ def main():
     """Multi-criteria evaluation with tunable criteria-compensation reduction."""
 
 
+def _with_options(options):
+    def deco(fn):
+        for opt in reversed(options):
+            fn = opt(fn)
+        return fn
+
+    return deco
+
+
+_output_options = [
+    click.option("--format", "fmt", type=click.Choice(FORMATS), default="table", show_default=True),
+    click.option("--out", type=click.Path(), help="Write output to a file instead of stdout."),
+]
+
+
 @main.command("weights")
 @click.option(
     "--weights-method",
@@ -187,31 +197,13 @@ def main():
 @click.option("--hierarchy", "hierarchy_path", type=click.Path(), help="Criteria hierarchy JSON.")
 @click.option("--weights-file", type=click.Path(), help="Weights CSV (file method).")
 @click.option("--strict-cr", is_flag=True, help="Fail (exit 4) when CR exceeds 0.1.")
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="table", show_default=True)
-@click.option("--out", type=click.Path(), help="Write output to a file instead of stdout.")
+@_with_options(_output_options)
 @_handled
 def weights_cmd(method, pairwise, matrix_path, hierarchy_path, weights_file, strict_cr, fmt, out):
     """Derive criterion weights and (for ahp) report judgment consistency."""
     hierarchy = sio.load_hierarchy(hierarchy_path) if hierarchy_path else None
-    report = None
-    dim_weights = None
-
-    if method == "ahp":
-        _require(pairwise is not None, "--weights-method ahp requires --pairwise")
-        w, report = _ahp_from_path(pairwise, hierarchy, strict_cr)
-        if hierarchy is not None and set(w.criterion_ids) == set(hierarchy.dimension_ids()):
-            dim_weights = w
-            w = distribute_weights(dim_weights, hierarchy)
-    elif method in ("entropy", "critic"):
-        _require(
-            matrix_path is not None and hierarchy_path is not None,
-            f"--weights-method {method} requires --matrix and --hierarchy",
-        )
-        matrix, hierarchy = _load_inputs(matrix_path, hierarchy_path)
-        w = entropy_weights(matrix) if method == "entropy" else critic_weights(matrix)
-    else:
-        _require(weights_file is not None, "--weights-method file requires --weights-file")
-        w = sio.load_weights(weights_file, hierarchy)
+    matrix = sio.load_decision_matrix(matrix_path, hierarchy) if matrix_path and hierarchy else None
+    w, report, dim_weights = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
 
     if fmt == "json":
         text = sio.records_to_json(_weights_payload(w, report, dim_weights))
@@ -252,18 +244,8 @@ _shared_eval_options = [
     click.option("--pairwise", type=click.Path(), help="Pairwise CSV or directory (ahp)."),
     click.option("--weights-file", type=click.Path(), help="Weights CSV (file method)."),
     click.option("--strict-cr", is_flag=True, help="Fail (exit 4) when CR exceeds 0.1."),
-    click.option("--format", "fmt", type=click.Choice(FORMATS), default="table", show_default=True),
-    click.option("--out", type=click.Path(), help="Write output to a file instead of stdout."),
+    *_output_options,
 ]
-
-
-def _with_options(options):
-    def deco(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-
-    return deco
 
 
 @main.command("eval")
@@ -274,7 +256,7 @@ def _with_options(options):
 def eval_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, strict_cr, fmt, out, s_value, groups):
     """Score and rank the alternatives."""
     matrix, hierarchy = _load_inputs(matrix_path, hierarchy_path)
-    w, _ = _criterion_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
+    w, _, _ = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
     _require(0.0 <= s_value <= 1.0, f"--s must lie in [0, 1], got {s_value}")
     group_ids = _parse_groups(groups)
     if group_ids is None:
@@ -315,7 +297,7 @@ def eval_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, strict
 def benchmarks_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, strict_cr, fmt, out, tau, bounds_path, with_corr):
     """Run the reference methods next to the plain (s = 0) evaluation."""
     matrix, hierarchy = _load_inputs(matrix_path, hierarchy_path)
-    w, _ = _criterion_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
+    w, _, _ = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
     bounds = sio.load_bounds(bounds_path, hierarchy) if bounds_path else None
     if with_corr and fmt == "csv":
         raise InputError(
@@ -394,7 +376,7 @@ def benchmarks_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, 
 def sweep_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, strict_cr, fmt, out, groups, step):
     """Trace rankings across compensation-reduction levels and group subsets."""
     matrix, hierarchy = _load_inputs(matrix_path, hierarchy_path)
-    w, _ = _criterion_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
+    w, _, _ = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
 
     if groups.strip().lower() == "all":
         subsets = enumerate_group_subsets(hierarchy.dimension_ids())
@@ -435,8 +417,7 @@ def sweep_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, stric
 @main.command("corr")
 @click.argument("file_a", type=click.Path())
 @click.argument("file_b", type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="table", show_default=True)
-@click.option("--out", type=click.Path(), help="Write output to a file instead of stdout.")
+@_with_options(_output_options)
 @_handled
 def corr_cmd(file_a, file_b, fmt, out):
     """Correlation (weighted Spearman, Pearson) between two ranking files.

@@ -72,20 +72,21 @@ def rank_from_scores(values, higher_better: bool = True, ties: str = INPUT_ORDER
     ``ties`` selects the tie rule: ``input-order`` gives the earlier item
     the better rank (deterministic display rule), ``average`` assigns each
     tied group the mean of the ranks it spans (the convention correlation
-    coefficients expect).
+    coefficients expect). Under ``input-order`` an array with more than one
+    axis is ranked along its last axis; ``average`` takes a flat vector.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
+    if v.ndim == 0 or (v.ndim > 1 and ties == AVERAGE):
         raise InputError("expected a flat score vector")
     if not np.isfinite(v).all():
         raise InputError("scores must be finite")
     key = -v if higher_better else v
-    order = np.argsort(key, kind="stable")
-    n = v.shape[0]
-    ranks = np.empty(n, dtype=float)
+    order = np.argsort(key, axis=-1, kind="stable")
+    n = v.shape[-1]
+    ranks = np.empty(v.shape, dtype=float)
 
     if ties == INPUT_ORDER:
-        ranks[order] = np.arange(1, n + 1, dtype=float)
+        np.put_along_axis(ranks, order, np.arange(1, n + 1, dtype=float), axis=-1)
     elif ties == AVERAGE:
         i = 0
         while i < n:

@@ -20,6 +20,7 @@ from .core import (
     DecisionMatrix,
     NormalizedMatrix,
     WeightVector,
+    _frozen_array,
     flatten_hierarchy,
     normalize_minmax,
 )
@@ -41,9 +42,7 @@ class SustainabilityCoefficients:
             raise InputError("coefficients must be finite")
         if arr.min(initial=0.0) < 0.0 or arr.max(initial=0.0) > 1.0:
             raise InputError("every coefficient must lie in [0, 1]")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "s", arr)
+        _frozen_array(self, "s", arr)
 
     @classmethod
     def uniform(cls, n: int, value: float) -> "SustainabilityCoefficients":
@@ -93,12 +92,8 @@ class EvaluationResult:
 
     def __post_init__(self):
         object.__setattr__(self, "alternative_ids", tuple(self.alternative_ids))
-        u = np.asarray(self.utilities, dtype=float)
-        r = np.asarray(self.ranking, dtype=int)
-        u.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "utilities", u)
-        object.__setattr__(self, "ranking", r)
+        _frozen_array(self, "utilities", np.asarray(self.utilities, dtype=float))
+        _frozen_array(self, "ranking", np.asarray(self.ranking, dtype=int))
 
     def rank_of(self, alternative_id: str) -> int:
         return int(self.ranking[self.alternative_ids.index(alternative_id)])

@@ -169,7 +169,7 @@ def load_decision_matrix(path, hierarchy: CriteriaHierarchy) -> DecisionMatrix:
         if cid in file_cids[:c]:
             raise InputError(f"{path}: duplicate criterion column '{cid}'")
 
-    canonical = [cid for cid, _ in flatten_hierarchy(hierarchy)]
+    canonical = hierarchy.criterion_ids()
     unknown = [c for c in file_cids if c not in set(canonical)]
     if unknown:
         raise InputError(
@@ -200,7 +200,7 @@ def load_decision_matrix(path, hierarchy: CriteriaHierarchy) -> DecisionMatrix:
     order = [file_cids.index(c) for c in canonical]
     matrix = DecisionMatrix(
         alternative_ids=tuple(alt_ids),
-        criterion_ids=tuple(canonical),
+        criterion_ids=canonical,
         values=values[:, order],
         objectives=tuple(hierarchy.objective_for(c) for c in canonical),
     )
@@ -314,7 +314,7 @@ def load_bounds(path, hierarchy: CriteriaHierarchy) -> np.ndarray:
             _parse_number(row[1], f"row {r}, column 2"),
             _parse_number(row[2], f"row {r}, column 3"),
         )
-    canonical = [cid for cid, _ in flatten_hierarchy(hierarchy)]
+    canonical = hierarchy.criterion_ids()
     missing = [c for c in canonical if c not in by_id]
     if missing:
         raise InputError(f"{path}: bounds missing for: {', '.join(missing)}")

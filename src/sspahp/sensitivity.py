@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, normalize_minmax
+from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _frozen_array, normalize_minmax
 from .correlation import pearson, rank_from_scores, weighted_spearman
 from .errors import InputError, SspahpError
 from .evaluation import SustainabilityCoefficients
@@ -80,8 +80,7 @@ class SweepSpec:
             raise InputError("s grid values must lie in [0, 1]")
         if (np.diff(grid) <= 0).any():
             raise InputError("s grid must increase strictly")
-        grid.setflags(write=False)
-        object.__setattr__(self, "s_grid", grid)
+        _frozen_array(self, "s_grid", grid)
 
         subsets = self.group_subsets
         if subsets is None:
@@ -107,6 +106,10 @@ class SweepResult:
     s_grid: np.ndarray
     utilities: np.ndarray
     ranks: np.ndarray
+
+    def __post_init__(self):
+        _frozen_array(self, "utilities", np.asarray(self.utilities, dtype=float))
+        _frozen_array(self, "ranks", np.asarray(self.ranks, dtype=int))
 
     def final_rankings(self) -> dict[tuple[str, ...], np.ndarray]:
         """Per subset, the ranking at the last (deepest) grid point."""
@@ -160,15 +163,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     penalty = np.array(membership) @ (np.abs(r.mean(axis=0) - r) * w).T  # [subset, alternative]
     utilities = (r @ w) - grid[None, :, None] * penalty[:, None, :]
-    ranks = np.apply_along_axis(rank_from_scores, 2, utilities).astype(int)
-    utilities.setflags(write=False)
-    ranks.setflags(write=False)
     return SweepResult(
         alternative_ids=matrix.alternative_ids,
         subsets=subsets,
         s_grid=grid,
         utilities=utilities,
-        ranks=ranks,
+        ranks=rank_from_scores(utilities),
     )
 
 

@@ -21,6 +21,7 @@ from .core import (
     CriteriaHierarchy,
     DecisionMatrix,
     WeightVector,
+    _frozen_array,
     flatten_hierarchy,
     normalize_minmax,
     require_valid,
@@ -76,9 +77,7 @@ class PairwiseMatrix:
                 f"reciprocity violated at ({i + 1}, {j + 1}): "
                 f"{arr[i, j]:g} * {arr[j, i]:g} != 1"
             )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        _frozen_array(self, "values", arr)
         if self.labels is not None:
             labels = tuple(self.labels)
             if len(labels) != arr.shape[0]:
@@ -121,36 +120,38 @@ def aggregate_pairwise(matrices: list[PairwiseMatrix]) -> PairwiseMatrix:
     return PairwiseMatrix(consensus, labels=labels)
 
 
-def _principal_eigenvector(
-    values: np.ndarray, tol: float = 1e-10, max_iter: int = 1000
-) -> tuple[np.ndarray, float]:
-    """Power iteration from the uniform vector, renormalized to sum 1.
+def _eigen_solve(
+    matrix: PairwiseMatrix,
+    random_index: dict[int, float],
+    tol: float = 1e-10,
+    max_iter: int = 1000,
+) -> tuple[np.ndarray, ConsistencyReport]:
+    """Principal eigenvector (sum 1) and the consistency of its eigenvalue.
 
+    Power iteration from the uniform vector, renormalized to sum 1.
     Converges when successive iterates differ by less than ``tol`` in
     max-norm; the dominant eigenvalue is estimated as the mean of the
     component-wise ratios (X w) / w at the converged vector.
     """
-    n = values.shape[0]
+    n = matrix.n
+    if n > max(random_index):
+        raise InputError(
+            f"no random index for n = {n}; matrices up to "
+            f"{max(random_index)} criteria are supported"
+        )
+    values = matrix.values
     w = np.full(n, 1.0 / n)
     for _ in range(max_iter):
         y = values @ w
         w_next = y / y.sum()
         if np.abs(w_next - w).max() < tol:
             lam = float(np.mean((values @ w_next) / w_next))
-            return w_next, lam
+            return w_next, _consistency_from_lambda(lam, n, random_index)
         w = w_next
     raise ConvergenceError(
         f"power iteration did not converge in {max_iter} iterations",
         last_iterate=w,
     )
-
-
-def _check_size(n: int, random_index: dict[int, float]) -> None:
-    if n > max(random_index):
-        raise InputError(
-            f"no random index for n = {n}; matrices up to "
-            f"{max(random_index)} criteria are supported"
-        )
 
 
 def _consistency_from_lambda(
@@ -173,8 +174,9 @@ def consistency(
 
     cr = ci / ri where ci = (lambda_max - n) / (n - 1) and ri is the random
     index for the matrix size. Sizes 1 and 2 are consistent by definition
-    (cr = 0); sizes above 10 are rejected because the random-index table
-    ends there.
+    (cr = 0); a 1x1 matrix goes through the same eigen solve as any other
+    and gives lambda_max = 1. Sizes above 10 are rejected because the
+    random-index table ends there.
     """
     ri = RANDOM_INDEX if random_index is None else dict(random_index)
     if set(ri) - set(RANDOM_INDEX):
@@ -182,12 +184,7 @@ def consistency(
             f"random index keys must lie in 1..{max(RANDOM_INDEX)}, "
             f"got {sorted(set(ri) - set(RANDOM_INDEX))}"
         )
-    n = matrix.n
-    _check_size(n, ri)
-    if n == 1:
-        return ConsistencyReport(lambda_max=1.0, ci=0.0, cr=0.0, acceptable=True)
-    _, lam = _principal_eigenvector(matrix.values)
-    return _consistency_from_lambda(lam, n, ri)
+    return _eigen_solve(matrix, ri)[1]
 
 
 def ahp_weights(
@@ -196,18 +193,12 @@ def ahp_weights(
     """Priority weights from a judgment matrix via the principal eigenvector.
 
     Returns the eigenvector normalized to sum 1 together with the
-    consistency report computed from the same eigen solve.
+    consistency report computed from the same eigen solve. A 1x1 matrix
+    takes the general path and gives weight 1 with cr = 0.
     """
-    n = matrix.n
-    _check_size(n, RANDOM_INDEX)
-    labels = matrix.labels or tuple(f"c{i + 1}" for i in range(n))
-    if n == 1:
-        return (
-            WeightVector(np.array([1.0]), labels),
-            ConsistencyReport(lambda_max=1.0, ci=0.0, cr=0.0, acceptable=True),
-        )
-    w, lam = _principal_eigenvector(matrix.values, tol=tol, max_iter=max_iter)
-    return WeightVector(w, labels), _consistency_from_lambda(lam, n, RANDOM_INDEX)
+    w, report = _eigen_solve(matrix, RANDOM_INDEX, tol, max_iter)
+    labels = matrix.labels or tuple(f"c{i + 1}" for i in range(matrix.n))
+    return WeightVector(w, labels), report
 
 
 def entropy_weights(matrix: DecisionMatrix) -> WeightVector:

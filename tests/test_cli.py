@@ -4,8 +4,16 @@ import pytest
 from click.testing import CliRunner
 
 from sspahp.cli import main
-from sspahp.io import write_hierarchy_json, write_matrix_csv
+from sspahp.io import (
+    load_decision_matrix,
+    load_hierarchy,
+    load_pairwise,
+    load_weights,
+    write_hierarchy_json,
+    write_matrix_csv,
+)
 from sspahp.sample import sample_hierarchy, sample_matrix
+from sspahp.weighting import ahp_weights, critic_weights, distribute_weights, entropy_weights
 
 from conftest import CONSENSUS_JUDGMENTS
 
@@ -95,6 +103,36 @@ class TestWeightsCommand:
         doc = json.loads(result.output)
         # geometric mean of 2 and 8 is 4, a consistent 2x2 with weights 0.8/0.2
         assert doc["weights"]["c1"] == pytest.approx(0.8)
+
+
+    @pytest.mark.parametrize("method", ["critic", "entropy", "file", "ahp"])
+    def test_json_weights_match_the_library(self, runner, data_files, judgments_file, tmp_path, method):
+        matrix_path, hierarchy_path = data_files
+        hierarchy = load_hierarchy(hierarchy_path)
+        weights_path = tmp_path / "w.csv"
+        weights_path.write_text(
+            "criterion_id,weight\n" + "".join(f"C{j},{j / 325!r}\n" for j in range(1, 26))
+        )
+        args = ["weights", "--weights-method", method, "--hierarchy", hierarchy_path, "--format", "json"]
+        if method == "ahp":
+            args += ["--pairwise", judgments_file]
+            dims, _ = ahp_weights(load_pairwise(judgments_file))
+            expected = distribute_weights(dims, hierarchy)
+        elif method == "file":
+            args += ["--matrix", matrix_path, "--weights-file", str(weights_path)]
+            expected = load_weights(weights_path, hierarchy)
+        else:
+            args += ["--matrix", matrix_path]
+            weigh = critic_weights if method == "critic" else entropy_weights
+            expected = weigh(load_decision_matrix(matrix_path, hierarchy))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert doc["weights"] == expected.as_dict()
+        if method == "ahp":
+            assert doc["dimension_weights"] == dims.as_dict()
+        else:
+            assert "dimension_weights" not in doc and "consistency" not in doc
 
 
 class TestEvalCommand:

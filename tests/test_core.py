@@ -4,18 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sspahp import (
+    BenchmarkScore,
     CriteriaHierarchy,
     DecisionMatrix,
     Dimension,
+    EvaluationResult,
     InputError,
+    NormalizedMatrix,
+    PairwiseMatrix,
     SubDimension,
+    SustainabilityCoefficients,
+    SweepResult,
+    SweepSpec,
     WeightVector,
     flatten_hierarchy,
     normalize_minmax,
     validate_matrix,
 )
 
-from conftest import make_matrix
+from conftest import make_matrix, two_level_hierarchy
 
 
 class TestValidateMatrix:
@@ -214,3 +221,87 @@ class TestFlattenHierarchy:
         )
         with pytest.raises(InputError, match="duplicate dimension"):
             flatten_hierarchy(h)
+
+
+
+_IDS = ("a1", "a2")
+
+
+@pytest.mark.parametrize(
+    "build, caller",
+    [
+        pytest.param(
+            lambda a: DecisionMatrix(_IDS, ("c1", "c2"), a, ("max", "max")).values,
+            np.eye(2),
+            id="DecisionMatrix",
+        ),
+        pytest.param(
+            lambda a: NormalizedMatrix(a, _IDS, ("c1", "c2")).values,
+            np.eye(2),
+            id="NormalizedMatrix",
+        ),
+        pytest.param(
+            lambda a: WeightVector(a, ("c1", "c2")).weights,
+            np.array([0.25, 0.75]),
+            id="WeightVector",
+        ),
+        pytest.param(
+            lambda a: PairwiseMatrix(a).values,
+            np.array([[1.0, 2.0], [0.5, 1.0]]),
+            id="PairwiseMatrix",
+        ),
+        pytest.param(
+            lambda a: SustainabilityCoefficients(a).s,
+            np.array([0.25, 0.75]),
+            id="SustainabilityCoefficients",
+        ),
+        pytest.param(
+            lambda a: EvaluationResult(a, [2, 1], _IDS).utilities,
+            np.array([0.25, 0.75]),
+            id="EvaluationResult.utilities",
+        ),
+        pytest.param(
+            lambda a: EvaluationResult([0.25, 0.75], a, _IDS).ranking,
+            np.array([2, 1]),
+            id="EvaluationResult.ranking",
+        ),
+        pytest.param(
+            lambda a: BenchmarkScore("m", a, [2, 1], _IDS).values,
+            np.array([0.25, 0.75]),
+            id="BenchmarkScore.values",
+        ),
+        pytest.param(
+            lambda a: BenchmarkScore("m", [0.25, 0.75], a, _IDS).ranking,
+            np.array([2, 1]),
+            id="BenchmarkScore.ranking",
+        ),
+        pytest.param(
+            lambda a: SweepSpec(
+                make_matrix(np.eye(2)),
+                two_level_hierarchy(),
+                WeightVector([0.5, 0.5], ("c1", "c2")),
+                s_grid=a,
+            ).s_grid,
+            np.array([0.0, 0.5, 1.0]),
+            id="SweepSpec.s_grid",
+        ),
+        pytest.param(
+            lambda a: SweepResult(_IDS, ((),), [0.0], a, [[[2, 1]]]).utilities,
+            np.array([[[0.25, 0.75]]]),
+            id="SweepResult.utilities",
+        ),
+        pytest.param(
+            lambda a: SweepResult(_IDS, ((),), [0.0], [[[0.25, 0.75]]], a).ranks,
+            np.array([[[2, 1]]]),
+            id="SweepResult.ranks",
+        ),
+    ],
+)
+def test_construction_leaves_the_caller_array_writable(build, caller):
+    caller = caller.copy()
+    kept = build(caller)
+    before = kept.copy()
+    caller[...] = 0
+    assert np.array_equal(kept, before)
+    with pytest.raises(ValueError, match="read-only"):
+        kept[...] = 0

@@ -129,3 +129,16 @@ class TestRankFromScores:
     def test_non_finite_scores_rejected(self):
         with pytest.raises(InputError, match="finite"):
             rank_from_scores([np.nan, 1.0])
+
+    @pytest.mark.parametrize("higher_better", [True, False])
+    def test_input_order_ranks_along_the_last_axis(self, higher_better):
+        scores = np.round(np.random.default_rng(5).random((3, 4, 6)), 1)
+        got = rank_from_scores(scores, higher_better=higher_better)
+        for idx in np.ndindex(scores.shape[:-1]):
+            assert np.array_equal(
+                got[idx], rank_from_scores(scores[idx], higher_better=higher_better)
+            )
+
+    def test_average_ties_need_a_flat_vector(self):
+        with pytest.raises(InputError, match="flat"):
+            rank_from_scores([[0.5, 0.5], [0.1, 0.2]], ties="average")
