@@ -147,9 +147,8 @@ def codas(
 
     de = e[:, None] - e[None, :]
     dt = t[:, None] - t[None, :]
-    gate = (np.abs(de) >= tau).astype(float)
-    scores = (de + gate * dt).sum(axis=1)
-    return _score(CODAS, scores, matrix)
+    de += np.where(np.abs(de) >= tau, dt, 0.0)
+    return _score(CODAS, de.sum(axis=1), matrix)
 
 
 def spotis(
@@ -200,13 +199,21 @@ def promethee2(matrix: DecisionMatrix, weights: WeightVector) -> BenchmarkScore:
     weight-aggregated and averaged over the m - 1 opponents. The net flow
     (leaving minus entering) lies in [-1, 1], sums to 0 over alternatives,
     and larger is better.
+
+    No m x m table is built: the leaving flow of a is sum_j w_j worse_j(a)
+    and its entering flow sum_j w_j better_j(a), where worse_j(a) and
+    better_j(a) count the alternatives strictly worse and strictly better
+    than a on j. Both counts come from one sort and searchsorted per column,
+    in O(mn log m) time and O(mn) memory.
     """
     x, w, profit = _prepare(matrix, weights)
     m = x.shape[0]
-    diff = x[:, None, :] - x[None, :, :]
-    better = np.where(profit, diff > 0, diff < 0)
-    pi = better.astype(float) @ w
-    phi = (pi.sum(axis=1) - pi.sum(axis=0)) / (m - 1)
+    # per cell, strictly lower minus strictly higher values: left - (m - right)
+    lead = np.column_stack([
+        np.searchsorted(ordered, col, "left") + np.searchsorted(ordered, col, "right") - m
+        for ordered, col in zip(np.sort(x, axis=0).T, x.T)
+    ])
+    phi = (np.where(profit, lead, -lead) @ w) / (m - 1)
     return _score(PROMETHEE2, phi, matrix)
 
 

@@ -23,6 +23,9 @@ from .evaluation import SustainabilityCoefficients
 
 DEFAULT_STEP = 0.05
 
+#: largest dimension count a subset enumeration accepts (2^20 subsets)
+MAX_DIMENSIONS = 20
+
 
 def default_s_grid(step: float = DEFAULT_STEP) -> np.ndarray:
     """Evenly spaced grid over [0, 1] starting at 0 with the given step.
@@ -44,13 +47,20 @@ def enumerate_group_subsets(dimension_ids) -> tuple[tuple[str, ...], ...]:
 
     The first dimension acts as the most significant bit, so for (G1..G5)
     the order runs (), (G5,), (G4,), (G4, G5), (G3,), ... up to the full
-    set. Members of each subset keep the hierarchy order.
+    set. Members of each subset keep the hierarchy order. More than
+    ``MAX_DIMENSIONS`` dimensions raise InputError, since the subset count
+    doubles with each one.
     """
     ids = tuple(dimension_ids)
-    k = len(ids)
-    out = []
-    for mask in range(2**k):
-        out.append(tuple(ids[i] for i in range(k) if mask >> (k - 1 - i) & 1))
+    if len(ids) > MAX_DIMENSIONS:
+        raise InputError(
+            f"{len(ids)} dimensions give {2 ** len(ids):,} subsets; "
+            f"at most {MAX_DIMENSIONS} dimensions are supported"
+        )
+    # each earlier dimension is the next more significant bit
+    out = [()]
+    for dim in reversed(ids):
+        out += [(dim,) + subset for subset in out]
     return tuple(out)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sspahp import (
     InputError,
@@ -11,6 +13,7 @@ from sspahp import (
     evaluate,
     mabac,
     promethee2,
+    rank_from_scores,
     run_all,
     spotis,
     topsis,
@@ -47,6 +50,35 @@ def codas_oracle(values, objectives, weights, tau):
             total += de + psi * (t[i] - t[k])
         scores.append(total)
     return np.array(scores)
+
+
+def codas_gate_product(matrix, weights, tau):
+    """CODAS with the pairwise gate held as a float matrix and multiplied in."""
+    x = matrix.values
+    w = weights.aligned(matrix.criterion_ids)
+    profit = np.array([obj == "max" for obj in matrix.objectives])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = np.where(profit, x / x.max(axis=0), x.min(axis=0) / x)
+    v = norm * w
+    anti = v.min(axis=0)
+    e = np.sqrt(((v - anti) ** 2).sum(axis=1))
+    t = np.abs(v - anti).sum(axis=1)
+    de = e[:, None] - e[None, :]
+    dt = t[:, None] - t[None, :]
+    gate = (np.abs(de) >= tau).astype(float)
+    return (de + gate * dt).sum(axis=1)
+
+
+def promethee2_oracle(matrix, weights):
+    """Net flows from the full m x m x n table of pairwise criterion votes."""
+    x = matrix.values
+    w = weights.aligned(matrix.criterion_ids)
+    profit = np.array([obj == "max" for obj in matrix.objectives])
+    m = x.shape[0]
+    diff = x[:, None, :] - x[None, :, :]
+    better = np.where(profit, diff > 0, diff < 0)
+    pi = better.astype(float) @ w
+    return (pi.sum(axis=1) - pi.sum(axis=0)) / (m - 1)
 
 
 class TestTopsis:
@@ -133,6 +165,28 @@ class TestCodas:
             expected = codas_oracle(m.values, list(m.objectives), w.weights, 0.02)
             assert np.max(np.abs(got.values - expected)) < 1e-10
 
+    def test_pair_exactly_tau_apart_counts_its_taxicab_term(self):
+        # e = t = (0.75, 0.25, 0): rows 2 and 3 are exactly 0.25 apart, and
+        # their taxicab difference joins the score only if the gate includes tau
+        m = make_matrix([[1.0], [0.5], [0.25]])
+        w = WeightVector(np.array([1.0]), m.criterion_ids)
+        score = codas(m, w, tau=0.25)
+        assert score.values.tolist() == [2.5, -0.5, -2.0]
+        expected = codas_oracle(m.values, ["max"], [1.0], 0.25)
+        assert np.array_equal(score.values, expected)
+        # just above the boundary the pair's taxicab term drops out
+        above = codas(m, w, tau=float(np.nextafter(0.25, 1.0)))
+        assert above.values.tolist() == [2.5, -0.75, -1.75]
+
+    def test_values_equal_the_gate_product_formula_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        for tau in (0.01, 0.02, 0.05, 0.2):
+            for _ in range(10):
+                m = random_matrix(rng, max_m=40, max_n=8)
+                w = random_weights(rng, m)
+                got = codas(m, w, tau=tau).values
+                assert np.array_equal(got, codas_gate_product(m, w, tau))
+
     def test_non_positive_columns_are_rejected(self):
         m = make_matrix([[0.0, 1.0], [-1.0, 2.0]])
         with pytest.raises(NumericalError, match="positive"):
@@ -204,6 +258,53 @@ class TestPromethee2:
             score = promethee2(m, random_weights(rng, m))
             assert abs(score.values.sum()) < 1e-9
             assert np.abs(score.values).max() <= 1.0 + 1e-12
+
+
+    def test_matches_dense_oracle_on_tie_heavy_instances(self):
+        rng = np.random.default_rng(62)
+        for _ in range(10):
+            values = rng.integers(0, 4, size=(120, 6)).astype(float)
+            objectives = tuple(rng.choice(["max", "min"], size=6).tolist())
+            m = make_matrix(values, objectives)
+            w = random_weights(rng, m)
+            got = promethee2(m, w).values
+            assert np.abs(got - promethee2_oracle(m, w)).max() <= 1e-12
+
+
+@st.composite
+def flow_case(draw):
+    """Matrix with tied levels, constant columns, copied rows and zero weights."""
+    m = draw(st.integers(min_value=2, max_value=8))
+    n = draw(st.integers(min_value=1, max_value=5))
+    cell = st.one_of(
+        st.floats(min_value=-10.0, max_value=10.0), st.sampled_from([-1.0, 0.0, 2.5])
+    )
+    values = np.array(draw(st.lists(
+        st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m
+    )))
+    for j, constant in enumerate(draw(st.lists(st.booleans(), min_size=n, max_size=n))):
+        if constant:
+            values[:, j] = 4.0
+    if draw(st.booleans()):
+        values[-1] = values[0]
+    objectives = draw(st.lists(st.sampled_from(["max", "min"]), min_size=n, max_size=n))
+    raw = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), min_size=n, max_size=n
+    )))
+    raw[draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
+    matrix = make_matrix(values, objectives)
+    return matrix, WeightVector(raw / raw.sum(), matrix.criterion_ids)
+
+
+@given(flow_case())
+@settings(max_examples=100, deadline=None)
+def test_promethee2_matches_the_dense_pairwise_oracle(case):
+    matrix, weights = case
+    score = promethee2(matrix, weights)
+    expected = promethee2_oracle(matrix, weights)
+    assert np.abs(score.values - expected).max() <= 1e-12
+    if (np.diff(np.sort(expected)) > 1e-12).all():
+        assert np.array_equal(score.ranking, rank_from_scores(expected))
 
 
 class TestCrossMethod:

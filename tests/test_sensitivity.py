@@ -18,7 +18,7 @@ from sspahp import (
     stability_report,
 )
 from sspahp.io import records_to_csv
-from sspahp.sensitivity import subset_label
+from sspahp.sensitivity import MAX_DIMENSIONS, subset_label
 
 from conftest import make_matrix, random_weights, two_level_hierarchy
 
@@ -67,6 +67,21 @@ class TestSubsetEnumeration:
         assert subsets[16] == ("G1",)
         assert subsets[-1] == ("G1", "G2", "G3", "G4", "G5")
         assert len(set(subsets)) == 32
+
+    def test_twenty_dimensions_are_the_limit(self):
+        ids = tuple(f"G{i + 1}" for i in range(MAX_DIMENSIONS))
+        subsets = enumerate_group_subsets(ids)
+        assert MAX_DIMENSIONS == 20
+        assert len(subsets) == 2**20
+        assert subsets[1] == ("G20",)
+        assert subsets[2**19] == ("G1",)
+        assert subsets[-1] == ids
+
+    def test_more_than_twenty_dimensions_are_rejected(self):
+        ids = tuple(f"G{i + 1}" for i in range(MAX_DIMENSIONS + 1))
+        message = "21 dimensions give 2,097,152 subsets; at most 20 dimensions are supported"
+        with pytest.raises(InputError, match=message):
+            enumerate_group_subsets(ids)
 
     def test_subset_label(self):
         assert subset_label(()) == ""
