@@ -28,7 +28,6 @@ from .evaluation import evaluate, evaluate_with_group_s
 from .sensitivity import (
     SweepSpec,
     default_s_grid,
-    enumerate_group_subsets,
     run_sweep,
     subset_label,
 )
@@ -378,10 +377,8 @@ def sweep_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, stric
     matrix, hierarchy = _load_inputs(matrix_path, hierarchy_path)
     w, _, _ = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
 
-    if groups.strip().lower() == "all":
-        subsets = enumerate_group_subsets(hierarchy.dimension_ids())
-    else:
-        subsets = (_parse_groups(groups),)
+    # None: every dimension subset, enumerated by the spec after its size check
+    subsets = None if groups.strip().lower() == "all" else (_parse_groups(groups),)
     spec = SweepSpec(
         matrix=matrix,
         hierarchy=hierarchy,

@@ -8,7 +8,14 @@ Formats:
   objectives restricted to the tokens "max" and "min";
 * pairwise judgments: square numeric CSV, header row optional, entries as
   decimals or simple fractions like ``1/3``;
-* weights: two-column CSV (criterion_id, weight).
+* weights: two-column CSV (criterion_id, weight);
+* ranking: CSV with ``alternative`` and ``rank`` columns, or a sweep export
+  that adds ``subset`` and ``s``; every ``s`` and ``rank`` cell must be a
+  number.
+
+``records_to_csv`` writes a header of ``fieldnames`` and one row per record;
+every record must carry exactly those keys, and floats keep full precision
+(``repr``).
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -34,15 +42,22 @@ from .errors import InputError
 from .weighting import PairwiseMatrix
 
 
-def _read_rows(path) -> list[list[str]]:
+def _iter_rows(path):
+    """Stream the non-blank CSV rows of a file, header first."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"file not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
-    if not rows:
-        raise InputError(f"empty file: {path}")
-    return rows
+        rows = (row for row in csv.reader(fh) if "".join(row).strip())
+        header = next(rows, None)
+        if header is None:
+            raise InputError(f"empty file: {path}")
+        yield header
+        yield from rows
+
+
+def _read_rows(path) -> list[list[str]]:
+    return list(_iter_rows(path))
 
 
 def _parse_number(token: str, where: str) -> float:
@@ -170,12 +185,13 @@ def load_decision_matrix(path, hierarchy: CriteriaHierarchy) -> DecisionMatrix:
             raise InputError(f"{path}: duplicate criterion column '{cid}'")
 
     canonical = hierarchy.criterion_ids()
-    unknown = [c for c in file_cids if c not in set(canonical)]
+    canonical_set, file_set = set(canonical), set(file_cids)
+    unknown = [c for c in file_cids if c not in canonical_set]
     if unknown:
         raise InputError(
             f"{path}: criterion id(s) not in the hierarchy: {', '.join(unknown)}"
         )
-    missing = [c for c in canonical if c not in set(file_cids)]
+    missing = [c for c in canonical if c not in file_set]
     if missing:
         raise InputError(
             f"{path}: hierarchy criteria missing from the file: {', '.join(missing)}"
@@ -189,12 +205,15 @@ def load_decision_matrix(path, hierarchy: CriteriaHierarchy) -> DecisionMatrix:
                 f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
             )
         alt_ids.append(row[0].strip())
-        data.append(
-            [
-                _parse_number(cell, f"row {r}, column {c}")
-                for c, cell in enumerate(row[1:], start=1)
-            ]
-        )
+        try:
+            data.append(list(map(float, row[1:])))
+        except ValueError:  # fractions, or a cell to report
+            data.append(
+                [
+                    _parse_number(cell, f"row {r}, column {c}")
+                    for c, cell in enumerate(row[1:], start=1)
+                ]
+            )
 
     values = np.asarray(data, dtype=float)
     order = [file_cids.index(c) for c in canonical]
@@ -321,44 +340,108 @@ def load_bounds(path, hierarchy: CriteriaHierarchy) -> np.ndarray:
     return np.array([by_id[c] for c in canonical], dtype=float)
 
 
+_SWEEP_COLUMNS = ("subset", "s", "alternative", "rank")
+_PLAIN_COLUMNS = ("alternative", "rank")
+
+
+def _bad_ranking_row(path, r, row, header, columns) -> InputError:
+    """Name the first missing column or non-numeric s/rank cell of a data row."""
+    for name in columns:
+        c = header.index(name)
+        if c >= len(row):
+            return InputError(
+                f"{path}: row {r} has {len(row)} cells, no column {c + 1} ({name})"
+            )
+        if name in ("s", "rank"):
+            try:
+                float(row[c])
+            except ValueError:
+                return InputError(
+                    f"{path}: non-numeric {name} cell '{row[c]}' at row {r}, column {c + 1}"
+                )
+    raise AssertionError(f"{path}: row {r} has every column and numeric cells")
+
+
 def load_ranking_file(path):
     """Read a ranking CSV: plain (alternative, rank) or a sweep export.
 
     Returns ("simple", {alternative: rank}) for plain files and
     ("sweep", {subset_label: {alternative: rank}}) for sweep exports, where
-    each subset's ranking is taken at its deepest grid point.
+    each subset's ranking is taken at its deepest grid point (its largest
+    ``s``; an ``s`` below -1 or NaN never counts) and subsets appear in the
+    order of their first row at that point. The file is read in one pass;
+    a short row or a non-numeric ``s`` or ``rank`` cell raises InputError
+    naming the row (data rows counted from 1, blank lines skipped) and the
+    column.
     """
-    rows = _read_rows(path)
-    header = [c.strip().lower() for c in rows[0]]
-    if {"subset", "s", "alternative", "rank"}.issubset(header):
-        si = header.index("subset")
-        gi = header.index("s")
-        ai = header.index("alternative")
-        ri = header.index("rank")
-        deepest: dict[str, float] = {}
-        for row in rows[1:]:
-            deepest[row[si]] = max(deepest.get(row[si], -1.0), float(row[gi]))
-        out: dict[str, dict[str, float]] = {}
-        for row in rows[1:]:
-            if float(row[gi]) == deepest[row[si]]:
-                out.setdefault(row[si], {})[row[ai]] = float(row[ri])
-        return "sweep", out
-    if {"alternative", "rank"}.issubset(header):
-        ai = header.index("alternative")
-        ri = header.index("rank")
-        return "simple", {row[ai]: float(row[ri]) for row in rows[1:]}
-    raise InputError(f"{path}: expected (alternative, rank) columns or a sweep export")
+    rows = _iter_rows(path)
+    header = [c.strip().lower() for c in next(rows)]
+    if set(_SWEEP_COLUMNS).issubset(header):
+        columns = _SWEEP_COLUMNS
+    elif set(_PLAIN_COLUMNS).issubset(header):
+        columns = _PLAIN_COLUMNS
+    else:
+        raise InputError(f"{path}: expected (alternative, rank) columns or a sweep export")
+
+    ai, ri = header.index("alternative"), header.index("rank")
+    r, row = 0, None
+    try:
+        if columns is _PLAIN_COLUMNS:
+            plain = {}
+            for r, row in enumerate(rows, start=1):
+                plain[row[ai]] = float(row[ri])
+            return "simple", plain
+
+        si, gi = header.index("subset"), header.index("s")
+        deepest: dict[str, tuple] = {}  # subset -> (deepest s, its first row, {alternative: rank})
+        for r, row in enumerate(rows, start=1):
+            s, rank = float(row[gi]), float(row[ri])
+            entry = deepest.get(row[si])
+            if entry is None or s > entry[0]:
+                if s >= -1.0:
+                    deepest[row[si]] = (s, r, {row[ai]: rank})
+            elif s == entry[0]:
+                entry[2][row[ai]] = rank
+    except UnicodeDecodeError:  # an unreadable file, not a bad cell
+        raise
+    except (ValueError, IndexError):
+        raise _bad_ranking_row(path, r, row, header, columns) from None
+    ordered = sorted(deepest.items(), key=lambda item: item[1][1])
+    return "sweep", {sub: entry[2] for sub, entry in ordered}
+
+
+def _key_mismatch(records, fieldnames) -> ValueError:
+    expected = set(fieldnames)
+    i, keys = next((i, rec.keys()) for i, rec in enumerate(records) if rec.keys() != expected)
+    return ValueError(
+        f"record {i} has keys {list(keys)}, expected {list(fieldnames)}: "
+        f"missing {[k for k in fieldnames if k not in keys]}, "
+        f"extra {[k for k in keys if k not in expected]}"
+    )
 
 
 def records_to_csv(records: list[dict], fieldnames: list[str]) -> str:
-    """Serialize records to CSV text; floats keep full precision."""
+    """Serialize records to CSV text; floats keep full precision.
+
+    The header is ``fieldnames``; each record becomes one row in that
+    column order. Every record must carry exactly the keys in
+    ``fieldnames``: a missing or an extra key raises ValueError naming the
+    record's index and the keys.
+    """
     buf = _io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for rec in records:
-        writer.writerow(
-            {k: (repr(v) if isinstance(v, float) else v) for k, v in rec.items()}
-        )
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    if len(fieldnames) > 1:
+        row_of = operator.itemgetter(*fieldnames)
+    else:  # itemgetter of one key returns the bare value, of none raises
+        row_of = lambda rec: [rec[k] for k in fieldnames]  # noqa: E731
+    # with every field present, a record of the right size has no extra key
+    if set(map(len, records)) - {len(set(fieldnames))}:
+        raise _key_mismatch(records, fieldnames)
+    try:
+        writer.writerows(map(row_of, records))
+    except KeyError:
+        raise _key_mismatch(records, fieldnames) from None
     return buf.getvalue()
 
 

@@ -26,6 +26,11 @@ DEFAULT_STEP = 0.05
 #: largest dimension count a subset enumeration accepts (2^20 subsets)
 MAX_DIMENSIONS = 20
 
+#: largest subsets x grid points x alternatives a sweep accepts; each cell
+#: holds a float64 utility and an int64 rank, 512 MiB at the limit
+MAX_SWEEP_CELLS = 2**25
+_CELL_BYTES = np.dtype(float).itemsize + np.dtype(int).itemsize
+
 
 def default_s_grid(step: float = DEFAULT_STEP) -> np.ndarray:
     """Evenly spaced grid over [0, 1] starting at 0 with the given step.
@@ -64,6 +69,16 @@ def enumerate_group_subsets(dimension_ids) -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
+def _check_sweep_size(n_subsets: int, n_grid: int, m: int) -> None:
+    cells = n_subsets * n_grid * m
+    if cells > MAX_SWEEP_CELLS:
+        raise InputError(
+            f"a sweep of {n_subsets:,} subsets x {n_grid} grid points x {m} alternatives "
+            f"needs {cells * _CELL_BYTES:,} bytes for {cells:,} cells; "
+            f"at most {MAX_SWEEP_CELLS:,} cells are supported"
+        )
+
+
 def subset_label(subset) -> str:
     """Stable text key for a subset; the empty subset is the empty string."""
     return "+".join(subset)
@@ -71,7 +86,11 @@ def subset_label(subset) -> str:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Everything a sweep needs: data bindings, grid, and subset list."""
+    """Everything a sweep needs: data bindings, grid, and subset list.
+
+    More than ``MAX_SWEEP_CELLS`` subsets x grid points x alternatives
+    raise InputError before any subset list or result array is built.
+    """
 
     matrix: DecisionMatrix
     hierarchy: CriteriaHierarchy
@@ -94,12 +113,16 @@ class SweepSpec:
 
         subsets = self.group_subsets
         if subsets is None:
-            subsets = enumerate_group_subsets(self.hierarchy.dimension_ids())
+            dimension_ids = self.hierarchy.dimension_ids()
+            if len(dimension_ids) <= MAX_DIMENSIONS:  # past it the enumeration names the cap
+                _check_sweep_size(2 ** len(dimension_ids), grid.size, self.matrix.m)
+            subsets = enumerate_group_subsets(dimension_ids)
         subsets = tuple(tuple(s) for s in subsets)
         if not subsets:
             raise InputError("need at least one group subset")
         if len(set(subsets)) != len(subsets):
             raise InputError("group subsets must be unique")
+        _check_sweep_size(len(subsets), grid.size, self.matrix.m)
         object.__setattr__(self, "group_subsets", subsets)
 
 
@@ -137,9 +160,10 @@ class SweepResult:
     def to_records(self) -> list[dict]:
         """Long-format rows: subset, s, alternative, utility, rank."""
         grid, utilities, ranks = self.s_grid.tolist(), self.utilities.tolist(), self.ranks.tolist()
+        labels = [subset_label(sub) for sub in self.subsets]
         return [
-            {"subset": subset_label(sub), "s": s, "alternative": alt, "utility": u, "rank": r}
-            for sub, u_rows, r_rows in zip(self.subsets, utilities, ranks)
+            {"subset": label, "s": s, "alternative": alt, "utility": u, "rank": r}
+            for label, u_rows, r_rows in zip(labels, utilities, ranks)
             for s, u_row, r_row in zip(grid, u_rows, r_rows)
             for alt, u, r in zip(self.alternative_ids, u_row, r_row)
         ]

@@ -369,6 +369,14 @@ class TestCorrCommand:
         result = runner.invoke(main, ["corr", str(a), str(b)])
         assert result.exit_code == 2
 
+    def test_malformed_ranking_file_is_an_input_error(self, runner, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("subset,s,alternative,rank\nG1,0,a1,1\nG1,1,a2,first\n")
+        result = runner.invoke(main, ["corr", str(bad), str(bad)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("input error: ")
+        assert "bad.csv: non-numeric rank cell 'first' at row 2, column 4" in result.stderr
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["csv", "json"])

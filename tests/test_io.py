@@ -1,22 +1,86 @@
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sspahp import InputError
+from sspahp import InputError, SweepSpec, run_sweep
 from sspahp.io import (
+    _parse_number,
     load_bounds,
     load_decision_matrix,
     load_hierarchy,
     load_pairwise,
     load_pairwise_batch,
+    load_ranking_file,
     load_weights,
+    records_to_csv,
     write_hierarchy_json,
     write_matrix_csv,
 )
 from sspahp.sample import DATA_DIR, sample_hierarchy, sample_matrix, write_sample
+from sspahp.sensitivity import subset_label
+from sspahp.weighting import critic_weights
 
 from conftest import CONSENSUS_JUDGMENTS
+
+
+def records_to_csv_oracle(records, fieldnames):
+    """Straightforward writer: one DictWriter row per record, floats as repr."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    for rec in records:
+        writer.writerow(
+            {k: (repr(v) if isinstance(v, float) else v) for k, v in rec.items()}
+        )
+    return buf.getvalue()
+
+
+def load_ranking_file_oracle(path):
+    """Straightforward reader: find each subset's deepest s, then a second pass."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+    header = [c.strip().lower() for c in rows[0]]
+    if {"subset", "s", "alternative", "rank"}.issubset(header):
+        si = header.index("subset")
+        gi = header.index("s")
+        ai = header.index("alternative")
+        ri = header.index("rank")
+        deepest = {}
+        for row in rows[1:]:
+            deepest[row[si]] = max(deepest.get(row[si], -1.0), float(row[gi]))
+        out = {}
+        for row in rows[1:]:
+            if float(row[gi]) == deepest[row[si]]:
+                out.setdefault(row[si], {})[row[ai]] = float(row[ri])
+        return "sweep", out
+    ai = header.index("alternative")
+    ri = header.index("rank")
+    return "simple", {row[ai]: float(row[ri]) for row in rows[1:]}
+
+
+def to_records_oracle(result):
+    """Long-format rows built with one subset label per row."""
+    grid, utilities, ranks = result.s_grid.tolist(), result.utilities.tolist(), result.ranks.tolist()
+    return [
+        {"subset": subset_label(sub), "s": s, "alternative": alt, "utility": u, "rank": r}
+        for sub, u_rows, r_rows in zip(result.subsets, utilities, ranks)
+        for s, u_row, r_row in zip(grid, u_rows, r_rows)
+        for alt, u, r in zip(result.alternative_ids, u_row, r_row)
+    ]
+
+
+def assert_same_ranking(got, want):
+    """Equal results with equal key order, outer and inner."""
+    assert got == want
+    assert list(got[1]) == list(want[1])
+    if got[0] == "sweep":
+        assert [list(v) for v in got[1].values()] == [list(v) for v in want[1].values()]
 
 
 @pytest.fixture
@@ -298,3 +362,170 @@ class TestShippedSampleData:
         m = sample_matrix()
         assert m.m == 16 and m.n == 25
         assert (m.values > 0).all()
+
+
+SWEEP_FIELDS = ["subset", "s", "alternative", "utility", "rank"]
+
+csv_text = st.one_of(
+    st.sampled_from(["", " ", "+", "G1+G2", "a,b", 'say "hi"', "two\nlines", " lead", "trail ", '"', "\r\n"]),
+    st.text(alphabet=st.sampled_from(list('ab ,"\n\r+-.0e\t')), max_size=8),
+)
+csv_number = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(10**20), max_value=10**20),
+)
+
+
+@st.composite
+def csv_table(draw):
+    fieldnames = draw(st.lists(st.text(alphabet="abc_, ", min_size=1, max_size=4), unique=True, max_size=5))
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        values = [draw(st.one_of(csv_text, csv_number)) for _ in fieldnames]
+        pairs = list(zip(fieldnames, values))
+        if draw(st.booleans()):
+            pairs.reverse()  # key order of a record must not matter
+        records.append(dict(pairs))
+    return records, fieldnames
+
+
+class TestRecordsToCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(csv_table())
+    def test_matches_the_dictwriter_oracle_byte_for_byte(self, table):
+        records, fieldnames = table
+        assert records_to_csv(records, fieldnames) == records_to_csv_oracle(records, fieldnames)
+
+    def test_sweep_records_match_the_oracle(self):
+        result = small_export_sweep()
+        records = result.to_records()
+        assert records == to_records_oracle(result)
+        assert records_to_csv(records, SWEEP_FIELDS) == records_to_csv_oracle(
+            to_records_oracle(result), SWEEP_FIELDS
+        )
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ([{"a": 1, "b": 2}, {"a": 3}], r"record 1 has keys \['a'\], expected \['a', 'b'\]: missing \['b'\], extra \[\]"),
+            ([{"a": 1, "b": 2, "c": 3}], r"record 0 .*: missing \[\], extra \['c'\]"),
+            ([{"a": 1, "b": 2}, {"a": 1, "b": 2}, {"a": 1, "c": 2}], r"record 2 .*: missing \['b'\], extra \['c'\]"),
+        ],
+    )
+    def test_records_must_carry_exactly_the_fieldnames(self, records, message):
+        with pytest.raises(ValueError, match=message):
+            records_to_csv(records, ["a", "b"])
+
+    def test_single_field_rows(self):
+        assert records_to_csv([{"a": 0.5}, {"a": ""}], ["a"]) == 'a\n0.5\n""\n'
+        with pytest.raises(ValueError, match=r"record 0 .*missing \['a'\]"):
+            records_to_csv([{"b": 1}], ["a"])
+
+
+def small_export_sweep(m=7, seed=3):
+    h = sample_hierarchy()
+    matrix = sample_matrix(m=m, seed=seed, hierarchy=h)
+    return run_sweep(SweepSpec(matrix=matrix, hierarchy=h, weights=critic_weights(matrix)))
+
+
+@st.composite
+def sweep_file(draw):
+    labels = draw(st.lists(st.sampled_from(["", "G1", "G2", "G1+G2", "G3", "x y"]), min_size=1, max_size=4, unique=True))
+    alternatives = draw(st.lists(st.sampled_from(["a1", "a2", "a3", " a4", "a,5"]), min_size=1, max_size=4, unique=True))
+    grid = draw(st.lists(st.sampled_from(["0", "0.5", "1", "1.0", "-0.0", "-1", "-2", "nan", " 0.25 "]), min_size=1, max_size=4))
+    rows = [
+        [label, s, alt, draw(st.sampled_from(["1", "2.0", " 3 ", "4"]))]
+        for label in labels
+        for s in grid
+        for alt in alternatives
+    ]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=6))  # repeats, also at the deepest s
+    rows = draw(st.permutations(rows))
+    order = draw(st.permutations(range(4)))
+    header = [["Subset", " s", "alternative", "RANK "][i] for i in order]
+    lines = [header] + [[row[i] for i in order] for row in rows]
+    return lines, draw(st.lists(st.integers(1, len(lines)), max_size=4))
+
+
+def write_lines(path, lines, blank_at=()):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(lines)
+    text = buf.getvalue().splitlines(keepends=True)
+    for k, at in enumerate(sorted(blank_at, reverse=True)):
+        text.insert(at, ["\n", "   \n", " , ,\t,\n", ",,,\n"][k % 4])
+    path.write_text("".join(text), encoding="utf-8")
+
+
+class TestLoadRankingFile:
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_file())
+    def test_sweep_files_read_like_the_two_pass_oracle(self, tmp_path_factory, case):
+        lines, blank_at = case
+        path = tmp_path_factory.mktemp("ranking") / "sweep.csv"
+        write_lines(path, lines, blank_at)
+        assert_same_ranking(load_ranking_file(path), load_ranking_file_oracle(path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(["a1", "a2", "b", " c "]), st.sampled_from(["1", "2.5", " 3"])), max_size=8),
+        st.lists(st.integers(1, 9), max_size=3),
+        st.booleans(),
+    )
+    def test_plain_files_read_like_the_oracle(self, tmp_path_factory, rows, blank_at, extra_column):
+        header = ["rank", "note", "Alternative"] if extra_column else ["alternative", "rank"]
+        lines = [header] + [[r, "n", a] if extra_column else [a, r] for a, r in rows]
+        path = tmp_path_factory.mktemp("ranking") / "plain.csv"
+        write_lines(path, lines, [min(b, len(lines)) for b in blank_at])
+        assert_same_ranking(load_ranking_file(path), load_ranking_file_oracle(path))
+
+    def test_exported_sweep_round_trips(self, tmp_path):
+        result = small_export_sweep()
+        path = tmp_path / "sweep.csv"
+        path.write_text(records_to_csv(result.to_records(), SWEEP_FIELDS), encoding="utf-8")
+        kind, final = load_ranking_file(path)
+        assert_same_ranking((kind, final), load_ranking_file_oracle(path))
+        assert final == {
+            subset_label(sub): dict(zip(result.alternative_ids, ranks.astype(float).tolist()))
+            for sub, ranks in result.final_rankings().items()
+        }
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("subset,s,alternative,rank\nG1,0,a1,1\nG1,zero,a2,2\n", r"bad\.csv: non-numeric s cell 'zero' at row 2, column 2"),
+            ("subset,s,alternative,rank\nG1,0,a1,1\n\nG1,1,a2,two\n", r"bad\.csv: non-numeric rank cell 'two' at row 2, column 4"),
+            ("subset,s,alternative,rank\nG1,0,a1\n", r"bad\.csv: row 1 has 3 cells, no column 4 \(rank\)"),
+            ("rank,alternative\n1,a1\nx,a2\n", r"bad\.csv: non-numeric rank cell 'x' at row 2, column 1"),
+            ("alternative,rank\na1,1\na2\n", r"bad\.csv: row 2 has 1 cells, no column 2 \(rank\)"),
+        ],
+    )
+    def test_malformed_rows_name_the_row_and_column(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=message):
+            load_ranking_file(path)
+
+
+def load_matrix_cells_oracle(path, hierarchy):
+    """Values parsed cell by cell, in the hierarchy's criterion order."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+    ids = [c.strip() for c in rows[0][1:]]
+    values = np.array([[_parse_number(cell, "") for cell in row[1:]] for row in rows[1:]])
+    return values[:, [ids.index(c) for c in hierarchy.criterion_ids()]]
+
+
+class TestMatrixRowParsing:
+    def test_rows_parse_like_cell_by_cell(self, tmp_path):
+        h = small_hierarchy_file(tmp_path, n=3)
+        path = tmp_path / "m.csv"
+        path.write_text("alternative,C3,C1,C2\na1, 1.5 ,2,1/4\na2,1e3,-0.0,3/8\n\na3,7,8,9\n")
+        m = load_decision_matrix(path, h)
+        assert np.array_equal(m.values, load_matrix_cells_oracle(path, h))
+        assert m.values[0, 1] == 0.25
+
+    def test_sample_matrix_parses_like_cell_by_cell(self):
+        h = sample_hierarchy()
+        path = DATA_DIR / "sample_matrix.csv"
+        assert np.array_equal(load_decision_matrix(path, h).values, load_matrix_cells_oracle(path, h))

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sspahp import (
+    CriteriaHierarchy,
+    Dimension,
     InputError,
+    SubDimension,
     SweepResult,
     SweepSpec,
     WeightVector,
@@ -18,7 +21,8 @@ from sspahp import (
     stability_report,
 )
 from sspahp.io import records_to_csv
-from sspahp.sensitivity import MAX_DIMENSIONS, subset_label
+from sspahp import sensitivity
+from sspahp.sensitivity import MAX_DIMENSIONS, MAX_SWEEP_CELLS, subset_label
 
 from conftest import make_matrix, random_weights, two_level_hierarchy
 
@@ -86,6 +90,44 @@ class TestSubsetEnumeration:
     def test_subset_label(self):
         assert subset_label(()) == ""
         assert subset_label(("G1", "G4")) == "G1+G4"
+
+
+def flat_spec(k, m, **kwargs):
+    """SweepSpec over k dimensions of one max criterion each, m alternatives."""
+    ids = [f"C{i + 1}" for i in range(k)]
+    h = CriteriaHierarchy(
+        dimensions=tuple(
+            Dimension(id=f"G{i + 1}", name=f"g{i + 1}", sub_dimensions=(SubDimension(name="sd", criterion_ids=(c,)),))
+            for i, c in enumerate(ids)
+        ),
+        objectives={c: "max" for c in ids},
+    )
+    rng = np.random.default_rng(k)
+    matrix = make_matrix(rng.uniform(1.0, 9.0, size=(m, k)), crit_prefix="C")
+    return SweepSpec(matrix=matrix, hierarchy=h, weights=random_weights(rng, matrix), **kwargs)
+
+
+class TestSweepSize:
+    def test_twenty_dimensions_at_sixteen_alternatives_are_refused_up_front(self, monkeypatch):
+        def never(ids):
+            raise AssertionError("subsets enumerated before the size check")
+
+        monkeypatch.setattr(sensitivity, "enumerate_group_subsets", never)
+        message = (
+            "a sweep of 1,048,576 subsets x 21 grid points x 16 alternatives needs "
+            "5,637,144,576 bytes for 352,321,536 cells; at most 33,554,432 cells are supported"
+        )
+        with pytest.raises(InputError, match=message):
+            flat_spec(MAX_DIMENSIONS, 16)
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_limit_is_inclusive(self, explicit):
+        assert MAX_SWEEP_CELLS == 1024 * 2048 * 16
+        subsets = enumerate_group_subsets([f"G{i + 1}" for i in range(10)]) if explicit else None
+        spec = flat_spec(10, 16, s_grid=np.linspace(0.0, 1.0, 2048), group_subsets=subsets)
+        assert len(spec.group_subsets) * spec.s_grid.size * spec.matrix.m == MAX_SWEEP_CELLS
+        with pytest.raises(InputError, match="1,024 subsets x 2049 grid points x 16 alternatives"):
+            flat_spec(10, 16, s_grid=np.linspace(0.0, 1.0, 2049), group_subsets=subsets)
 
 
 class TestSweepSpec:
