@@ -174,7 +174,7 @@ def normalize_minmax(matrix: DecisionMatrix) -> NormalizedMatrix:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Non-negative per-criterion weights that sum to 1."""
+    """Finite, non-negative per-criterion weights that sum to 1."""
 
     weights: np.ndarray
     criterion_ids: tuple[str, ...]
@@ -189,6 +189,9 @@ class WeightVector:
                 f"weight arity: {arr.shape[0]} weights for "
                 f"{len(self.criterion_ids)} ids"
             )
+        if not np.isfinite(arr).all():
+            i = int(np.argmin(np.isfinite(arr)))  # the first non-finite weight
+            raise InputError(f"non-finite weight {arr[i]} for criterion '{self.criterion_ids[i]}'")
         if arr.min(initial=0.0) < -TOL:
             raise InputError(f"negative weight {arr.min():.3e}")
         if abs(arr.sum() - 1.0) > TOL:

@@ -2,16 +2,17 @@
 
 Formats:
 
-* decision matrix: UTF-8 CSV, first header ``alternative``, remaining
-  headers are criterion ids, numeric cells with a plain decimal point;
-* criteria hierarchy: JSON with dimensions -> sub_dimensions -> criteria,
-  objectives restricted to the tokens "max" and "min";
-* pairwise judgments: square numeric CSV, header row optional, entries as
-  decimals or simple fractions like ``1/3``;
-* weights: two-column CSV (criterion_id, weight);
+* decision matrix: UTF-8 CSV, first header ``alternative``, then one
+  column per hierarchy criterion id; numeric cells with a plain decimal point;
+* criteria hierarchy: JSON lists of dimensions -> sub_dimensions -> criteria
+  with string ids and names, objectives restricted to "max" and "min";
+* pairwise judgments: square numeric CSV (each row as wide as the matrix is
+  tall), header row optional, entries as decimals or fractions like ``1/3``;
+* weights (criterion_id, weight) and bounds (criterion_id, min, max): CSV,
+  header row optional; bounds need exactly one row per hierarchy criterion;
 * ranking: CSV with ``alternative`` and ``rank`` columns, or a sweep export
   that adds ``subset`` and ``s``; every ``s`` and ``rank`` cell must be a
-  number.
+  number, and every ``s`` must lie in [0, 1].
 
 ``records_to_csv`` writes a header of ``fieldnames`` and one row per record;
 every record must carry exactly those keys, and floats keep full precision
@@ -35,7 +36,6 @@ from .core import (
     OBJECTIVE_TOKENS,
     SubDimension,
     WeightVector,
-    flatten_hierarchy,
     require_valid,
 )
 from .errors import InputError
@@ -56,27 +56,70 @@ def _iter_rows(path):
         yield from rows
 
 
-def _read_rows(path) -> list[list[str]]:
-    return list(_iter_rows(path))
-
-
 def _parse_number(token: str, where: str) -> float:
+    """A decimal or a simple fraction like ``1/3``."""
     token = token.strip()
+    num, slash, den = token.partition("/")
     try:
-        return float(token)
-    except ValueError:
-        pass
-    if "/" in token:
-        num, _, den = token.partition("/")
-        try:
-            return float(num) / float(den)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise InputError(f"non-numeric cell '{token}' at {where}")
+        return float(num) / (float(den) if slash else 1.0)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"{where}: non-numeric cell '{token}'") from None
+
+
+def _parse_row(path, r, cells, start=1) -> list[float]:
+    """The numbers in data row ``r``; a bad cell raises InputError naming its file, row and column."""
+    try:
+        return list(map(float, cells))
+    except ValueError:  # fractions, or a cell to report
+        return [_parse_number(cell, f"{path}: row {r}, column {c}") for c, cell in enumerate(cells, start)]
+
+
+def _canonical_order(path, ids, canonical, kind) -> list[int]:
+    """Positions in ``ids`` of the canonical criteria; a repeated, unknown or missing id raises."""
+    position = {}
+    for i, cid in enumerate(ids):
+        if cid in position:
+            raise InputError(f"{path}: duplicate criterion {kind} '{cid}'")
+        position[cid] = i
+    canonical_set = set(canonical)
+    unknown = [c for c in ids if c not in canonical_set]
+    if unknown:
+        raise InputError(f"{path}: criterion id(s) not in the hierarchy: {', '.join(unknown)}")
+    missing = [c for c in canonical if c not in position]
+    if missing:
+        raise InputError(f"{path}: hierarchy criteria missing from the file: {', '.join(missing)}")
+    return [position[c] for c in canonical]
+
+
+def _read_criterion_table(path, columns) -> tuple[list[str], np.ndarray]:
+    """Ids and an (ids x columns) array from a ``criterion_id,<columns>`` CSV, header optional."""
+    rows = list(_iter_rows(path))
+    width = 1 + len(columns)
+    if [c.strip().lower() for c in rows[0][:width]] == ["criterion_id", *columns]:
+        rows = rows[1:]
+    ids, values = [], []
+    for r, row in enumerate(rows, start=1):
+        if len(row) < width:
+            raise InputError(f"{path}: row {r} needs criterion_id, {', '.join(columns)}")
+        ids.append(row[0].strip())
+        values.append(_parse_row(path, r, row[1:width], start=2))
+    return ids, np.array(values, dtype=float).reshape(len(ids), len(columns))
+
+
+def _field(entry, key, kind):
+    """``entry[key]``, where ``entry`` must be a JSON object and the value a ``kind``."""
+    value = entry.get(key) if isinstance(entry, dict) else None
+    if not isinstance(value, kind):
+        raise InputError(f"expected an object whose '{key}' is a {'list' if kind is list else 'string'}")
+    return value
 
 
 def load_hierarchy(path) -> CriteriaHierarchy:
-    """Read a criteria hierarchy with objectives from JSON."""
+    """Read a criteria hierarchy with objectives from JSON.
+
+    The document is walked once; a malformed entry raises InputError naming
+    the file and the entry, e.g. ``dimensions[0].sub_dimensions[1]``.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError(f"file not found: {path}")
@@ -85,53 +128,38 @@ def load_hierarchy(path) -> CriteriaHierarchy:
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
-    if not isinstance(doc, dict) or "dimensions" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("dimensions"), list):
         raise InputError(f"{path}: expected an object with a 'dimensions' list")
 
     dimensions = []
     objectives: dict[str, str] = {}
-    for d in doc["dimensions"]:
-        try:
-            dim_id = d["id"]
-            dim_name = d.get("name", dim_id)
-            subs_doc = d["sub_dimensions"]
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"{path}: dimension entry missing {exc}") from exc
-        subs = []
-        for sd in subs_doc:
-            try:
-                sub_name = sd["name"]
-                crits = sd["criteria"]
-            except (TypeError, KeyError) as exc:
-                raise InputError(
-                    f"{path}: sub-dimension entry of '{dim_id}' missing {exc}"
-                ) from exc
-            cids = []
-            for c in crits:
-                try:
-                    cid = c["id"]
-                    obj = c["objective"]
-                except (TypeError, KeyError) as exc:
-                    raise InputError(
-                        f"{path}: criterion entry under '{sub_name}' missing {exc}"
-                    ) from exc
-                if obj not in OBJECTIVE_TOKENS:
-                    raise InputError(
-                        f"{path}: unknown objective token '{obj}' for criterion "
-                        f"'{cid}' (expected 'max' or 'min')"
-                    )
-                if cid in objectives:
-                    raise InputError(f"{path}: duplicate criterion '{cid}'")
-                objectives[cid] = obj
-                cids.append(cid)
-            subs.append(SubDimension(name=sub_name, criterion_ids=tuple(cids)))
-        dimensions.append(
-            Dimension(id=dim_id, name=dim_name, sub_dimensions=tuple(subs))
-        )
+    try:
+        for i, d in enumerate(doc["dimensions"]):
+            where = f"dimensions[{i}]"
+            dim_id = _field(d, "id", str)
+            if any(dim.id == dim_id for dim in dimensions):
+                raise InputError(f"duplicate dimension id '{dim_id}'")
+            dim_name = _field(d, "name", str) if "name" in d else dim_id
+            subs = []
+            for j, sd in enumerate(_field(d, "sub_dimensions", list)):
+                where = f"dimensions[{i}].sub_dimensions[{j}]"
+                sub_name = _field(sd, "name", str)
+                cids = []
+                for k, c in enumerate(_field(sd, "criteria", list)):
+                    where = f"dimensions[{i}].sub_dimensions[{j}].criteria[{k}]"
+                    cid, obj = _field(c, "id", str), _field(c, "objective", str)
+                    if obj not in OBJECTIVE_TOKENS:
+                        raise InputError(f"unknown objective token '{obj}' for '{cid}' (expected 'max' or 'min')")
+                    if cid in objectives:
+                        raise InputError(f"duplicate criterion '{cid}'")
+                    objectives[cid] = obj
+                    cids.append(cid)
+                subs.append(SubDimension(name=sub_name, criterion_ids=tuple(cids)))
+            dimensions.append(Dimension(id=dim_id, name=dim_name, sub_dimensions=tuple(subs)))
+    except InputError as exc:
+        raise InputError(f"{path}: {where}: {exc}") from exc
 
-    h = CriteriaHierarchy(dimensions=tuple(dimensions), objectives=objectives)
-    flatten_hierarchy(h)  # surfaces duplicate dimension ids
-    return h
+    return CriteriaHierarchy(dimensions=tuple(dimensions), objectives=objectives)
 
 
 def hierarchy_to_dict(h: CriteriaHierarchy) -> dict:
@@ -171,31 +199,12 @@ def load_decision_matrix(path, hierarchy: CriteriaHierarchy) -> DecisionMatrix:
     hierarchy. Ids unknown to the hierarchy, missing criteria, and
     malformed cells are ingestion errors naming the offending spot.
     """
-    rows = _read_rows(path)
+    rows = list(_iter_rows(path))
     header = [cell.strip() for cell in rows[0]]
-    if not header or header[0].lower() != "alternative":
-        raise InputError(
-            f"{path}: first header cell must be 'alternative', got '{header[0] if header else ''}'"
-        )
-    file_cids = header[1:]
-    if not file_cids:
-        raise InputError(f"{path}: no criterion columns")
-    for c, cid in enumerate(file_cids):
-        if cid in file_cids[:c]:
-            raise InputError(f"{path}: duplicate criterion column '{cid}'")
-
+    if header[0].lower() != "alternative":
+        raise InputError(f"{path}: first header cell must be 'alternative', got '{header[0]}'")
     canonical = hierarchy.criterion_ids()
-    canonical_set, file_set = set(canonical), set(file_cids)
-    unknown = [c for c in file_cids if c not in canonical_set]
-    if unknown:
-        raise InputError(
-            f"{path}: criterion id(s) not in the hierarchy: {', '.join(unknown)}"
-        )
-    missing = [c for c in canonical if c not in file_set]
-    if missing:
-        raise InputError(
-            f"{path}: hierarchy criteria missing from the file: {', '.join(missing)}"
-        )
+    order = _canonical_order(path, header[1:], canonical, "column")
 
     alt_ids = []
     data = []
@@ -205,18 +214,9 @@ def load_decision_matrix(path, hierarchy: CriteriaHierarchy) -> DecisionMatrix:
                 f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
             )
         alt_ids.append(row[0].strip())
-        try:
-            data.append(list(map(float, row[1:])))
-        except ValueError:  # fractions, or a cell to report
-            data.append(
-                [
-                    _parse_number(cell, f"row {r}, column {c}")
-                    for c, cell in enumerate(row[1:], start=1)
-                ]
-            )
+        data.append(_parse_row(path, r, row[1:]))
 
-    values = np.asarray(data, dtype=float)
-    order = [file_cids.index(c) for c in canonical]
+    values = np.array(data, dtype=float).reshape(len(alt_ids), len(header) - 1)
     matrix = DecisionMatrix(
         alternative_ids=tuple(alt_ids),
         criterion_ids=canonical,
@@ -241,9 +241,10 @@ def load_pairwise(path) -> PairwiseMatrix:
 
     A non-numeric first row is treated as labels; a leading label column
     matching the header is stripped. Fractions like ``1/5`` are accepted
-    alongside decimals.
+    alongside decimals. Every row must hold as many entries as there are
+    rows; the other checks are ``PairwiseMatrix``'s, reported with the path.
     """
-    rows = _read_rows(path)
+    rows = list(_iter_rows(path))
 
     def is_numeric(cell: str) -> bool:
         try:
@@ -261,26 +262,17 @@ def load_pairwise(path) -> PairwiseMatrix:
         # header may carry a corner cell for the label column
         labels = tuple(header[1:]) if not is_numeric(rows[0][0]) else tuple(header)
 
+    n = len(rows)
     body = []
     for r, row in enumerate(rows, start=1):
-        cells = [c.strip() for c in row]
-        if cells and not is_numeric(cells[0]):
-            cells = cells[1:]  # leading label column
-        body.append(
-            [
-                _parse_number(cell, f"row {r}, column {c}")
-                for c, cell in enumerate(cells, start=1)
-            ]
-        )
-
-    arr = np.asarray(body, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InputError(f"{path}: expected a square matrix, got {arr.shape}")
-    if labels is not None and len(labels) != arr.shape[0]:
-        raise InputError(
-            f"{path}: {len(labels)} labels for a {arr.shape[0]}x{arr.shape[0]} matrix"
-        )
-    return PairwiseMatrix(arr, labels=labels)
+        cells = row if is_numeric(row[0]) else row[1:]  # leading label column
+        if len(cells) != n:
+            raise InputError(f"{path}: row {r} has {len(cells)} entries; expected a square {n}x{n} matrix")
+        body.append(_parse_row(path, r, cells))
+    try:
+        return PairwiseMatrix(np.array(body, dtype=float), labels=labels)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_pairwise_batch(directory) -> list[PairwiseMatrix]:
@@ -300,18 +292,9 @@ def load_weights(path, hierarchy: CriteriaHierarchy | None = None) -> WeightVect
     With a hierarchy, ids are validated against it and reordered into
     canonical order.
     """
-    rows = _read_rows(path)
-    if [c.strip().lower() for c in rows[0][:2]] == ["criterion_id", "weight"]:
-        rows = rows[1:]
-    ids = []
-    weights = []
-    for r, row in enumerate(rows, start=1):
-        if len(row) < 2:
-            raise InputError(f"{path}: row {r} needs criterion_id and weight")
-        ids.append(row[0].strip())
-        weights.append(_parse_number(row[1], f"row {r}, column 2"))
+    ids, table = _read_criterion_table(path, ("weight",))
     try:
-        wv = WeightVector(np.asarray(weights), tuple(ids))
+        wv = WeightVector(table[:, 0], tuple(ids))
         if hierarchy is not None:
             canonical = hierarchy.criterion_ids()
             wv = WeightVector(wv.aligned(canonical), canonical)
@@ -321,23 +304,13 @@ def load_weights(path, hierarchy: CriteriaHierarchy | None = None) -> WeightVect
 
 
 def load_bounds(path, hierarchy: CriteriaHierarchy) -> np.ndarray:
-    """Read per-criterion [min, max] bounds from a CSV (criterion_id,min,max)."""
-    rows = _read_rows(path)
-    if [c.strip().lower() for c in rows[0][:3]] == ["criterion_id", "min", "max"]:
-        rows = rows[1:]
-    by_id = {}
-    for r, row in enumerate(rows, start=1):
-        if len(row) < 3:
-            raise InputError(f"{path}: row {r} needs criterion_id, min, max")
-        by_id[row[0].strip()] = (
-            _parse_number(row[1], f"row {r}, column 2"),
-            _parse_number(row[2], f"row {r}, column 3"),
-        )
-    canonical = hierarchy.criterion_ids()
-    missing = [c for c in canonical if c not in by_id]
-    if missing:
-        raise InputError(f"{path}: bounds missing for: {', '.join(missing)}")
-    return np.array([by_id[c] for c in canonical], dtype=float)
+    """Read per-criterion [min, max] bounds from a CSV (criterion_id,min,max).
+
+    Every hierarchy criterion needs exactly one row; the result follows the
+    canonical criterion order.
+    """
+    ids, table = _read_criterion_table(path, ("min", "max"))
+    return table[_canonical_order(path, ids, hierarchy.criterion_ids(), "row")]
 
 
 _SWEEP_COLUMNS = ("subset", "s", "alternative", "rank")
@@ -345,7 +318,7 @@ _PLAIN_COLUMNS = ("alternative", "rank")
 
 
 def _bad_ranking_row(path, r, row, header, columns) -> InputError:
-    """Name the first missing column or non-numeric s/rank cell of a data row."""
+    """Name the first missing column, non-numeric s/rank cell or out-of-range s of a row."""
     for name in columns:
         c = header.index(name)
         if c >= len(row):
@@ -354,12 +327,14 @@ def _bad_ranking_row(path, r, row, header, columns) -> InputError:
             )
         if name in ("s", "rank"):
             try:
-                float(row[c])
+                value = float(row[c])
             except ValueError:
                 return InputError(
                     f"{path}: non-numeric {name} cell '{row[c]}' at row {r}, column {c + 1}"
                 )
-    raise AssertionError(f"{path}: row {r} has every column and numeric cells")
+            if name == "s" and not 0.0 <= value <= 1.0:
+                return InputError(f"{path}: s cell '{row[c]}' outside [0, 1] at row {r}, column {c + 1}")
+    raise AssertionError(f"{path}: row {r} has every column and valid cells")
 
 
 def load_ranking_file(path):
@@ -368,11 +343,11 @@ def load_ranking_file(path):
     Returns ("simple", {alternative: rank}) for plain files and
     ("sweep", {subset_label: {alternative: rank}}) for sweep exports, where
     each subset's ranking is taken at its deepest grid point (its largest
-    ``s``; an ``s`` below -1 or NaN never counts) and subsets appear in the
-    order of their first row at that point. The file is read in one pass;
-    a short row or a non-numeric ``s`` or ``rank`` cell raises InputError
-    naming the row (data rows counted from 1, blank lines skipped) and the
-    column.
+    ``s``) and subsets appear in the order of their first row at that
+    point. The file is read in one pass; a short row, a non-numeric ``s``
+    or ``rank`` cell, or an ``s`` that is NaN or outside [0, 1] raises
+    InputError naming the row (data rows counted from 1, blank lines
+    skipped) and the column.
     """
     rows = _iter_rows(path)
     header = [c.strip().lower() for c in next(rows)]
@@ -397,11 +372,12 @@ def load_ranking_file(path):
         for r, row in enumerate(rows, start=1):
             s, rank = float(row[gi]), float(row[ri])
             entry = deepest.get(row[si])
-            if entry is None or s > entry[0]:
-                if s >= -1.0:
-                    deepest[row[si]] = (s, r, {row[ai]: rank})
-            elif s == entry[0]:
+            if entry is not None and s == entry[0]:
                 entry[2][row[ai]] = rank
+            elif not 0.0 <= s <= 1.0:  # NaN fails too
+                raise ValueError(s)
+            elif entry is None or s > entry[0]:
+                deepest[row[si]] = (s, r, {row[ai]: rank})
     except UnicodeDecodeError:  # an unreadable file, not a bad cell
         raise
     except (ValueError, IndexError):

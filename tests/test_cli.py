@@ -378,6 +378,72 @@ class TestCorrCommand:
         assert "bad.csv: non-numeric rank cell 'first' at row 2, column 4" in result.stderr
 
 
+class TestMalformedInputs:
+    """Each loader's bad input ends in exit 2 with an input error naming the file."""
+
+    @staticmethod
+    def assert_input_error(result, fragment):
+        assert result.exit_code == 2
+        assert result.stderr.startswith("input error: ")
+        assert fragment in result.stderr
+
+    def test_ragged_pairwise_file(self, runner, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("1,2,3\n0.5,1\n1/3,1,1\n")
+        result = runner.invoke(main, ["weights", "--method", "ahp", "--pairwise", str(path)])
+        self.assert_input_error(result, "ragged.csv: row 2 has 2 entries; expected a square 3x3 matrix")
+
+    def test_non_reciprocal_expert_file(self, runner, tmp_path):
+        d = tmp_path / "experts"
+        d.mkdir()
+        (d / "a.csv").write_text("1,8\n0.125,1\n")
+        (d / "b.csv").write_text("1,2\n0.25,1\n")
+        result = runner.invoke(main, ["weights", "--method", "ahp", "--pairwise", str(d)])
+        self.assert_input_error(result, "b.csv: reciprocity violated at (1, 2)")
+
+    @pytest.mark.parametrize(
+        "doc, fragment",
+        [
+            ({"dimensions": 5}, "h.json: expected an object with a 'dimensions' list"),
+            ({"dimensions": [{"id": "G1", "sub_dimensions": [{"name": "sd", "criteria": [{"id": ["C1"], "objective": "max"}]}]}]},
+             "h.json: dimensions[0].sub_dimensions[0].criteria[0]: expected an object whose 'id' is a string"),
+        ],
+    )
+    def test_malformed_hierarchy(self, runner, data_files, tmp_path, doc, fragment):
+        matrix_path, _ = data_files
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["eval", "--matrix", matrix_path, "--hierarchy", str(path), "--weights-method", "critic"]
+        )
+        self.assert_input_error(result, fragment)
+
+    def test_repeated_bounds_row(self, runner, data_files, tmp_path):
+        matrix_path, hierarchy_path = data_files
+        path = tmp_path / "bounds.csv"
+        rows = ["criterion_id,min,max"] + [f"C{j},0,100" for j in range(1, 26)] + ["C7,1,2"]
+        path.write_text("\n".join(rows) + "\n")
+        result = runner.invoke(
+            main,
+            ["benchmarks", "--matrix", matrix_path, "--hierarchy", hierarchy_path,
+             "--weights-method", "critic", "--bounds", str(path)],
+        )
+        self.assert_input_error(result, "bounds.csv: duplicate criterion row 'C7'")
+
+    def test_non_finite_weight(self, runner, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("criterion_id,weight\nC1,nan\nC2,1\n")
+        result = runner.invoke(main, ["weights", "--method", "file", "--weights-file", str(path)])
+        self.assert_input_error(result, "w.csv: non-finite weight nan for criterion 'C1'")
+        assert result.stdout == ""
+
+    def test_sweep_export_s_outside_the_unit_interval(self, runner, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("subset,s,alternative,rank\nG1,0,a1,1\nG2,-2,a1,1\n")
+        result = runner.invoke(main, ["corr", str(path), str(path)])
+        self.assert_input_error(result, "sweep.csv: s cell '-2' outside [0, 1] at row 2, column 2")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_repeated_eval_runs_are_byte_identical(self, runner, data_files, tmp_path, fmt):

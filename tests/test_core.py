@@ -175,6 +175,19 @@ class TestWeightVector:
         with pytest.raises(InputError, match="duplicate weight id 'C1'"):
             WeightVector(np.array([0.5, 0.3, 0.2]), ("C1", "C1", "C2"))
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([np.nan, 1.0], "non-finite weight nan for criterion 'c1'"),
+            ([1.0, np.nan], "non-finite weight nan for criterion 'c2'"),
+            ([np.inf, -np.inf], "non-finite weight inf for criterion 'c1'"),
+            ([0.5, np.inf], "non-finite weight inf for criterion 'c2'"),
+        ],
+    )
+    def test_rejects_non_finite_weight_naming_the_criterion(self, weights, message):
+        with pytest.raises(InputError, match=message):
+            WeightVector(np.array(weights), ("c1", "c2"))
+
     def test_aligned_reorders_by_id(self):
         wv = WeightVector(np.array([0.25, 0.75]), ("c1", "c2"))
         assert wv.aligned(("c2", "c1")).tolist() == [0.75, 0.25]

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,44 @@ class TestLoadHierarchy:
         with pytest.raises(InputError, match="not found"):
             load_hierarchy(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"dimensions": 5}, r"h\.json: expected an object with a 'dimensions' list$"),
+            ([{"id": "G1"}], r"h\.json: expected an object with a 'dimensions' list$"),
+            ({"dimensions": {"id": "G1"}}, r"h\.json: expected an object with a 'dimensions' list$"),
+            ({"dimensions": ["G1"]}, r"h\.json: dimensions\[0\]: expected an object whose 'id' is a string$"),
+            ({"dimensions": [{"id": "G1", "sub_dimensions": 3}]},
+             r"h\.json: dimensions\[0\]: expected an object whose 'sub_dimensions' is a list$"),
+            ({"dimensions": [{"id": "G1", "sub_dimensions": "sd"}]},
+             r"h\.json: dimensions\[0\]: expected an object whose 'sub_dimensions' is a list$"),
+            ({"dimensions": [{"id": "G1", "sub_dimensions": [{"name": "sd", "criteria": {"id": "C1"}}]}]},
+             r"h\.json: dimensions\[0\]\.sub_dimensions\[0\]: expected an object whose 'criteria' is a list$"),
+            ({"dimensions": [{"id": "G1", "sub_dimensions": [{"criteria": []}]}]},
+             r"h\.json: dimensions\[0\]\.sub_dimensions\[0\]: expected an object whose 'name' is a string$"),
+            ({"dimensions": [{"id": "G1", "sub_dimensions": [{"name": "sd", "criteria": [{"id": ["C1"], "objective": "max"}]}]}]},
+             r"h\.json: dimensions\[0\]\.sub_dimensions\[0\]\.criteria\[0\]: expected an object whose 'id' is a string$"),
+            ({"dimensions": [{"id": "G1", "sub_dimensions": [{"name": "sd", "criteria": [{"id": "C1"}]}]}]},
+             r"h\.json: dimensions\[0\]\.sub_dimensions\[0\]\.criteria\[0\]: expected an object whose 'objective' is a string$"),
+            ({"dimensions": [{"id": ["G1"], "sub_dimensions": []}]},
+             r"h\.json: dimensions\[0\]: expected an object whose 'id' is a string$"),
+            ({"dimensions": [{"id": "G1", "name": None, "sub_dimensions": []}]},
+             r"h\.json: dimensions\[0\]: expected an object whose 'name' is a string$"),
+            ({"dimensions": [{"id": "G1", "sub_dimensions": []}, {"id": "G1", "sub_dimensions": []}]},
+             r"h\.json: dimensions\[1\]: duplicate dimension id 'G1'$"),
+            ({"dimensions": [
+                {"id": "G1", "sub_dimensions": [{"name": "a", "criteria": [{"id": "C1", "objective": "max"}]}]},
+                {"id": "G2", "sub_dimensions": [{"name": "b", "criteria": [{"id": "C1", "objective": "min"}]}]},
+            ]},
+             r"h\.json: dimensions\[1\]\.sub_dimensions\[0\]\.criteria\[0\]: duplicate criterion 'C1'$"),
+        ],
+    )
+    def test_malformed_entries_name_the_file_and_the_entry(self, tmp_path, doc, message):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=message):
+            load_hierarchy(path)
+
 
 def small_hierarchy_file(tmp_path, n=2):
     doc = {
@@ -232,6 +271,13 @@ class TestLoadDecisionMatrix:
         assert m.criterion_ids == ("C1", "C2")
         assert np.allclose(m.values, [[1, 10], [2, 20]])
 
+    def test_header_only_file_is_rejected(self, tmp_path):
+        h = small_hierarchy_file(tmp_path)
+        path = tmp_path / "m.csv"
+        path.write_text("alternative,C1,C2\n")
+        with pytest.raises(InputError, match="need at least 2 alternatives, got 0"):
+            load_decision_matrix(path, h)
+
     def test_wrong_first_header_is_rejected(self, tmp_path):
         h = small_hierarchy_file(tmp_path)
         path = tmp_path / "m.csv"
@@ -288,6 +334,33 @@ class TestLoadPairwise:
         with pytest.raises(InputError, match="square"):
             load_pairwise(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,2,3\n0.5,1\n1/3,1,1\n", r"row 2 has 2 entries; expected a square 3x3 matrix"),
+            ("G1,G2,G3\n1,2,3\n0.5,1,2,4\n1/3,1/2,1\n", r"row 2 has 4 entries; expected a square 3x3 matrix"),
+            (",G1,G2\nG1,1,5\nG2,1/5\n", r"row 2 has 1 entries; expected a square 2x2 matrix"),
+            ("1,2\n0.5,x\n", r"row 2, column 2: non-numeric cell 'x'"),
+            ("1,4\n0.5,1\n", r"reciprocity violated at \(1, 2\): 4 \* 0\.5 != 1"),
+            ("2,1\n1,1\n", r"pairwise diagonal must be all ones"),
+            ("1,0\n0,1\n", r"pairwise entries must be finite and positive"),
+            ("G1,G2,G3\n1,2\n0.5,1\n", r"3 labels for a 2x2 matrix"),
+        ],
+    )
+    def test_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=r"p\.csv: " + message + "$"):
+            load_pairwise(path)
+
+    def test_batch_errors_name_the_expert_file(self, tmp_path):
+        d = tmp_path / "experts"
+        d.mkdir()
+        (d / "a.csv").write_text("1,8\n0.125,1\n")
+        (d / "b.csv").write_text("1,2\n0.25,1\n")
+        with pytest.raises(InputError, match=r"b\.csv: reciprocity violated at \(1, 2\)"):
+            load_pairwise_batch(d)
+
     def test_batch_loads_sorted(self, tmp_path):
         d = tmp_path / "experts"
         d.mkdir()
@@ -325,6 +398,13 @@ class TestLoadWeights:
         with pytest.raises(InputError, match=r"w\.csv: duplicate weight id 'C1'"):
             load_weights(path)
 
+    @pytest.mark.parametrize("text", ["C1,nan\nC2,1\n", "criterion_id,weight\nC1,nan\nC2,1\n"])
+    def test_non_finite_weight_names_the_file_and_criterion(self, tmp_path, text):
+        path = tmp_path / "w.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=r"w\.csv: non-finite weight nan for criterion 'C1'$"):
+            load_weights(path)
+
     def test_id_mismatch_with_hierarchy_is_rejected(self, tmp_path):
         h = small_hierarchy_file(tmp_path)
         path = tmp_path / "w.csv"
@@ -346,6 +426,22 @@ class TestLoadBounds:
         path = tmp_path / "b.csv"
         path.write_text("C1,1,5\n")
         with pytest.raises(InputError, match="missing.*C2"):
+            load_bounds(path, h)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("criterion_id,min,max\nC1,1,5\nC2,0,10\nC1,2,6\n", r"duplicate criterion row 'C1'"),
+            ("C1,1,5\nC2,0,10\nCX,0,1\n", r"criterion id\(s\) not in the hierarchy: CX"),
+            ("C1,1,5\nC2,0\n", r"row 2 needs criterion_id, min, max"),
+            ("C1,1,5\nC2,0,ten\n", r"row 2, column 3: non-numeric cell 'ten'"),
+        ],
+    )
+    def test_malformed_rows_name_the_file(self, tmp_path, text, message):
+        h = small_hierarchy_file(tmp_path)
+        path = tmp_path / "b.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=r"b\.csv: " + message + "$"):
             load_bounds(path, h)
 
 
@@ -464,7 +560,15 @@ class TestLoadRankingFile:
         lines, blank_at = case
         path = tmp_path_factory.mktemp("ranking") / "sweep.csv"
         write_lines(path, lines, blank_at)
-        assert_same_ranking(load_ranking_file(path), load_ranking_file_oracle(path))
+        c = lines[0].index(" s")
+        bad = [(r, row[c]) for r, row in enumerate(lines[1:], start=1) if not 0.0 <= float(row[c]) <= 1.0]
+        if bad:  # the first s that is NaN or outside [0, 1], in file order
+            r, cell = bad[0]
+            message = rf"sweep\.csv: s cell '{re.escape(cell)}' outside \[0, 1\] at row {r}, column {c + 1}$"
+            with pytest.raises(InputError, match=message):
+                load_ranking_file(path)
+        else:
+            assert_same_ranking(load_ranking_file(path), load_ranking_file_oracle(path))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -506,6 +610,29 @@ class TestLoadRankingFile:
         with pytest.raises(InputError, match=message):
             load_ranking_file(path)
 
+    @pytest.mark.parametrize(
+        "rows, row, cell",
+        [
+            (["G1,-0.5,a1,1"], 1, "-0.5"),
+            (["G1,nan,a1,1"], 1, "nan"),
+            (["G1,1.5,a1,1"], 1, "1.5"),
+            (["G1,0,a1,1", "G1,1,a2,1", "G1,-1e-300,a3,2"], 3, "-1e-300"),  # below the deepest s
+            (["G1,1,a1,1", "G1,NaN,a2,2"], 2, "NaN"),  # a NaN after the deepest s
+            (["G1,-2,a1,1", "G2,0,a1,1"], 1, "-2"),  # a subset that used to vanish
+        ],
+    )
+    def test_s_outside_the_unit_interval_names_the_cell(self, tmp_path, rows, row, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text("subset,s,alternative,rank\n" + "\n".join(rows) + "\n")
+        message = rf"bad\.csv: s cell '{re.escape(cell)}' outside \[0, 1\] at row {row}, column 2$"
+        with pytest.raises(InputError, match=message):
+            load_ranking_file(path)
+
+    def test_negative_zero_s_is_the_start_of_the_grid(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("subset,s,alternative,rank\nG1,-0.0,a1,1\nG1,-0.0,a2,2\nG2,0,a1,2\nG2,0.0,a2,1\n")
+        assert load_ranking_file(path) == ("sweep", {"G1": {"a1": 1.0, "a2": 2.0}, "G2": {"a1": 2.0, "a2": 1.0}})
+
 
 def load_matrix_cells_oracle(path, hierarchy):
     """Values parsed cell by cell, in the hierarchy's criterion order."""
@@ -524,6 +651,14 @@ class TestMatrixRowParsing:
         m = load_decision_matrix(path, h)
         assert np.array_equal(m.values, load_matrix_cells_oracle(path, h))
         assert m.values[0, 1] == 0.25
+
+    @pytest.mark.parametrize("cell", ["1/", "/2", "1/0", "0/0", "1/2/3", "1//2", "one", ""])
+    def test_malformed_number_names_the_file_row_and_column(self, tmp_path, cell):
+        h = small_hierarchy_file(tmp_path)
+        path = tmp_path / "m.csv"
+        path.write_text(f"alternative,C1,C2\na1,1,2\na2,3,{cell}\n")
+        with pytest.raises(InputError, match=rf"m\.csv: row 2, column 2: non-numeric cell '{re.escape(cell)}'$"):
+            load_decision_matrix(path, h)
 
     def test_sample_matrix_parses_like_cell_by_cell(self):
         h = sample_hierarchy()
