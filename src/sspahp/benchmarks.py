@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX, DecisionMatrix, WeightVector, _frozen_array, normalize_minmax, require_valid
-from .correlation import INPUT_ORDER, rank_from_scores
+from .correlation import INPUT_ORDER, _tie_groups, rank_from_scores
 from .errors import InputError, NumericalError
 
 TOPSIS = "topsis"
@@ -26,6 +26,9 @@ PROMETHEE2 = "promethee2"
 METHODS = (TOPSIS, MABAC, CODAS, SPOTIS, PROMETHEE2)
 
 DEFAULT_TAU = 0.02
+
+#: CODAS compares this many rows with every alternative at a time
+_CODAS_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,11 @@ def codas(
     distances settle near-ties through comparisons with the rest of the
     set. Larger aggregate assessment is better.
 
+    The pairwise differences are built for blocks of rows, so memory is
+    O(block * m) rather than m x m. Each row's sum still runs over the same
+    m contiguous differences in the same order, so the scores do not depend
+    on the block size.
+
     tau defaults to 0.02; values in [0.01, 0.05] are the usual guidance.
     """
     if not 0.0 < tau <= 1.0:
@@ -145,10 +153,14 @@ def codas(
     e = np.sqrt(((v - anti) ** 2).sum(axis=1))
     t = np.abs(v - anti).sum(axis=1)
 
-    de = e[:, None] - e[None, :]
-    dt = t[:, None] - t[None, :]
-    de += np.where(np.abs(de) >= tau, dt, 0.0)
-    return _score(CODAS, de.sum(axis=1), matrix)
+    scores = np.empty(e.shape)
+    for i in range(0, e.shape[0], _CODAS_ROWS):
+        rows = slice(i, i + _CODAS_ROWS)
+        de = e[rows, None] - e
+        dt = t[rows, None] - t
+        de += np.where(np.abs(de) >= tau, dt, 0.0)
+        scores[rows] = de.sum(axis=1)
+    return _score(CODAS, scores, matrix)
 
 
 def spotis(
@@ -191,6 +203,19 @@ def spotis(
     return _score(SPOTIS, preference, matrix, higher_better=False)
 
 
+def _lead(x: np.ndarray) -> np.ndarray:
+    """Per cell, how many values of its column are strictly lower minus strictly higher."""
+    m = x.shape[0]
+    # tied cells share one group, so the sort need not be stable
+    order = np.argsort(x.T, axis=-1)
+    start, end = _tie_groups(np.take_along_axis(x.T, order, axis=-1))
+    start += end  # start - (m - end)
+    start -= m
+    lead = np.empty(x.shape, dtype=np.intp)
+    np.put_along_axis(lead.T, order, start, axis=-1)
+    return lead
+
+
 def promethee2(matrix: DecisionMatrix, weights: WeightVector) -> BenchmarkScore:
     """Net outranking flow under the usual preference function.
 
@@ -203,17 +228,14 @@ def promethee2(matrix: DecisionMatrix, weights: WeightVector) -> BenchmarkScore:
     No m x m table is built: the leaving flow of a is sum_j w_j worse_j(a)
     and its entering flow sum_j w_j better_j(a), where worse_j(a) and
     better_j(a) count the alternatives strictly worse and strictly better
-    than a on j. Both counts come from one sort and searchsorted per column,
-    in O(mn log m) time and O(mn) memory.
+    than a on j. One argsort of all columns gives them: in a column sorted
+    ascending, a cell whose tie group spans positions [start, end) has
+    start values below it and m - end above. O(mn log m) time, O(mn) memory.
     """
     x, w, profit = _prepare(matrix, weights)
-    m = x.shape[0]
-    # per cell, strictly lower minus strictly higher values: left - (m - right)
-    lead = np.column_stack([
-        np.searchsorted(ordered, col, "left") + np.searchsorted(ordered, col, "right") - m
-        for ordered, col in zip(np.sort(x, axis=0).T, x.T)
-    ])
-    phi = (np.where(profit, lead, -lead) @ w) / (m - 1)
+    lead = _lead(x)
+    np.negative(lead, out=lead, where=~profit)  # on a cost criterion lower wins
+    phi = (lead @ w) / (x.shape[0] - 1)
     return _score(PROMETHEE2, phi, matrix)
 
 

@@ -117,10 +117,17 @@ def validate_matrix(matrix: DecisionMatrix) -> ValidationReport:
 
 
 def require_valid(matrix: DecisionMatrix) -> None:
-    """Raise InputError if the matrix violates any invariant."""
+    """Raise InputError if the matrix violates any invariant.
+
+    A passing check is recorded on the frozen matrix, outside its fields, so
+    later calls return at once; a failing check is never recorded.
+    """
+    if getattr(matrix, "_valid", False):
+        return
     report = validate_matrix(matrix)
     if not report.ok:
         raise InputError("invalid decision matrix: " + "; ".join(report.issues))
+    object.__setattr__(matrix, "_valid", True)
 
 
 @dataclass(frozen=True)

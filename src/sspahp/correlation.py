@@ -24,6 +24,26 @@ def _pair(x, y, minimum: int = 2) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _tie_groups(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end (exclusive) of each position's tie group along the last axis.
+
+    ``ordered`` holds keys already sorted along its last axis. Neighbours
+    that compare equal (``-0.0 == 0.0`` included) share a group, and every
+    position of a group spanning ``[start, end)`` gets that start and end.
+    """
+    m = ordered.shape[-1]
+    pos = np.arange(1, m)
+    differs = ordered[..., 1:] != ordered[..., :-1]
+    start = np.zeros(ordered.shape, dtype=np.intp)
+    np.multiply(differs, pos, out=start[..., 1:])
+    np.maximum.accumulate(start, axis=-1, out=start)
+    end = np.full(ordered.shape, m, dtype=np.intp)
+    np.copyto(end[..., :-1], pos, where=differs)
+    backwards = end[..., ::-1]
+    np.minimum.accumulate(backwards, axis=-1, out=backwards)
+    return start, end
+
+
 def weighted_spearman(x, y) -> float:
     """Rank agreement that weighs disagreements at the top more heavily.
 
@@ -74,6 +94,9 @@ def rank_from_scores(values, higher_better: bool = True, ties: str = INPUT_ORDER
     tied group the mean of the ranks it spans (the convention correlation
     coefficients expect). Under ``input-order`` an array with more than one
     axis is ranked along its last axis; ``average`` takes a flat vector.
+
+    Both rules take one stable argsort; under ``average`` a tie group at
+    sorted positions ``[start, end)`` gets rank ``(start + 1 + end) / 2``.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim == 0 or (v.ndim > 1 and ties == AVERAGE):
@@ -88,13 +111,8 @@ def rank_from_scores(values, higher_better: bool = True, ties: str = INPUT_ORDER
     if ties == INPUT_ORDER:
         np.put_along_axis(ranks, order, np.arange(1, n + 1, dtype=float), axis=-1)
     elif ties == AVERAGE:
-        i = 0
-        while i < n:
-            j = i
-            while j < n and key[order[j]] == key[order[i]]:
-                j += 1
-            ranks[order[i:j]] = (i + 1 + j) / 2.0
-            i = j
+        start, end = _tie_groups(key[order])
+        ranks[order] = (start + 1 + end) / 2
     else:
         raise InputError(f"unknown tie rule '{ties}'")
     return ranks

@@ -42,18 +42,28 @@ from .errors import InputError
 from .weighting import PairwiseMatrix
 
 
+def _unreadable(path, exc: IsADirectoryError | UnicodeDecodeError) -> InputError:
+    """The InputError for a path that is a directory or not UTF-8 text."""
+    if isinstance(exc, IsADirectoryError):
+        return InputError(f"{path}: is a directory, not a file")
+    return InputError(f"{path}: not UTF-8 text (cannot decode byte 0x{exc.object[exc.start]:02x})")
+
+
 def _iter_rows(path):
     """Stream the non-blank CSV rows of a file, header first."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = (row for row in csv.reader(fh) if "".join(row).strip())
-        header = next(rows, None)
-        if header is None:
-            raise InputError(f"empty file: {path}")
-        yield header
-        yield from rows
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = (row for row in csv.reader(fh) if "".join(row).strip())
+            header = next(rows, None)
+            if header is None:
+                raise InputError(f"empty file: {path}")
+            yield header
+            yield from rows
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from None
 
 
 def _parse_number(token: str, where: str) -> float:
@@ -127,6 +137,8 @@ def load_hierarchy(path) -> CriteriaHierarchy:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from None
 
     if not isinstance(doc, dict) or not isinstance(doc.get("dimensions"), list):
         raise InputError(f"{path}: expected an object with a 'dimensions' list")
@@ -276,14 +288,23 @@ def load_pairwise(path) -> PairwiseMatrix:
 
 
 def load_pairwise_batch(directory) -> list[PairwiseMatrix]:
-    """Read every ``*.csv`` in a directory, sorted by name for determinism."""
+    """Read every ``*.csv`` in a directory, sorted by name for determinism.
+
+    Every file must hold a matrix of the first file's size; the first one
+    that does not raises InputError naming it and both sizes.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         raise InputError(f"not a directory: {directory}")
     paths = sorted(directory.glob("*.csv"))
     if not paths:
         raise InputError(f"no .csv files in {directory}")
-    return [load_pairwise(p) for p in paths]
+    matrices = [load_pairwise(p) for p in paths]
+    n = matrices[0].n
+    for path, pm in zip(paths, matrices):
+        if pm.n != n:
+            raise InputError(f"{path}: a {pm.n}x{pm.n} matrix, but {paths[0].name} is {n}x{n}")
+    return matrices
 
 
 def load_weights(path, hierarchy: CriteriaHierarchy | None = None) -> WeightVector:
@@ -378,8 +399,6 @@ def load_ranking_file(path):
                 raise ValueError(s)
             elif entry is None or s > entry[0]:
                 deepest[row[si]] = (s, r, {row[ai]: rank})
-    except UnicodeDecodeError:  # an unreadable file, not a bad cell
-        raise
     except (ValueError, IndexError):
         raise _bad_ranking_row(path, r, row, header, columns) from None
     ordered = sorted(deepest.items(), key=lambda item: item[1][1])

@@ -18,6 +18,7 @@ from sspahp import (
     spotis,
     topsis,
 )
+from sspahp.benchmarks import _CODAS_ROWS
 
 from conftest import make_matrix, random_matrix, random_weights
 
@@ -79,6 +80,19 @@ def promethee2_oracle(matrix, weights):
     better = np.where(profit, diff > 0, diff < 0)
     pi = better.astype(float) @ w
     return (pi.sum(axis=1) - pi.sum(axis=0)) / (m - 1)
+
+
+def promethee2_lead_oracle(matrix, weights):
+    """Net flows from per-column ``searchsorted`` counts of strictly lower and higher values."""
+    x = matrix.values
+    w = weights.aligned(matrix.criterion_ids)
+    profit = np.array([obj == "max" for obj in matrix.objectives])
+    m = x.shape[0]
+    lead = np.column_stack([
+        np.searchsorted(ordered, col, "left") + np.searchsorted(ordered, col, "right") - m
+        for ordered, col in zip(np.sort(x, axis=0).T, x.T)
+    ])
+    return (np.where(profit, lead, -lead) @ w) / (m - 1)
 
 
 class TestTopsis:
@@ -187,6 +201,20 @@ class TestCodas:
                 got = codas(m, w, tau=tau).values
                 assert np.array_equal(got, codas_gate_product(m, w, tau))
 
+    @pytest.mark.parametrize(
+        "m", [_CODAS_ROWS - 1, _CODAS_ROWS, _CODAS_ROWS + 1, 2 * _CODAS_ROWS + 1]
+    )
+    def test_row_blocks_keep_the_gate_product_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        for tau in (0.01, 0.05):
+            matrix = random_matrix(rng, m=m, max_n=8)
+            values = matrix.values.copy()
+            values[-1] = values[0]  # a copied row across the block edge
+            matrix = make_matrix(values, matrix.objectives)
+            w = random_weights(rng, matrix)
+            got = codas(matrix, w, tau=tau).values
+            assert np.array_equal(got, codas_gate_product(matrix, w, tau))
+
     def test_non_positive_columns_are_rejected(self):
         m = make_matrix([[0.0, 1.0], [-1.0, 2.0]])
         with pytest.raises(NumericalError, match="positive"):
@@ -269,6 +297,13 @@ class TestPromethee2:
             w = random_weights(rng, m)
             got = promethee2(m, w).values
             assert np.abs(got - promethee2_oracle(m, w)).max() <= 1e-12
+            assert np.array_equal(got, promethee2_lead_oracle(m, w))
+
+    def test_constant_and_signed_zero_columns_match_the_lead_oracle(self):
+        values = np.array([[4.0, 0.0, 1.0], [4.0, -0.0, 2.0], [4.0, 0.0, 2.0], [4.0, 1.0, 0.5]])
+        m = make_matrix(values, ("max", "min", "max"))
+        w = WeightVector(np.array([0.2, 0.3, 0.5]), m.criterion_ids)
+        assert np.array_equal(promethee2(m, w).values, promethee2_lead_oracle(m, w))
 
 
 @st.composite
@@ -303,6 +338,7 @@ def test_promethee2_matches_the_dense_pairwise_oracle(case):
     score = promethee2(matrix, weights)
     expected = promethee2_oracle(matrix, weights)
     assert np.abs(score.values - expected).max() <= 1e-12
+    assert np.array_equal(score.values, promethee2_lead_oracle(matrix, weights))
     if (np.diff(np.sort(expected)) > 1e-12).all():
         assert np.array_equal(score.ranking, rank_from_scores(expected))
 

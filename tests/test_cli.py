@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -436,6 +437,34 @@ class TestMalformedInputs:
         result = runner.invoke(main, ["weights", "--method", "file", "--weights-file", str(path)])
         self.assert_input_error(result, "w.csv: non-finite weight nan for criterion 'C1'")
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("which", ["--matrix", "--hierarchy"])
+    def test_directory_in_place_of_a_file(self, runner, data_files, tmp_path, which):
+        paths = dict(zip(("--matrix", "--hierarchy"), data_files))
+        paths[which] = str(tmp_path / "adir")
+        (tmp_path / "adir").mkdir()
+        result = runner.invoke(
+            main, ["eval", *(arg for pair in paths.items() for arg in pair), "--weights-method", "critic"]
+        )
+        self.assert_input_error(result, f"{tmp_path / 'adir'}: is a directory, not a file")
+
+    @pytest.mark.parametrize("which", ["--matrix", "--hierarchy"])
+    def test_latin1_input_file(self, runner, data_files, tmp_path, which):
+        paths = dict(zip(("--matrix", "--hierarchy"), data_files))
+        source = Path(paths[which])
+        latin = tmp_path / f"latin1{source.suffix}"
+        latin.write_bytes(source.read_text().replace("C1", "Cé1", 1).encode("latin-1"))
+        paths[which] = str(latin)
+        result = runner.invoke(
+            main, ["eval", *(arg for pair in paths.items() for arg in pair), "--weights-method", "critic"]
+        )
+        self.assert_input_error(result, f"{latin}: not UTF-8 text (cannot decode byte 0xe9)")
+
+    def test_latin1_ranking_file(self, runner, tmp_path):
+        path = tmp_path / "ranks.csv"
+        path.write_bytes("alternative,rank\nhôpital,1\n".encode("latin-1"))
+        result = runner.invoke(main, ["corr", str(path), str(path)])
+        self.assert_input_error(result, f"{path}: not UTF-8 text (cannot decode byte 0xf4)")
 
     def test_sweep_export_s_outside_the_unit_interval(self, runner, tmp_path):
         path = tmp_path / "sweep.csv"

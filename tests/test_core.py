@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,18 @@ from sspahp import (
     SweepResult,
     SweepSpec,
     WeightVector,
+    critic_weights,
+    evaluate,
     flatten_hierarchy,
     normalize_minmax,
+    run_all,
+    run_sweep,
+    topsis,
     validate_matrix,
 )
+from sspahp import core
+from sspahp.io import load_decision_matrix, write_matrix_csv
+from sspahp.sample import sample_hierarchy, sample_matrix
 
 from conftest import make_matrix, two_level_hierarchy
 
@@ -65,6 +75,47 @@ class TestValidateMatrix:
     def test_unknown_objective_token_is_reported(self):
         m = make_matrix([[1.0], [2.0]], objectives=("maximize",))
         assert any("unknown objective" in i for i in validate_matrix(m).issues)
+
+
+class TestValidateOnce:
+    def test_one_check_per_matrix_from_load_to_reference_methods(self, tmp_path, monkeypatch):
+        h = sample_hierarchy()
+        path = tmp_path / "matrix.csv"
+        write_matrix_csv(sample_matrix(hierarchy=h), path)
+        calls = []
+        checked = core.validate_matrix
+        monkeypatch.setattr(core, "validate_matrix", lambda m: calls.append(m) or checked(m))
+        matrix = load_decision_matrix(path, h)
+        w = critic_weights(matrix)
+        evaluate(matrix, w, 0.5)
+        run_all(matrix, w)
+        assert calls == [matrix]
+
+    def test_a_passed_check_leaves_fields_and_repr_alone(self):
+        checked, fresh = (make_matrix([[1.0, 2.0], [3.0, 4.0]]) for _ in range(2))
+        normalize_minmax(checked)
+        assert [f.name for f in dataclasses.fields(checked)] == [
+            "alternative_ids", "criterion_ids", "values", "objectives"
+        ]
+        assert repr(checked) == repr(fresh)
+
+    def test_a_failed_check_is_never_recorded(self):
+        matrix = make_matrix([[1.0, np.nan], [3.0, 4.0], [2.0, 5.0]])
+        w = WeightVector(np.array([0.5, 0.5]), matrix.criterion_ids)
+        h = CriteriaHierarchy(
+            dimensions=(Dimension(id="G1", name="g", sub_dimensions=(SubDimension("sd", ("c1", "c2")),)),),
+            objectives={"c1": "max", "c2": "max"},
+        )
+        calls = (
+            lambda: evaluate(matrix, w, 0.0),
+            lambda: topsis(matrix, w),
+            lambda: critic_weights(matrix),
+            lambda: run_sweep(SweepSpec(matrix=matrix, hierarchy=h, weights=w)),
+        )
+        for _ in range(2):
+            for call in calls:
+                with pytest.raises(InputError, match="non-finite cell at row 1, column 2"):
+                    call()
 
 
 class TestNormalizeMinmax:

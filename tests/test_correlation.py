@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sspahp import InputError, NumericalError, pearson, rank_from_scores, weighted_spearman
 
@@ -22,6 +24,23 @@ def pearson_oracle(x, y):
     import math
 
     return (n * sxy - sx * sy) / math.sqrt((n * sxx - sx**2) * (n * syy - sy**2))
+
+
+def average_ranks_oracle(values, higher_better=True):
+    """Average ranks from a walk over the stably sorted keys, one tie group at a time."""
+    v = np.asarray(values, dtype=float)
+    key = -v if higher_better else v
+    order = np.argsort(key, kind="stable")
+    n = v.shape[0]
+    ranks = np.empty(n)
+    i = 0
+    while i < n:
+        j = i
+        while j < n and key[order[j]] == key[order[i]]:
+            j += 1
+        ranks[order[i:j]] = (i + 1 + j) / 2.0
+        i = j
+    return ranks
 
 
 class TestWeightedSpearman:
@@ -142,3 +161,23 @@ class TestRankFromScores:
     def test_average_ties_need_a_flat_vector(self):
         with pytest.raises(InputError, match="flat"):
             rank_from_scores([[0.5, 0.5], [0.1, 0.2]], ties="average")
+
+
+#: few distinct levels, so most draws hold tie groups; -0.0 and 0.0 tie too
+tied_scores = st.lists(
+    st.one_of(st.sampled_from([-0.0, 0.0, 0.5, -1.0, 3.0]), st.floats(-5.0, 5.0)),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestAverageRanksMatchTheOracle:
+    @given(tied_scores, st.booleans())
+    @example([2.0] * 7, True)  # one constant group
+    @example([1.5], False)
+    @example([0.0, -0.0, 0.0, -0.0], True)
+    @example([-0.0, 1.0, 0.0, 1.0, -0.0], False)
+    @settings(max_examples=200, deadline=None)
+    def test_tie_heavy_vectors(self, values, higher_better):
+        got = rank_from_scores(values, higher_better=higher_better, ties="average")
+        assert np.array_equal(got, average_ranks_oracle(values, higher_better))

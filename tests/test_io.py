@@ -370,6 +370,16 @@ class TestLoadPairwise:
         assert len(batch) == 2
         assert batch[0].values[0, 1] == 8.0  # a.csv first
 
+    def test_mixed_size_panel_names_the_first_odd_file(self, tmp_path):
+        d = tmp_path / "experts"
+        d.mkdir()
+        (d / "a.csv").write_text("1,2,3\n0.5,1,1\n1/3,1,1\n")
+        (d / "b.csv").write_text("1,3,1\n1/3,1,1\n1,1,1\n")
+        (d / "c.csv").write_text("1,2\n0.5,1\n")
+        (d / "d.csv").write_text("1\n")
+        with pytest.raises(InputError, match=r"c\.csv: a 2x2 matrix, but a\.csv is 3x3$"):
+            load_pairwise_batch(d)
+
     def test_empty_batch_dir_is_rejected(self, tmp_path):
         d = tmp_path / "empty"
         d.mkdir()
