@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX, DecisionMatrix, WeightVector, _frozen_array, normalize_minmax, require_valid
+from .core import MAX, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _normalized, require_valid
 from .correlation import INPUT_ORDER, _tie_groups, rank_from_scores
 from .errors import InputError, NumericalError
 
@@ -44,6 +44,8 @@ class BenchmarkScore:
     ranking: np.ndarray
     alternative_ids: tuple[str, ...]
     higher_better: bool = True
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         object.__setattr__(self, "alternative_ids", tuple(self.alternative_ids))
@@ -101,7 +103,7 @@ def mabac(matrix: DecisionMatrix, weights: WeightVector) -> BenchmarkScore:
     score is the row sum of distances from that border. Scores land in
     [-1, 1], larger is better.
     """
-    r = normalize_minmax(matrix).values
+    r = _normalized(matrix).values
     w = weights.aligned(matrix.criterion_ids)
     v = w * (r + 1.0)
     # w_j = 0 zeroes the whole column; its border is 0 as well

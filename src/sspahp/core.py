@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,6 +29,21 @@ def _frozen_array(obj, name, values):
     object.__setattr__(obj, name, arr)
 
 
+def _fields_equal(self, other) -> bool:
+    """``==`` for frozen dataclasses holding arrays: same class, every field equal.
+
+    Array fields compare with ``np.array_equal``, so the answer is one bool
+    rather than an elementwise array.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class DecisionMatrix:
     """Raw m x n performance table with a max/min objective per criterion.
@@ -41,6 +56,8 @@ class DecisionMatrix:
     criterion_ids: tuple[str, ...]
     values: np.ndarray
     objectives: tuple[str, ...]
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         object.__setattr__(self, "alternative_ids", tuple(self.alternative_ids))
@@ -139,6 +156,8 @@ class NormalizedMatrix:
     criterion_ids: tuple[str, ...]
     warnings: tuple[str, ...] = ()
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
         object.__setattr__(self, "alternative_ids", tuple(self.alternative_ids))
         object.__setattr__(self, "criterion_ids", tuple(self.criterion_ids))
@@ -179,12 +198,27 @@ def normalize_minmax(matrix: DecisionMatrix) -> NormalizedMatrix:
     )
 
 
+def _normalized(matrix: DecisionMatrix) -> NormalizedMatrix:
+    """``normalize_minmax(matrix)``, computed once and kept on the frozen matrix.
+
+    Like :func:`require_valid`, the result is recorded outside the fields,
+    warnings included, so every later caller shares it.
+    """
+    norm = getattr(matrix, "_normalized", None)
+    if norm is None:
+        norm = normalize_minmax(matrix)
+        object.__setattr__(matrix, "_normalized", norm)
+    return norm
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Finite, non-negative per-criterion weights that sum to 1."""
 
     weights: np.ndarray
     criterion_ids: tuple[str, ...]
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         object.__setattr__(self, "criterion_ids", tuple(self.criterion_ids))

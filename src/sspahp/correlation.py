@@ -11,17 +11,37 @@ AVERAGE = "average"
 
 
 def _pair(x, y, minimum: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Two flat vectors as the single rows of two [1, N] tables."""
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
     if a.ndim != 1 or b.ndim != 1:
         raise InputError("expected flat vectors")
     if a.shape[0] != b.shape[0]:
         raise InputError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if a.shape[0] < minimum:
-        raise InputError(f"need at least {minimum} entries, got {a.shape[0]}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InputError("vectors must be finite")
+    return _checked_rows(a[None], b[None], minimum)
+
+
+def _checked_rows(a: np.ndarray, b: np.ndarray, minimum: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Check two equally shaped [row, N] tables of paired vectors, as floats.
+
+    An error found in one row carries that row's index as its ``row``
+    attribute; the first offending row is reported.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or b.ndim != 2:
+        raise InputError("expected flat vectors")
+    if a.shape[1] < minimum:
+        raise InputError(f"need at least {minimum} entries, got {a.shape[1]}")
+    _reject_rows(~(np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)), InputError("vectors must be finite"))
     return a, b
+
+
+def _reject_rows(bad: np.ndarray, error: Exception) -> None:
+    """Raise ``error`` for the first True entry of ``bad``, its index kept as ``error.row``."""
+    if bad.any():
+        error.row = int(np.argmax(bad))
+        raise error
 
 
 def _tie_groups(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,12 +74,16 @@ def weighted_spearman(x, y) -> float:
     average ranks are fine). Identical rankings give exactly 1. The raw
     value is reported without clamping.
     """
-    a, b = _pair(x, y)
-    n = a.shape[0]
+    return float(_weighted_spearman_rows(*_pair(x, y))[0])
+
+
+def _weighted_spearman_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`weighted_spearman` of each row pair of two checked [row, N] tables."""
+    n = a.shape[1]
     for name, v in (("first", a), ("second", b)):
-        if v.min() < 1 - 1e-9 or v.max() > n + 1e-9:
-            raise InputError(f"{name} ranking has ranks outside 1..{n}")
-    num = 6.0 * float(np.sum((a - b) ** 2 * ((n - a + 1) + (n - b + 1))))
+        outside = (v.min(axis=1) < 1 - 1e-9) | (v.max(axis=1) > n + 1e-9)
+        _reject_rows(outside, InputError(f"{name} ranking has ranks outside 1..{n}"))
+    num = 6.0 * np.sum((a - b) ** 2 * ((n - a + 1) + (n - b + 1)), axis=1)
     den = float(n**4 + n**3 - n**2 - n)
     return 1.0 - num / den
 
@@ -73,17 +97,35 @@ def pearson(x, y) -> float:
     A constant vector makes the coefficient undefined and raises
     NumericalError.
     """
-    a, b = _pair(x, y)
-    n = a.shape[0]
-    sx = float(a.sum())
-    sy = float(b.sum())
-    vx = n * float((a**2).sum()) - sx**2
-    vy = n * float((b**2).sum()) - sy**2
-    if vx <= 0 or vy <= 0:
-        raise NumericalError("correlation undefined for a constant vector")
-    num = n * float((a * b).sum()) - sx * sy
+    return float(_pearson_rows(*_pair(x, y))[0])
+
+
+def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`pearson` of each row pair of two checked [row, N] tables."""
+    n = a.shape[1]
+    sx = a.sum(axis=1)
+    sy = b.sum(axis=1)
+    vx = n * (a**2).sum(axis=1) - sx * sx
+    vy = n * (b**2).sum(axis=1) - sy * sy
+    _reject_rows((vx <= 0) | (vy <= 0), NumericalError("correlation undefined for a constant vector"))
+    num = n * (a * b).sum(axis=1) - sx * sy
     # single sqrt of the product keeps the result exactly +-1 for rank vectors
-    return num / float(np.sqrt(vx * vy))
+    return num / np.sqrt(vx * vy)
+
+
+def _ordinal_ranks(key: np.ndarray) -> np.ndarray:
+    """Integer ranks 1..N along the last axis, smallest key first, ties in input order.
+
+    The stable sort order of each row is offset to flat positions, so the
+    ranks go in with one scatter into the flat result.
+    """
+    ranks = np.empty(key.shape, dtype=int)
+    if key.size:  # an empty key has no rows to offset
+        n = key.shape[-1]
+        order = np.argsort(key, axis=-1, kind="stable").reshape(-1, n)
+        order += np.arange(0, key.size, n)[:, None]
+        ranks.reshape(-1)[order] = np.arange(1, n + 1)
+    return ranks
 
 
 def rank_from_scores(values, higher_better: bool = True, ties: str = INPUT_ORDER):
@@ -104,15 +146,12 @@ def rank_from_scores(values, higher_better: bool = True, ties: str = INPUT_ORDER
     if not np.isfinite(v).all():
         raise InputError("scores must be finite")
     key = -v if higher_better else v
-    order = np.argsort(key, axis=-1, kind="stable")
-    n = v.shape[-1]
-    ranks = np.empty(v.shape, dtype=float)
-
     if ties == INPUT_ORDER:
-        np.put_along_axis(ranks, order, np.arange(1, n + 1, dtype=float), axis=-1)
-    elif ties == AVERAGE:
-        start, end = _tie_groups(key[order])
-        ranks[order] = (start + 1 + end) / 2
-    else:
+        return _ordinal_ranks(key).astype(float)
+    if ties != AVERAGE:
         raise InputError(f"unknown tie rule '{ties}'")
+    order = np.argsort(key, kind="stable")
+    start, end = _tie_groups(key[order])
+    ranks = np.empty(v.shape)
+    ranks[order] = (start + 1 + end) / 2
     return ranks

@@ -20,9 +20,10 @@ from .core import (
     DecisionMatrix,
     NormalizedMatrix,
     WeightVector,
+    _fields_equal,
     _frozen_array,
+    _normalized,
     flatten_hierarchy,
-    normalize_minmax,
 )
 from .correlation import INPUT_ORDER, rank_from_scores
 from .errors import InputError
@@ -33,6 +34,8 @@ class SustainabilityCoefficients:
     """Per-criterion compensation-reduction strengths, each in [0, 1]."""
 
     s: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         arr = np.asarray(self.s, dtype=float)
@@ -61,24 +64,38 @@ class SustainabilityCoefficients:
         ``criterion_ids`` fixes the vector order; defaults to the hierarchy's
         canonical order.
         """
-        groups = tuple(groups)
-        known = set(hierarchy.dimension_ids())
-        unknown = [g for g in groups if g not in known]
-        if unknown:
-            raise InputError(f"unknown group id(s): {', '.join(unknown)}")
-        dim_of = dict(flatten_hierarchy(hierarchy))
-        if criterion_ids is None:
-            criterion_ids = tuple(dim_of)
-        missing = [c for c in criterion_ids if c not in dim_of]
-        if missing:
-            raise InputError(
-                f"criteria not present in the hierarchy: {', '.join(missing)}"
-            )
-        selected = set(groups)
-        s = np.array(
-            [float(s_value) if dim_of[c] in selected else 0.0 for c in criterion_ids]
-        )
-        return cls(s)
+        selected = _membership(hierarchy, (tuple(groups),), criterion_ids)[0]
+        return cls(np.where(selected, float(s_value), 0.0))
+
+
+def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids=None) -> np.ndarray:
+    """Boolean [subset, criterion] table: is the criterion's dimension in the subset?
+
+    One [subset, dimension] table is filled and then indexed by each
+    criterion's dimension, so the hierarchy is flattened once for any number
+    of subsets. Columns follow ``criterion_ids`` (default: the hierarchy's
+    canonical order). Unknown group ids are checked first: the error names
+    them and carries the first subset holding one as its ``subset``
+    attribute. Criteria absent from the hierarchy raise InputError next.
+    """
+    column = {d: j for j, d in enumerate(hierarchy.dimension_ids())}
+    cols = np.array([column.get(g, -1) for subset in subsets for g in subset], dtype=int)
+    rows = np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets])
+    unknown = rows[cols < 0]
+    if unknown.size:
+        subset = subsets[unknown[0]]
+        error = InputError(f"unknown group id(s): {', '.join(g for g in subset if g not in column)}")
+        error.subset = subset
+        raise error
+    dim_of = dict(flatten_hierarchy(hierarchy))
+    if criterion_ids is None:
+        criterion_ids = tuple(dim_of)
+    missing = [c for c in criterion_ids if c not in dim_of]
+    if missing:
+        raise InputError(f"criteria not present in the hierarchy: {', '.join(missing)}")
+    table = np.zeros((len(subsets), len(column)), dtype=bool)
+    table[rows, cols] = True
+    return table[:, [column[dim_of[c]] for c in criterion_ids]]
 
 
 @dataclass(frozen=True)
@@ -89,6 +106,8 @@ class EvaluationResult:
     ranking: np.ndarray
     alternative_ids: tuple[str, ...]
     has_ties: bool = False
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         object.__setattr__(self, "alternative_ids", tuple(self.alternative_ids))
@@ -132,7 +151,7 @@ def evaluate(matrix: DecisionMatrix, weights: WeightVector, s=0.0) -> Evaluation
     ties broken by input order (tie presence is flagged on the result).
     """
     w = weights.aligned(matrix.criterion_ids)
-    norm = normalize_minmax(matrix)
+    norm = _normalized(matrix)
     b = mad_transform(norm, s)
     utilities = b @ w
     ranking = rank_from_scores(utilities, higher_better=True, ties=INPUT_ORDER)

@@ -5,9 +5,16 @@ subset, coefficient value) on a grid, tracking how each alternative's rank
 evolves as compensation is progressively reduced inside the selected
 groups. The matrix is normalized once; because each utility is affine in
 the coefficient, the whole sweep follows from one penalty per (subset,
-alternative). Results are held as dense ``utilities`` and ``ranks`` arrays
-shaped [subset, s, alternative], so serialized output is byte-stable
-across runs.
+alternative). The hierarchy is flattened once into a boolean
+[subset, criterion] membership table, so all penalties come from one
+matrix product. Results are held as dense ``utilities`` and integer
+``ranks`` arrays shaped [subset, s, alternative], so serialized output is
+byte-stable across runs.
+
+The summaries work on whole arrays too: ``stability_report`` reduces the
+ranks of all alternatives at once, and ``compare_rankings`` stacks the
+per-subset rankings and computes both coefficients row-wise with the same
+kernels that ``weighted_spearman`` and ``pearson`` run on a single row.
 """
 
 from __future__ import annotations
@@ -16,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _frozen_array, normalize_minmax
-from .correlation import pearson, rank_from_scores, weighted_spearman
+from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _normalized
+from .correlation import _checked_rows, _ordinal_ranks, _pearson_rows, _weighted_spearman_rows
 from .errors import InputError, SspahpError
-from .evaluation import SustainabilityCoefficients
+from .evaluation import _membership
 
 DEFAULT_STEP = 0.05
 
@@ -98,6 +105,8 @@ class SweepSpec:
     s_grid: np.ndarray = None
     group_subsets: tuple[tuple[str, ...], ...] = None
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
         grid = self.s_grid
         if grid is None:
@@ -140,6 +149,8 @@ class SweepResult:
     utilities: np.ndarray
     ranks: np.ndarray
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
         _frozen_array(self, "utilities", np.asarray(self.utilities, dtype=float))
         _frozen_array(self, "ranks", np.asarray(self.ranks, dtype=int))
@@ -175,41 +186,54 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     For a fixed subset S every utility is affine in s:
     U[S, s] = r.w - s * P[S], where r is the normalized matrix and P[S]
     sums the weighted deviations |mean(r) - r| * w over the criteria of the
-    dimensions in S. Matrix and weight errors name the first cell; an
-    unknown group id names its own subset.
+    dimensions in S. One boolean [subset, criterion] membership table gives
+    every P[S] in a single product, and the ranks come as integers from one
+    stable argsort of all cells. Matrix and weight errors name the first
+    cell; an unknown group id names its own subset.
     """
     matrix, grid, subsets = spec.matrix, spec.s_grid, spec.group_subsets
-    subset = subsets[0]
     try:
         w = spec.weights.aligned(matrix.criterion_ids)
-        r = normalize_minmax(matrix).values
-        membership = []
-        for subset in subsets:
-            membership.append(
-                SustainabilityCoefficients.for_groups(
-                    spec.hierarchy, subset, 1.0, criterion_ids=matrix.criterion_ids
-                ).s
-            )
+        r = _normalized(matrix).values
+        membership = _membership(spec.hierarchy, subsets, matrix.criterion_ids)
     except SspahpError as exc:
+        subset = getattr(exc, "subset", subsets[0])
         raise type(exc)(
             f"sweep cell (subset={subset_label(subset) or '()'}, s={grid[0]:g}): {exc}"
         ) from exc
 
-    penalty = np.array(membership) @ (np.abs(r.mean(axis=0) - r) * w).T  # [subset, alternative]
+    penalty = membership.astype(float) @ (np.abs(r.mean(axis=0) - r) * w).T  # [subset, alternative]
     utilities = (r @ w) - grid[None, :, None] * penalty[:, None, :]
     return SweepResult(
         alternative_ids=matrix.alternative_ids,
         subsets=subsets,
         s_grid=grid,
         utilities=utilities,
-        ranks=rank_from_scores(utilities),
+        ranks=_ordinal_ranks(-utilities),
     )
 
 
-def _as_subset_rankings(result) -> dict[tuple[str, ...], np.ndarray]:
+def _subset_rankings(result):
+    """Subsets and their rankings: a [subset, N] array for a sweep, a list otherwise."""
     if isinstance(result, SweepResult):
-        return result.final_rankings()
-    return {tuple(k): np.asarray(v) for k, v in dict(result).items()}
+        return result.subsets, result.ranks[:, -1]
+    rankings = {tuple(k): np.asarray(v) for k, v in dict(result).items()}
+    return tuple(rankings), list(rankings.values())
+
+
+def _same_shape_rows(subsets, a, b):
+    """(indices, stacked a rows, stacked b rows) for each ranking shape, in first-seen order."""
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.shape == b.shape:
+        return [(np.arange(len(subsets)), a, b)]
+    groups = {}
+    for i, (subset, x, y) in enumerate(zip(subsets, a, b)):
+        if x.shape != y.shape:
+            raise InputError(f"ranking lengths differ for subset {subset_label(subset) or '()'}")
+        groups.setdefault(x.shape, []).append(i)
+    return [
+        (np.array(idx), np.stack([a[i] for i in idx]), np.stack([b[i] for i in idx]))
+        for idx in groups.values()
+    ]
 
 
 def compare_rankings(result_a, result_b) -> dict[tuple[str, ...], tuple[float, float]]:
@@ -217,20 +241,26 @@ def compare_rankings(result_a, result_b) -> dict[tuple[str, ...], tuple[float, f
 
     Accepts SweepResult objects (their full-reduction rankings are compared)
     or plain mappings of subset -> ranking vector. Subset lists must match.
+    The rankings of each length are stacked and both coefficients computed
+    row-wise; an invalid ranking raises with its subset named.
     """
-    a = _as_subset_rankings(result_a)
-    b = _as_subset_rankings(result_b)
-    if list(a) != list(b):
+    subsets, a = _subset_rankings(result_a)
+    others, b = _subset_rankings(result_b)
+    if subsets != others:
         raise InputError("subset lists differ between the two results")
-    out = {}
-    for subset in a:
-        x, y = a[subset], b[subset]
-        if x.shape != y.shape:
-            raise InputError(
-                f"ranking lengths differ for subset {subset_label(subset) or '()'}"
-            )
-        out[subset] = (weighted_spearman(x, y), pearson(x, y))
-    return out
+    values = np.empty((len(subsets), 2))
+    for idx, x, y in _same_shape_rows(subsets, a, b):
+        try:
+            x, y = _checked_rows(x, y)
+            values[idx, 0] = _weighted_spearman_rows(x, y)
+            values[idx, 1] = _pearson_rows(x, y)
+        except SspahpError as exc:
+            subset = subsets[idx[getattr(exc, "row", 0)]]
+            raise type(exc)(f"subset {subset_label(subset) or '()'}: {exc}") from exc
+    return dict(zip(subsets, map(tuple, values.tolist())))
+
+
+_DIRECTIONS = ("flat", "improving", "declining", "mixed")
 
 
 def stability_report(result: SweepResult) -> dict[str, dict]:
@@ -240,27 +270,21 @@ def stability_report(result: SweepResult) -> dict[str, dict]:
     span <= 1 are flagged stable. The direction label classifies the rank
     trajectory along the grid for the last (most inclusive) subset:
     improving ranks move toward 1, declining away, flat never moves, mixed
-    does both.
+    does both. All alternatives are summarized with array reductions.
     """
-    report = {}
     lowest = result.ranks.min(axis=(0, 1))
     highest = result.ranks.max(axis=(0, 1))
-    for ai, alt in enumerate(result.alternative_ids):
-        deltas = np.diff(result.ranks[-1, :, ai])
-        if (deltas == 0).all():
-            direction = "flat"
-        elif (deltas <= 0).all():
-            direction = "improving"
-        elif (deltas >= 0).all():
-            direction = "declining"
-        else:
-            direction = "mixed"
-        span = int(highest[ai] - lowest[ai])
-        report[alt] = {
-            "min_rank": int(lowest[ai]),
-            "max_rank": int(highest[ai]),
-            "span": span,
-            "stable": span <= 1,
-            "monotone_direction": direction,
+    deltas = np.diff(result.ranks[-1], axis=0)  # [step, alternative]
+    direction = np.select(
+        [(deltas == 0).all(axis=0), (deltas <= 0).all(axis=0), (deltas >= 0).all(axis=0)], [0, 1, 2], 3
+    )
+    return {
+        alt: {
+            "min_rank": lo,
+            "max_rank": hi,
+            "span": hi - lo,
+            "stable": hi - lo <= 1,
+            "monotone_direction": _DIRECTIONS[d],
         }
-    return report
+        for alt, lo, hi, d in zip(result.alternative_ids, lowest.tolist(), highest.tolist(), direction.tolist())
+    }

@@ -21,9 +21,10 @@ from .core import (
     CriteriaHierarchy,
     DecisionMatrix,
     WeightVector,
+    _fields_equal,
     _frozen_array,
+    _normalized,
     flatten_hierarchy,
-    normalize_minmax,
     require_valid,
 )
 from .errors import ConvergenceError, DegenerateWeightsError, InputError
@@ -60,6 +61,8 @@ class PairwiseMatrix:
 
     values: np.ndarray
     labels: tuple[str, ...] | None = None
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
@@ -255,7 +258,7 @@ def critic_weights(matrix: DecisionMatrix, sample_std: bool = True) -> WeightVec
     ``sample_std`` selects the m-1 divisor (default); pass False for the
     population form. Constant columns have sigma = 0 and receive weight 0.
     """
-    norm = normalize_minmax(matrix)
+    norm = _normalized(matrix)
     r = norm.values
     m, n = r.shape
     ddof = 1 if sample_std else 0

@@ -118,6 +118,37 @@ class TestValidateOnce:
                     call()
 
 
+class TestNormalizeOnce:
+    def test_one_scaling_per_matrix_from_weights_to_sweeps(self, monkeypatch):
+        h = sample_hierarchy()
+        matrix = sample_matrix(hierarchy=h)
+        calls = []
+        scale = core.normalize_minmax
+        monkeypatch.setattr(core, "normalize_minmax", lambda m: calls.append(m) or scale(m))
+        w = critic_weights(matrix)
+        evaluate(matrix, w, 0.5)
+        run_all(matrix, w)
+        run_sweep(SweepSpec(matrix=matrix, hierarchy=h, weights=w, group_subsets=(("G1",),)))
+        assert calls == [matrix]
+
+    def test_the_kept_result_carries_its_warnings(self):
+        matrix = make_matrix([[1.0, 2.0], [1.0, 4.0], [1.0, 3.0]])
+        kept = core._normalized(matrix)
+        assert kept is core._normalized(matrix)
+        assert kept == normalize_minmax(matrix)
+        assert kept.warnings == ("criterion 'c1' is constant; all cells set to 0.5",)
+        assert [f.name for f in dataclasses.fields(matrix)] == [
+            "alternative_ids", "criterion_ids", "values", "objectives"
+        ]
+
+    def test_an_invalid_matrix_is_never_kept(self):
+        matrix = make_matrix([[1.0, np.nan], [3.0, 4.0]])
+        for _ in range(2):
+            with pytest.raises(InputError, match="non-finite cell"):
+                core._normalized(matrix)
+        assert not hasattr(matrix, "_normalized")
+
+
 class TestNormalizeMinmax:
     def test_profit_column_maps_to_unit_interval(self):
         norm = normalize_minmax(make_matrix([[2.0], [4.0], [6.0]]))
@@ -369,3 +400,57 @@ def test_construction_leaves_the_caller_array_writable(build, caller):
     assert np.array_equal(kept, before)
     with pytest.raises(ValueError, match="read-only"):
         kept[...] = 0
+
+
+def _sweep_result(ranks):
+    return SweepResult(_IDS, ((),), [0.0], [[[0.25, 0.75]]], ranks)
+
+
+@pytest.mark.parametrize(
+    "build, same, other",
+    [
+        pytest.param(
+            lambda a: DecisionMatrix(_IDS, ("c1", "c2"), a, ("max", "max")),
+            np.eye(2),
+            np.array([[1.0, 0.0], [0.0, 2.0]]),
+            id="DecisionMatrix",
+        ),
+        pytest.param(
+            lambda a: NormalizedMatrix(a, _IDS, ("c1", "c2")), np.eye(2), 1 - np.eye(2), id="NormalizedMatrix"
+        ),
+        pytest.param(
+            lambda a: WeightVector(a, ("c1", "c2")), np.array([0.25, 0.75]), np.array([0.75, 0.25]), id="WeightVector"
+        ),
+        pytest.param(
+            PairwiseMatrix, np.array([[1.0, 2.0], [0.5, 1.0]]), np.array([[1.0, 4.0], [0.25, 1.0]]), id="PairwiseMatrix"
+        ),
+        pytest.param(
+            SustainabilityCoefficients, np.array([0.25, 0.75]), np.array([0.25, 0.5]), id="SustainabilityCoefficients"
+        ),
+        pytest.param(
+            lambda a: EvaluationResult([0.25, 0.75], a, _IDS), np.array([2, 1]), np.array([1, 2]), id="EvaluationResult"
+        ),
+        pytest.param(
+            lambda a: BenchmarkScore("m", a, [2, 1], _IDS),
+            np.array([0.25, 0.75]),
+            np.array([0.25, 0.5]),
+            id="BenchmarkScore",
+        ),
+        pytest.param(
+            lambda a: SweepSpec(
+                make_matrix(np.eye(2)), two_level_hierarchy(), WeightVector([0.5, 0.5], ("c1", "c2")), s_grid=a
+            ),
+            np.array([0.0, 0.5, 1.0]),
+            np.array([0.0, 1.0]),
+            id="SweepSpec",
+        ),
+        pytest.param(_sweep_result, np.array([[[2, 1]]]), np.array([[[1, 2]]]), id="SweepResult"),
+    ],
+)
+def test_equality_of_array_holders_is_one_bool(build, same, other):
+    first, second, changed = build(same), build(same.copy()), build(other)
+    assert (first == second) is True
+    assert (first != second) is False
+    assert (first == changed) is False
+    assert (first != changed) is True
+    assert (first == "not a dataclass") is False

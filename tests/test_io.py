@@ -296,6 +296,19 @@ class TestLoadDecisionMatrix:
         assert np.max(np.abs(back.values - m.values)) < 1e-12
         assert back.objectives == m.objectives
 
+    def test_two_loads_compare_equal_and_a_changed_cell_does_not(self, tmp_path):
+        h = load_hierarchy(DATA_DIR / "sample_hierarchy.json")
+        path = DATA_DIR / "sample_matrix.csv"
+        first, second = load_decision_matrix(path, h), load_decision_matrix(path, h)
+        assert (first == second) is True
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[3].split(",")
+        cells[5] = str(float(cells[5]) + 1.0)
+        lines[3] = ",".join(cells)
+        changed = tmp_path / "changed.csv"
+        changed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert (load_decision_matrix(changed, h) == first) is False
+
 
 class TestLoadPairwise:
     def test_headerless_decimals(self, tmp_path):

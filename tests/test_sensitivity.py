@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from sspahp import (
     CriteriaHierarchy,
+    DecisionMatrix,
     Dimension,
     InputError,
+    NumericalError,
     SubDimension,
+    SustainabilityCoefficients,
     SweepResult,
     SweepSpec,
     WeightVector,
@@ -16,9 +19,13 @@ from sspahp import (
     enumerate_group_subsets,
     evaluate,
     evaluate_with_group_s,
+    flatten_hierarchy,
+    normalize_minmax,
+    pearson,
     rank_from_scores,
     run_sweep,
     stability_report,
+    weighted_spearman,
 )
 from sspahp.io import records_to_csv
 from sspahp import sensitivity
@@ -354,3 +361,224 @@ class TestStabilityReport:
     def test_single_rank_move_counts_as_stable(self):
         result = fake_sweep_from_trajectory([2, 3, 3, 3])
         assert stability_report(result)["a1"]["stable"]
+
+
+class TestCompareRankingsErrors:
+    def test_ranks_outside_one_to_n_name_the_subset(self):
+        a = {("G1",): [1, 2, 3], ("G1", "G4"): [1, 2, 9]}
+        b = {("G1",): [3, 2, 1], ("G1", "G4"): [3, 2, 1]}
+        message = r"subset G1\+G4: first ranking has ranks outside 1\.\.3"
+        with pytest.raises(InputError, match=message):
+            compare_rankings(a, b)
+
+    def test_a_constant_ranking_names_the_subset(self):
+        a = {("G1",): [1, 2, 3], ("G1", "G4"): [1, 2, 3]}
+        b = {("G1",): [3, 2, 1], ("G1", "G4"): [2, 2, 2]}
+        message = r"subset G1\+G4: correlation undefined for a constant vector"
+        with pytest.raises(NumericalError, match=message):
+            compare_rankings(a, b)
+
+    def test_ragged_rankings_name_the_subset_of_the_bad_row(self):
+        a = {("G1",): [1, 2, 3], ("G2",): [1, 2], ("G1", "G2"): [2, 1, 3]}
+        b = {("G1",): [3, 2, 1], ("G2",): [2, 1], ("G1", "G2"): [1, 2, np.nan]}
+        with pytest.raises(InputError, match=r"subset G1\+G2: vectors must be finite"):
+            compare_rankings(a, b)
+
+    def test_a_short_ranking_names_the_subset(self):
+        with pytest.raises(InputError, match=r"subset G2: need at least 2 entries, got 1"):
+            compare_rankings({("G1",): [1, 2], ("G2",): [1]}, {("G1",): [2, 1], ("G2",): [1]})
+
+    def test_lengths_that_differ_name_the_subset(self):
+        with pytest.raises(InputError, match="ranking lengths differ for subset G2"):
+            compare_rankings({("G1",): [1, 2], ("G2",): [1, 2]}, {("G1",): [2, 1], ("G2",): [1, 2, 3]})
+
+
+# Oracles: the per-subset and per-alternative loops the sweep and its
+# summaries ran before they became array operations.
+
+
+def membership_oracle(hierarchy, subsets, criterion_ids):
+    """One coefficient vector per subset, each built by a walk over the hierarchy."""
+    rows = []
+    for subset in subsets:
+        known = set(hierarchy.dimension_ids())
+        unknown = [g for g in subset if g not in known]
+        if unknown:
+            raise InputError(f"unknown group id(s): {', '.join(unknown)}")
+        dim_of = dict(flatten_hierarchy(hierarchy))
+        missing = [c for c in criterion_ids if c not in dim_of]
+        if missing:
+            raise InputError(f"criteria not present in the hierarchy: {', '.join(missing)}")
+        selected = set(subset)
+        rows.append([1.0 if dim_of[c] in selected else 0.0 for c in criterion_ids])
+    return np.array(rows)
+
+
+def ordinal_ranks_oracle(scores):
+    """Float ranks along the last axis from one stable argsort, ties in input order."""
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    ranks = np.empty(scores.shape)
+    np.put_along_axis(ranks, order, np.arange(1, scores.shape[-1] + 1, dtype=float), axis=-1)
+    return ranks
+
+
+def sweep_oracle(spec):
+    """Utilities and ranks of every cell from the per-subset membership loop."""
+    matrix = spec.matrix
+    w = spec.weights.aligned(matrix.criterion_ids)
+    r = normalize_minmax(matrix).values
+    membership = membership_oracle(spec.hierarchy, spec.group_subsets, matrix.criterion_ids)
+    penalty = membership @ (np.abs(r.mean(axis=0) - r) * w).T
+    utilities = (r @ w) - spec.s_grid[None, :, None] * penalty[:, None, :]
+    return utilities, ordinal_ranks_oracle(utilities).astype(int)
+
+
+def stability_oracle(result):
+    """Per-alternative walk over the rank trajectories."""
+    report = {}
+    lowest = result.ranks.min(axis=(0, 1))
+    highest = result.ranks.max(axis=(0, 1))
+    for ai, alt in enumerate(result.alternative_ids):
+        deltas = np.diff(result.ranks[-1, :, ai])
+        if (deltas == 0).all():
+            direction = "flat"
+        elif (deltas <= 0).all():
+            direction = "improving"
+        elif (deltas >= 0).all():
+            direction = "declining"
+        else:
+            direction = "mixed"
+        span = int(highest[ai] - lowest[ai])
+        report[alt] = {
+            "min_rank": int(lowest[ai]),
+            "max_rank": int(highest[ai]),
+            "span": span,
+            "stable": span <= 1,
+            "monotone_direction": direction,
+        }
+    return report
+
+
+def compare_oracle(a, b):
+    """One weighted Spearman and one Pearson call per subset."""
+    if isinstance(a, SweepResult):
+        a, b = a.final_rankings(), b.final_rankings()
+    return {tuple(sub): (weighted_spearman(a[sub], b[sub]), pearson(a[sub], b[sub])) for sub in a}
+
+
+@st.composite
+def grouped_sweep(draw):
+    """A k = 1..6 dimension sweep with tied and constant columns, shuffled criteria and any grid."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    per_dim = draw(st.lists(st.integers(min_value=1, max_value=2), min_size=k, max_size=k))
+    dims, ids = [], []
+    for d, count in enumerate(per_dim):
+        crits = tuple(f"C{len(ids) + j + 1}" for j in range(count))
+        ids += crits
+        dims.append(Dimension(id=f"G{d + 1}", name=f"g{d + 1}", sub_dimensions=(SubDimension("sd", crits),)))
+    n = len(ids)
+    order = draw(st.permutations(range(n)))
+    m = draw(st.integers(min_value=2, max_value=6))
+    cell = st.sampled_from([1.0, 2.0, 2.0, 5.0, 7.5])
+    values = np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m)))
+    for j, constant in enumerate(draw(st.lists(st.booleans(), min_size=n, max_size=n))):
+        if constant:
+            values[:, j] = 3.0
+    objectives = draw(st.lists(st.sampled_from(["max", "min"]), min_size=n, max_size=n))
+    h = CriteriaHierarchy(dimensions=tuple(dims), objectives=dict(zip(ids, objectives)))
+    criterion_ids = tuple(ids[i] for i in order)
+    matrix = DecisionMatrix(
+        tuple(f"a{i + 1}" for i in range(m)), criterion_ids, values, tuple(h.objectives[c] for c in criterion_ids)
+    )
+    levels = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=n, max_size=n)))
+    levels[draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
+    grid = draw(st.sampled_from([None, [0.0], [1.0], [0.5], [0.0, 0.5, 1.0]]))
+    subsets = None
+    if draw(st.booleans()):
+        every = enumerate_group_subsets(h.dimension_ids())
+        subsets = draw(st.lists(st.sampled_from(every), min_size=1, max_size=len(every), unique=True))
+    weights = WeightVector(levels / levels.sum(), ids)
+    return SweepSpec(matrix=matrix, hierarchy=h, weights=weights, s_grid=grid, group_subsets=subsets)
+
+
+@given(grouped_sweep())
+@settings(max_examples=80, deadline=None)
+def test_sweep_equals_the_per_subset_oracle(spec):
+    result = run_sweep(spec)
+    utilities, ranks = sweep_oracle(spec)
+    assert np.array_equal(result.utilities, utilities)
+    assert result.ranks.dtype.kind == "i"
+    assert np.array_equal(result.ranks, ranks)
+    membership = membership_oracle(spec.hierarchy, spec.group_subsets, spec.matrix.criterion_ids)
+    for subset, row in zip(spec.group_subsets, membership):
+        coeffs = SustainabilityCoefficients.for_groups(spec.hierarchy, subset, 0.5, spec.matrix.criterion_ids)
+        assert np.array_equal(coeffs.s, row * 0.5)
+
+
+@given(grouped_sweep(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_summaries_equal_the_loop_oracles(spec, data):
+    result = run_sweep(spec)
+    assert stability_report(result) == stability_oracle(result)
+    other = run_sweep(
+        SweepSpec(
+            matrix=spec.matrix,
+            hierarchy=spec.hierarchy,
+            weights=WeightVector(np.full(spec.matrix.n, 1 / spec.matrix.n), spec.matrix.criterion_ids),
+            s_grid=spec.s_grid,
+            group_subsets=spec.group_subsets,
+        )
+    )
+    assert compare_rankings(result, other) == compare_oracle(result, other)
+    mixed = data.draw(st.booleans())
+    plain = other.final_rankings() if mixed else other
+    assert compare_rankings(result, plain) == compare_oracle(result, other)
+
+
+@st.composite
+def ragged_rankings(draw):
+    """Two subset -> ranking mappings whose rankings differ in length, average ranks included."""
+    subsets = draw(st.lists(st.sampled_from(enumerate_group_subsets(("G1", "G2", "G3"))), min_size=1, unique=True))
+    a, b = {}, {}
+    for subset in subsets:
+        n = draw(st.integers(min_value=2, max_value=9))
+        for side in (a, b):
+            scores = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=n, max_size=n)))
+            if (scores == scores[0]).all():
+                scores[0] += 1.0  # a constant ranking has no Pearson coefficient
+            side[subset] = rank_from_scores(scores, ties=draw(st.sampled_from(["average", "input-order"])))
+    return a, b
+
+
+@given(ragged_rankings())
+@settings(max_examples=100, deadline=None)
+def test_ragged_mappings_equal_the_per_subset_oracle(pair):
+    a, b = pair
+    assert compare_rankings(a, b) == compare_oracle(a, b)
+
+
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=2, max_value=6),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_stability_report_equals_the_per_alternative_oracle(n_subsets, n_grid, m, data):
+    ranks = np.array(
+        data.draw(
+            st.lists(
+                st.lists(st.lists(st.integers(1, m), min_size=m, max_size=m), min_size=n_grid, max_size=n_grid),
+                min_size=n_subsets,
+                max_size=n_subsets,
+            )
+        )
+    )
+    result = SweepResult(
+        alternative_ids=tuple(f"a{i + 1}" for i in range(m)),
+        subsets=enumerate_group_subsets(("G1", "G2"))[:n_subsets],
+        s_grid=np.linspace(0.0, 1.0, n_grid),
+        utilities=np.zeros(ranks.shape),
+        ranks=ranks,
+    )
+    assert stability_report(result) == stability_oracle(result)
