@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import io as sio
 from .benchmarks import DEFAULT_TAU, run_all
@@ -25,12 +24,7 @@ from .core import WeightVector
 from .correlation import pearson, weighted_spearman
 from .errors import InconsistentJudgmentsError, InputError, NumericalError
 from .evaluation import evaluate, evaluate_with_group_s
-from .sensitivity import (
-    SweepSpec,
-    default_s_grid,
-    run_sweep,
-    subset_label,
-)
+from .sensitivity import SweepSpec, compare_rankings, default_s_grid, run_sweep, subset_label
 from .weighting import (
     CR_THRESHOLD,
     aggregate_pairwise,
@@ -92,9 +86,7 @@ def _require(condition: bool, message: str) -> None:
         raise InputError(message)
 
 
-def _parse_groups(text: str | None):
-    if text is None:
-        return None
+def _parse_groups(text: str):
     return tuple(g.strip() for g in text.split(",") if g.strip())
 
 
@@ -124,7 +116,7 @@ def _ahp_from_path(pairwise_path, hierarchy=None, strict_cr=False):
         elif pm.n == len(crits):
             pm = type(pm)(pm.values, labels=crits)
     weights, report = ahp_weights(pm)
-    if strict_cr and report.cr > CR_THRESHOLD:
+    if strict_cr and not report.acceptable:
         raise InconsistentJudgmentsError(
             f"consistency ratio {report.cr:.4f} exceeds {CR_THRESHOLD}"
         )
@@ -256,12 +248,10 @@ def eval_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, strict
     """Score and rank the alternatives."""
     matrix, hierarchy = _load_inputs(matrix_path, hierarchy_path)
     w, _, _ = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
-    _require(0.0 <= s_value <= 1.0, f"--s must lie in [0, 1], got {s_value}")
-    group_ids = _parse_groups(groups)
-    if group_ids is None:
-        result = evaluate(matrix, w, s_value)
-    else:
-        result = evaluate_with_group_s(matrix, w, hierarchy, group_ids, s_value)
+    # no --groups: every dimension, so every criterion gets s ("" is the empty subset)
+    group_ids = hierarchy.dimension_ids() if groups is None else _parse_groups(groups)
+    result = evaluate_with_group_s(matrix, w, hierarchy, group_ids, s_value)
+    rows = list(zip(result.alternative_ids, result.utilities.tolist(), result.ranking.tolist()))
 
     if fmt == "json":
         text = sio.records_to_json(
@@ -273,17 +263,10 @@ def eval_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, strict
             }
         )
     elif fmt == "csv":
-        recs = [
-            {"alternative": a, "utility": float(u), "rank": int(r)}
-            for a, u, r in zip(result.alternative_ids, result.utilities, result.ranking)
-        ]
+        recs = [{"alternative": a, "utility": u, "rank": r} for a, u, r in rows]
         text = sio.records_to_csv(recs, ["alternative", "utility", "rank"])
     else:
-        rows = [
-            [a, _f4(u), str(int(r))]
-            for a, u, r in zip(result.alternative_ids, result.utilities, result.ranking)
-        ]
-        text = _table(["alternative", "utility", "rank"], rows)
+        text = _table(["alternative", "utility", "rank"], [[a, _f4(u), str(r)] for a, u, r in rows])
     _emit(text, out)
 
 
@@ -310,12 +293,8 @@ def benchmarks_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, 
     columns += [(name, sc.values, sc.ranking) for name, sc in scores.items()]
     correlations = None
     if with_corr:
-        ref = base.ranking.astype(float)
         correlations = {
-            name: (
-                weighted_spearman(ref, ranks.astype(float)),
-                pearson(ref, ranks.astype(float)),
-            )
+            name: (weighted_spearman(base.ranking, ranks), pearson(base.ranking, ranks))
             for name, _, ranks in columns[1:]
         }
 
@@ -427,30 +406,22 @@ def corr_cmd(file_a, file_b, fmt, out):
     _require(kind_a == kind_b, "cannot mix a plain ranking file with a sweep export")
 
     if kind_a == "simple":
-        pairs = {"": (data_a, data_b)}
+        data_a, data_b = {"": data_a}, {"": data_b}
     else:
-        _require(
-            list(data_a) == list(data_b),
-            "subset lists differ between the two sweep exports",
-        )
-        pairs = {sub: (data_a[sub], data_b[sub]) for sub in data_a}
+        _require(list(data_a) == list(data_b), "subset lists differ between the two sweep exports")
 
-    records = []
-    for label, (ra, rb) in pairs.items():
-        _require(
-            set(ra) == set(rb),
-            f"alternative ids differ{f' in subset {label}' if label else ''}",
-        )
-        alts = list(ra)
-        x = np.array([ra[a] for a in alts])
-        y = np.array([rb[a] for a in alts])
-        records.append(
-            {
-                "subset": label,
-                "r_w": weighted_spearman(x, y),
-                "pearson": pearson(x, y),
-            }
-        )
+    # each subset's ranks in file A's alternative order, keyed by the subset tuple
+    rankings_a, rankings_b = {}, {}
+    for label, ra in data_a.items():
+        rb = data_b[label]
+        _require(set(ra) == set(rb), f"alternative ids differ{f' in subset {label}' if label else ''}")
+        subset = tuple(label.split("+")) if label else ()
+        rankings_a[subset] = list(ra.values())
+        rankings_b[subset] = [rb[alt] for alt in ra]
+    records = [
+        {"subset": subset_label(subset), "r_w": rw, "pearson": pr}
+        for subset, (rw, pr) in compare_rankings(rankings_a, rankings_b).items()
+    ]
 
     if fmt == "json":
         text = sio.records_to_json(records)

@@ -247,12 +247,15 @@ class WeightVector:
 
     def aligned(self, criterion_ids) -> np.ndarray:
         """Weights reordered into the given id order, matched by id."""
-        if set(self.criterion_ids) != set(criterion_ids):
-            raise InputError(
-                f"weight ids do not match: weights for {sorted(self.criterion_ids)}, "
-                f"expected {sorted(criterion_ids)}"
-            )
         by_id = self.as_dict()
+        expected = set(criterion_ids)
+        mismatch = {
+            "unknown": [c for c in self.criterion_ids if c not in expected],
+            "missing": [c for c in criterion_ids if c not in by_id],
+        }
+        if any(mismatch.values()):
+            named = "; ".join(f"{kind} {', '.join(ids)}" for kind, ids in mismatch.items() if ids)
+            raise InputError(f"weight ids do not match: {named}")
         return np.array([by_id[c] for c in criterion_ids])
 
 

@@ -14,6 +14,7 @@ from sspahp.io import (
     write_matrix_csv,
 )
 from sspahp.sample import sample_hierarchy, sample_matrix
+from sspahp.sensitivity import SweepSpec, compare_rankings, default_s_grid, run_sweep, subset_label
 from sspahp.weighting import ahp_weights, critic_weights, distribute_weights, entropy_weights
 
 from conftest import CONSENSUS_JUDGMENTS
@@ -164,6 +165,36 @@ class TestEvalCommand:
         u_base = json.loads(base.output)["utilities"]
         u_grp = json.loads(full.output)["utilities"]
         assert any(abs(a - b) > 1e-9 for a, b in zip(u_base, u_grp))
+
+    @pytest.mark.parametrize("groups", [None, "G1,G2"])
+    @pytest.mark.parametrize("s_value", ["1.5", "-0.1", "nan"])
+    def test_s_outside_the_unit_interval_exits_2(self, runner, data_files, s_value, groups):
+        matrix_path, hierarchy_path = data_files
+        args = ["eval", "--matrix", matrix_path, "--hierarchy", hierarchy_path,
+                "--weights-method", "critic", "--s", s_value]
+        if groups is not None:
+            args += ["--groups", groups]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "must lie in [0, 1]" in result.stderr
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize(
+        "with_groups, without_groups",
+        [
+            (["--groups", "G1,G2,G3,G4,G5", "--s", "0.6"], ["--s", "0.6"]),
+            (["--groups", "", "--s", "0.6"], ["--s", "0"]),
+        ],
+        ids=["every-dimension", "empty-subset"],
+    )
+    def test_groups_equivalences(self, runner, data_files, fmt, with_groups, without_groups):
+        matrix_path, hierarchy_path = data_files
+        common = ["eval", "--matrix", matrix_path, "--hierarchy", hierarchy_path,
+                  "--weights-method", "critic", "--format", fmt]
+        grouped = runner.invoke(main, common + with_groups)
+        plain = runner.invoke(main, common + without_groups)
+        assert grouped.exit_code == 0 and plain.exit_code == 0
+        assert grouped.stdout_bytes == plain.stdout_bytes
 
     def test_unknown_group_exits_2(self, runner, data_files):
         matrix_path, hierarchy_path = data_files
@@ -351,6 +382,43 @@ class TestCorrCommand:
         lines = result.output.splitlines()
         assert lines[0] == "subset,r_w,pearson"
         assert len(lines) == 1 + 32
+
+    def test_sweep_exports_match_compare_rankings(self, runner, data_files, tmp_path):
+        matrix_path, hierarchy_path = data_files
+        paths = {}
+        for method in ("critic", "entropy"):
+            paths[method] = tmp_path / f"{method}.csv"
+            res = runner.invoke(
+                main,
+                ["sweep", "--matrix", matrix_path, "--hierarchy", hierarchy_path,
+                 "--weights-method", method, "--step", "0.5",
+                 "--format", "csv", "--out", str(paths[method])],
+            )
+            assert res.exit_code == 0
+        result = runner.invoke(main, ["corr", str(paths["critic"]), str(paths["entropy"]), "--format", "json"])
+        assert result.exit_code == 0
+
+        h = load_hierarchy(hierarchy_path)
+        matrix = load_decision_matrix(matrix_path, h)
+        sweeps = [
+            run_sweep(SweepSpec(matrix=matrix, hierarchy=h, weights=weigh(matrix), s_grid=default_s_grid(0.5)))
+            for weigh in (critic_weights, entropy_weights)
+        ]
+        expected = [
+            {"subset": subset_label(subset), "r_w": rw, "pearson": pr}
+            for subset, (rw, pr) in compare_rankings(*sweeps).items()
+        ]
+        assert json.loads(result.output) == expected
+
+    def test_constant_ranking_in_a_sweep_export_names_the_subset(self, runner, tmp_path):
+        good = tmp_path / "good.csv"
+        flat = tmp_path / "flat.csv"
+        header = "subset,s,alternative,utility,rank\n"
+        good.write_text(header + "G1,1,a,0.5,1\nG1,1,b,0.4,2\nG2,1,a,0.5,1\nG2,1,b,0.4,2\n")
+        flat.write_text(header + "G1,1,a,0.5,1\nG1,1,b,0.4,2\nG2,1,a,0.5,1\nG2,1,b,0.5,1\n")
+        result = runner.invoke(main, ["corr", str(good), str(flat)])
+        assert result.exit_code == 3
+        assert "subset G2: correlation undefined for a constant vector" in result.stderr
 
     def test_mixed_file_kinds_are_rejected(self, runner, data_files, tmp_path):
         matrix_path, hierarchy_path = data_files

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -275,6 +276,16 @@ class TestWeightVector:
         assert wv.aligned(("c2", "c1")).tolist() == [0.75, 0.25]
         with pytest.raises(InputError, match="do not match"):
             wv.aligned(("c1", "c3"))
+
+    def test_aligned_mismatch_names_only_the_unknown_and_missing_ids(self):
+        ids = sample_hierarchy().criterion_ids()
+        renamed = tuple("C99" if c == "C7" else c for c in ids)
+        wv = WeightVector(np.full(len(ids), 1 / len(ids)), renamed)
+        with pytest.raises(InputError, match="weight ids do not match") as info:
+            wv.aligned(ids)
+        named = re.findall(r"C\d+", str(info.value))
+        assert named == ["C99", "C7"]
+        assert "unknown C99" in str(info.value) and "missing C7" in str(info.value)
 
 
 class TestFlattenHierarchy:
