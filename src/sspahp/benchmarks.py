@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _normalized, require_valid
-from .correlation import INPUT_ORDER, _tie_groups, rank_from_scores
+from .correlation import _finite_key, _ordinal_ranks, _tie_groups
 from .errors import InputError, NumericalError
 
 TOPSIS = "topsis"
@@ -61,11 +61,10 @@ def _prepare(matrix: DecisionMatrix, weights: WeightVector):
 
 
 def _score(method, values, matrix, higher_better=True) -> BenchmarkScore:
-    ranking = rank_from_scores(values, higher_better=higher_better, ties=INPUT_ORDER)
     return BenchmarkScore(
         method=method,
         values=values,
-        ranking=ranking.astype(int),
+        ranking=_ordinal_ranks(_finite_key(values, higher_better)),
         alternative_ids=matrix.alternative_ids,
         higher_better=higher_better,
     )

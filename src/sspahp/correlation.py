@@ -128,6 +128,13 @@ def _ordinal_ranks(key: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _finite_key(scores: np.ndarray, higher_better: bool = True) -> np.ndarray:
+    """The sort key that puts the best score first; a NaN or infinite score raises."""
+    if not np.isfinite(scores).all():
+        raise InputError("scores must be finite")
+    return -scores if higher_better else scores
+
+
 def rank_from_scores(values, higher_better: bool = True, ties: str = INPUT_ORDER):
     """Convert scores to ranks 1..N (1 = best under the given orientation).
 
@@ -143,9 +150,7 @@ def rank_from_scores(values, higher_better: bool = True, ties: str = INPUT_ORDER
     v = np.asarray(values, dtype=float)
     if v.ndim == 0 or (v.ndim > 1 and ties == AVERAGE):
         raise InputError("expected a flat score vector")
-    if not np.isfinite(v).all():
-        raise InputError("scores must be finite")
-    key = -v if higher_better else v
+    key = _finite_key(v, higher_better)
     if ties == INPUT_ORDER:
         return _ordinal_ranks(key).astype(float)
     if ties != AVERAGE:

@@ -25,7 +25,7 @@ from .core import (
     _normalized,
     flatten_hierarchy,
 )
-from .correlation import INPUT_ORDER, rank_from_scores
+from .correlation import _finite_key, _ordinal_ranks
 from .errors import InputError
 
 
@@ -154,11 +154,10 @@ def evaluate(matrix: DecisionMatrix, weights: WeightVector, s=0.0) -> Evaluation
     norm = _normalized(matrix)
     b = mad_transform(norm, s)
     utilities = b @ w
-    ranking = rank_from_scores(utilities, higher_better=True, ties=INPUT_ORDER)
     has_ties = np.unique(utilities).size < utilities.size
     return EvaluationResult(
         utilities=utilities,
-        ranking=ranking.astype(int),
+        ranking=_ordinal_ranks(_finite_key(utilities)),
         alternative_ids=matrix.alternative_ids,
         has_ties=has_ties,
     )

@@ -15,8 +15,10 @@ Formats:
   number, and every ``s`` must lie in [0, 1].
 
 ``records_to_csv`` writes a header of ``fieldnames`` and one row per record;
-every record must carry exactly those keys, and floats keep full precision
-(``repr``).
+every record must carry exactly those keys. Python floats are written by
+``repr``, so they keep full precision; every other cell, a float subclass
+such as ``np.float64`` too, is written exactly as ``csv.writer`` writes it,
+with its quoting and the ``""`` of a lone empty field.
 """
 
 from __future__ import annotations
@@ -415,28 +417,71 @@ def _key_mismatch(records, fieldnames) -> ValueError:
     )
 
 
+#: records rendered at a time; bounds the columns and the cell cache held at once
+_BLOCK_ROWS = 2048
+
+
+class _Lines(list):
+    """A list that ``csv.writer`` writes to: each row it writes is one item."""
+
+    write = list.append
+
+
+def _render_column(cells: list, lone: bool) -> list[str]:
+    """Each cell's text as ``csv.writer`` writes it in a row of the table.
+
+    A column of exact floats that are all distinct goes through
+    ``float.__repr__``, the text ``csv.writer`` writes for a float.
+    Otherwise each distinct object is written once by ``csv.writer``, alone
+    in a one-field row, where it is quoted as in any row. The one exception
+    is an empty field: ``""`` when it is the table's only field (``lone``),
+    empty otherwise.
+    """
+    # Distinct objects are found by id(), not by value, which would merge
+    # 0.0 with -0.0, and 1 with 1.0 and True. An id names one object only
+    # while that object lives: ``cells`` keeps every object alive until the
+    # cache is dropped at the end of this call. A cache kept longer could
+    # find a new object at the id of a freed one and hand it the wrong text.
+    keys = list(map(id, cells))
+    distinct = dict(zip(keys, cells))
+    if len(distinct) == len(cells) and set(map(type, cells)) == {float}:
+        return list(map(float.__repr__, cells))
+    lines = _Lines()
+    csv.writer(lines, lineterminator="\n").writerows([cell] for cell in distinct.values())
+    texts = [line[:-1] for line in lines]
+    if not lone:
+        texts = ["" if text == '""' else text for text in texts]
+    text_of = dict(zip(distinct, texts))
+    return list(map(text_of.__getitem__, keys))
+
+
 def records_to_csv(records: list[dict], fieldnames: list[str]) -> str:
     """Serialize records to CSV text; floats keep full precision.
 
     The header is ``fieldnames``; each record becomes one row in that
     column order. Every record must carry exactly the keys in
     ``fieldnames``: a missing or an extra key raises ValueError naming the
-    record's index and the keys.
+    record's index and the keys. Python floats are written by ``repr`` and
+    every other cell exactly as ``csv.writer`` writes it; the rows are built
+    column by column, a block of records at a time, and each distinct cell
+    object is rendered once per block.
     """
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    if len(fieldnames) > 1:
-        row_of = operator.itemgetter(*fieldnames)
-    else:  # itemgetter of one key returns the bare value, of none raises
-        row_of = lambda rec: [rec[k] for k in fieldnames]  # noqa: E731
     # with every field present, a record of the right size has no extra key
     if set(map(len, records)) - {len(set(fieldnames))}:
         raise _key_mismatch(records, fieldnames)
-    try:
-        writer.writerows(map(row_of, records))
-    except KeyError:
-        raise _key_mismatch(records, fieldnames) from None
+    buf = _io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fieldnames)
+    getters = [operator.itemgetter(name) for name in fieldnames]
+    lone = len(fieldnames) == 1
+    for start in range(0, len(records), _BLOCK_ROWS):
+        block = records[start : start + _BLOCK_ROWS]
+        try:
+            columns = [_render_column(list(map(get, block)), lone) for get in getters]
+        except KeyError:
+            raise _key_mismatch(records, fieldnames) from None
+        rows = map(",".join, zip(*columns)) if columns else [""] * len(block)
+        buf.write("\n".join(rows))
+        buf.write("\n")
     return buf.getvalue()
 
 

@@ -19,7 +19,7 @@ kernels that ``weighted_spearman`` and ``pearson`` run on a single row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -148,12 +148,19 @@ class SweepResult:
     s_grid: np.ndarray
     utilities: np.ndarray
     ranks: np.ndarray
+    #: True when the arrays were built for this result and nothing else
+    #: holds them, as in ``run_sweep``: they are frozen in place, not copied
+    _owned: InitVar[bool] = False
 
     __eq__ = _fields_equal
 
-    def __post_init__(self):
-        _frozen_array(self, "utilities", np.asarray(self.utilities, dtype=float))
-        _frozen_array(self, "ranks", np.asarray(self.ranks, dtype=int))
+    def __post_init__(self, _owned):
+        if _owned:
+            self.utilities.setflags(write=False)
+            self.ranks.setflags(write=False)
+        else:
+            _frozen_array(self, "utilities", np.asarray(self.utilities, dtype=float))
+            _frozen_array(self, "ranks", np.asarray(self.ranks, dtype=int))
 
     def final_rankings(self) -> dict[tuple[str, ...], np.ndarray]:
         """Per subset, the ranking at the last (deepest) grid point."""
@@ -210,6 +217,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         s_grid=grid,
         utilities=utilities,
         ranks=_ordinal_ranks(-utilities),
+        _owned=True,
     )
 
 

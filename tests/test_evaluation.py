@@ -9,6 +9,7 @@ from sspahp import (
     evaluate_with_group_s,
     mad_transform,
     normalize_minmax,
+    rank_from_scores,
 )
 
 from conftest import make_matrix, random_matrix, random_weights, two_level_hierarchy
@@ -185,6 +186,13 @@ class TestEvaluate:
         w = WeightVector(np.array([1.0]), m.criterion_ids)
         result = evaluate(m, w)
         assert result.rank_of("a2") == 1
+
+    def test_ranking_is_the_integer_input_order_ranking_of_the_utilities(self):
+        m = make_matrix([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [3.0, 3.0]])
+        w = WeightVector(np.array([0.5, 0.5]), m.criterion_ids)
+        result = evaluate(m, w)
+        assert result.ranking.dtype == int
+        assert result.ranking.tolist() == rank_from_scores(result.utilities).tolist() == [2, 3, 4, 1]
 
 
 class TestEvaluateWithGroupS:

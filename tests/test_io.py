@@ -3,12 +3,14 @@ import io
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sspahp.io as sspahp_io
 from sspahp import InputError, SweepSpec, run_sweep
 from sspahp.io import (
     _parse_number,
@@ -31,13 +33,17 @@ from conftest import CONSENSUS_JUDGMENTS
 
 
 def records_to_csv_oracle(records, fieldnames):
-    """Straightforward writer: one DictWriter row per record, floats as repr."""
+    """Straightforward writer: one DictWriter row per record, Python floats as repr.
+
+    Any other cell, a float subclass such as np.float64 included, is left to
+    csv.writer, which writes its str().
+    """
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     for rec in records:
         writer.writerow(
-            {k: (repr(v) if isinstance(v, float) else v) for k, v in rec.items()}
+            {k: (repr(v) if type(v) is float else v) for k, v in rec.items()}
         )
     return buf.getvalue()
 
@@ -496,12 +502,25 @@ csv_number = st.one_of(
 )
 
 
+csv_cell = st.one_of(
+    csv_text,
+    csv_number,
+    # equal values that are distinct objects, written differently
+    st.sampled_from([None, True, False, 1, 1.0, 0, 0.0, -0.0]),
+    # a float subclass: csv.writer writes its str(), 0.5 and not np.float64(0.5)
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+
+
 @st.composite
 def csv_table(draw):
     fieldnames = draw(st.lists(st.text(alphabet="abc_, ", min_size=1, max_size=4), unique=True, max_size=5))
+    # a few objects shared by many records, the way to_records shares grid floats
+    shared = draw(st.lists(csv_cell, min_size=1, max_size=4))
+    cell = st.one_of(csv_cell, st.sampled_from(shared))
     records = []
-    for _ in range(draw(st.integers(0, 6))):
-        values = [draw(st.one_of(csv_text, csv_number)) for _ in fieldnames]
+    for _ in range(draw(st.integers(0, 8))):
+        values = [draw(cell) for _ in fieldnames]
         pairs = list(zip(fieldnames, values))
         if draw(st.booleans()):
             pairs.reverse()  # key order of a record must not matter
@@ -510,11 +529,54 @@ def csv_table(draw):
 
 
 class TestRecordsToCsv:
-    @settings(max_examples=300, deadline=None)
-    @given(csv_table())
-    def test_matches_the_dictwriter_oracle_byte_for_byte(self, table):
+    @settings(max_examples=400, deadline=None)
+    @given(csv_table(), st.sampled_from([1, 2, 3, sspahp_io._BLOCK_ROWS]))
+    def test_matches_the_dictwriter_oracle_byte_for_byte(self, table, block_rows):
         records, fieldnames = table
-        assert records_to_csv(records, fieldnames) == records_to_csv_oracle(records, fieldnames)
+        # blocks of a few rows put block boundaries inside the drawn tables
+        with mock.patch.object(sspahp_io, "_BLOCK_ROWS", block_rows):
+            assert records_to_csv(records, fieldnames) == records_to_csv_oracle(records, fieldnames)
+
+    def test_a_long_table_of_shared_cells_matches_the_oracle(self):
+        shared = [0.0, -0.0, 1, 1.0, True, None, "", "a,b", np.float64(0.5), math.nan]
+        fieldnames = ["x", "y", "z"]
+        n = 2 * sspahp_io._BLOCK_ROWS + 3
+        records = [
+            {"x": shared[i % 10], "y": shared[(i // 3) % 10], "z": float(i) / 7}
+            for i in range(n)
+        ]
+        text = records_to_csv(records, fieldnames)
+        assert text == records_to_csv_oracle(records, fieldnames)
+        assert text.count("\n") == n + 1
+
+    def test_equal_values_of_distinct_objects_keep_their_own_text(self):
+        column = [0.0, -0.0, 1, 1.0, True, 0, False, np.float64(0.5), None]
+        records = [{"a": v, "b": v} for v in column]
+        assert records_to_csv(records, ["a", "b"]) == (
+            "a,b\n0.0,0.0\n-0.0,-0.0\n1,1\n1.0,1.0\nTrue,True\n0,0\nFalse,False\n"
+            "0.5,0.5\n,\n"
+        )
+
+    def test_a_float_subclass_is_written_by_its_str(self):
+        class Tagged(float):
+            def __str__(self):
+                return f"tagged {float(self)!r}"
+
+        records = [{"a": Tagged(0.5), "b": 0.5}, {"a": Tagged(0.25), "b": 0.25}]
+        assert records_to_csv(records, ["a", "b"]) == "a,b\ntagged 0.5,0.5\ntagged 0.25,0.25\n"
+
+    @pytest.mark.parametrize(
+        "fieldnames, records, expected",
+        [
+            ([], [{}, {}, {}], "\n\n\n\n"),
+            ([], [], "\n"),
+            (["a"], [{"a": ""}, {"a": None}, {"a": "x"}, {"a": 0.5}], 'a\n""\n""\nx\n0.5\n'),
+            (["a", "b"], [{"a": "", "b": None}], "a,b\n,\n"),
+        ],
+    )
+    def test_zero_and_one_field_tables(self, fieldnames, records, expected):
+        assert records_to_csv(records, fieldnames) == expected
+        assert records_to_csv_oracle(records, fieldnames) == expected
 
     def test_sweep_records_match_the_oracle(self):
         result = small_export_sweep()

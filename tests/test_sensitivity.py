@@ -218,6 +218,15 @@ class TestRunSweep:
         rows = result.to_records()
         assert len(rows) == len(spec.group_subsets) * len(spec.s_grid) * spec.matrix.m
 
+    def test_sweep_freezes_the_arrays_it_built_without_copying(self, monkeypatch):
+        spec, _ = small_sweep()
+        copied = []
+        monkeypatch.setattr(sensitivity, "_frozen_array", lambda obj, name, values: copied.append(name))
+        result = run_sweep(spec)
+        assert copied == []
+        assert not result.utilities.flags.writeable and not result.ranks.flags.writeable
+        assert result.utilities.dtype == float and result.ranks.dtype == int
+
     def test_trajectory_lookup(self):
         spec, result = small_sweep()
         traj = result.rank_trajectory("a1", ("G1", "G2", "G3"))
