@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _normalized, require_valid
-from .correlation import _finite_key, _ordinal_ranks, _tie_groups
+from .core import MAX, DecisionMatrix, WeightVector, _normalized, _Ranked, require_valid
+from .correlation import _tie_groups
 from .errors import InputError, NumericalError
 
 TOPSIS = "topsis"
@@ -31,8 +31,8 @@ DEFAULT_TAU = 0.02
 _CODAS_ROWS = 64
 
 
-@dataclass(frozen=True)
-class BenchmarkScore:
+@dataclass(frozen=True, eq=False)
+class BenchmarkScore(_Ranked):
     """Per-alternative scores of one method and the ranking they induce.
 
     ``higher_better`` records the score orientation: True for all methods
@@ -45,12 +45,7 @@ class BenchmarkScore:
     alternative_ids: tuple[str, ...]
     higher_better: bool = True
 
-    __eq__ = _fields_equal
-
-    def __post_init__(self):
-        object.__setattr__(self, "alternative_ids", tuple(self.alternative_ids))
-        _frozen_array(self, "values", np.asarray(self.values, dtype=float))
-        _frozen_array(self, "ranking", np.asarray(self.ranking, dtype=int))
+    _ARRAYS = {"values": float, "ranking": int}
 
 
 def _prepare(matrix: DecisionMatrix, weights: WeightVector):
@@ -58,16 +53,6 @@ def _prepare(matrix: DecisionMatrix, weights: WeightVector):
     w = weights.aligned(matrix.criterion_ids)
     profit = np.array([obj == MAX for obj in matrix.objectives])
     return matrix.values, w, profit
-
-
-def _score(method, values, matrix, higher_better=True) -> BenchmarkScore:
-    return BenchmarkScore(
-        method=method,
-        values=values,
-        ranking=_ordinal_ranks(_finite_key(values, higher_better)),
-        alternative_ids=matrix.alternative_ids,
-        higher_better=higher_better,
-    )
 
 
 def topsis(matrix: DecisionMatrix, weights: WeightVector) -> BenchmarkScore:
@@ -91,7 +76,7 @@ def topsis(matrix: DecisionMatrix, weights: WeightVector) -> BenchmarkScore:
     denom = d_plus + d_minus
     # all-identical alternatives leave both distances at 0; call that neutral
     closeness = np.where(denom > 0, d_minus / np.where(denom > 0, denom, 1.0), 0.5)
-    return _score(TOPSIS, closeness, matrix)
+    return BenchmarkScore._from_scores(closeness, matrix.alternative_ids, method=TOPSIS)
 
 
 def mabac(matrix: DecisionMatrix, weights: WeightVector) -> BenchmarkScore:
@@ -109,7 +94,7 @@ def mabac(matrix: DecisionMatrix, weights: WeightVector) -> BenchmarkScore:
     safe = np.where(v > 0, v, 1.0)
     g = np.where(w > 0, np.exp(np.log(safe).mean(axis=0)), 0.0)
     scores = (v - g).sum(axis=1)
-    return _score(MABAC, scores, matrix)
+    return BenchmarkScore._from_scores(scores, matrix.alternative_ids, method=MABAC)
 
 
 def codas(
@@ -161,7 +146,7 @@ def codas(
         dt = t[rows, None] - t
         de += np.where(np.abs(de) >= tau, dt, 0.0)
         scores[rows] = de.sum(axis=1)
-    return _score(CODAS, scores, matrix)
+    return BenchmarkScore._from_scores(scores, matrix.alternative_ids, method=CODAS)
 
 
 def spotis(
@@ -201,7 +186,7 @@ def spotis(
     ideal = np.where(profit, b[:, 1], b[:, 0])
     d = np.abs(x - ideal) / span
     preference = d @ w
-    return _score(SPOTIS, preference, matrix, higher_better=False)
+    return BenchmarkScore._from_scores(preference, matrix.alternative_ids, method=SPOTIS, higher_better=False)
 
 
 def _lead(x: np.ndarray) -> np.ndarray:
@@ -237,7 +222,7 @@ def promethee2(matrix: DecisionMatrix, weights: WeightVector) -> BenchmarkScore:
     lead = _lead(x)
     np.negative(lead, out=lead, where=~profit)  # on a cost criterion lower wins
     phi = (lead @ w) / (x.shape[0] - 1)
-    return _score(PROMETHEE2, phi, matrix)
+    return BenchmarkScore._from_scores(phi, matrix.alternative_ids, method=PROMETHEE2)
 
 
 def run_all(

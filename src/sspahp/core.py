@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import KW_ONLY, InitVar, dataclass, field, fields
 
 import numpy as np
 
+from .correlation import _finite_key, _ordinal_ranks
 from .errors import InputError
 
 MAX = "max"
@@ -42,6 +43,47 @@ def _fields_equal(self, other) -> bool:
         if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
             return False
     return True
+
+
+@dataclass(frozen=True, eq=False)
+class _Ranked:
+    """Base of the result types: scores for the alternatives and the ranks they induce.
+
+    A subclass's ``_ARRAYS`` maps its score field, then its rank field, to a
+    dtype. Arrays a caller passes are copied; with ``_owned=True`` they were
+    built for this result alone and are frozen in place. Subclasses are
+    declared with ``eq=False``, so they keep this ``==``.
+    """
+
+    _: KW_ONLY
+    _owned: InitVar[bool] = False
+
+    __eq__ = _fields_equal
+
+    def __post_init__(self, _owned):
+        object.__setattr__(self, "alternative_ids", tuple(self.alternative_ids))
+        for name, dtype in self._ARRAYS.items():
+            if not _owned:
+                _frozen_array(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            getattr(self, name).setflags(write=False)
+
+    @classmethod
+    def _from_scores(cls, scores, alternative_ids, **fields):
+        """The result owning ``scores`` and the ranks they induce, ties in input order.
+
+        Rank 1 goes to the highest score unless ``higher_better=False`` is
+        among the fields. A NaN or infinite score raises InputError.
+        """
+        ranking = _ordinal_ranks(_finite_key(scores, fields.get("higher_better", True)))
+        arrays = dict(zip(cls._ARRAYS, (scores, ranking)))
+        return cls(**arrays, alternative_ids=alternative_ids, **fields, _owned=True)
+
+    def _position(self, alternative_id) -> int:
+        """Index of an alternative; an unknown one raises InputError."""
+        try:
+            return self.alternative_ids.index(alternative_id)
+        except ValueError:
+            raise InputError(f"alternative '{alternative_id}' not in the result") from None
 
 
 @dataclass(frozen=True)

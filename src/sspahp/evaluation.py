@@ -23,9 +23,9 @@ from .core import (
     _fields_equal,
     _frozen_array,
     _normalized,
+    _Ranked,
     flatten_hierarchy,
 )
-from .correlation import _finite_key, _ordinal_ranks
 from .errors import InputError
 
 
@@ -98,8 +98,8 @@ def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids=None) -> np
     return table[:, [column[dim_of[c]] for c in criterion_ids]]
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
+@dataclass(frozen=True, eq=False)
+class EvaluationResult(_Ranked):
     """Utilities plus the ranking they induce (rank 1 = best)."""
 
     utilities: np.ndarray
@@ -107,15 +107,10 @@ class EvaluationResult:
     alternative_ids: tuple[str, ...]
     has_ties: bool = False
 
-    __eq__ = _fields_equal
-
-    def __post_init__(self):
-        object.__setattr__(self, "alternative_ids", tuple(self.alternative_ids))
-        _frozen_array(self, "utilities", np.asarray(self.utilities, dtype=float))
-        _frozen_array(self, "ranking", np.asarray(self.ranking, dtype=int))
+    _ARRAYS = {"utilities": float, "ranking": int}
 
     def rank_of(self, alternative_id: str) -> int:
-        return int(self.ranking[self.alternative_ids.index(alternative_id)])
+        return int(self.ranking[self._position(alternative_id)])
 
 
 def _coeff_vector(s, n: int) -> np.ndarray:
@@ -155,12 +150,7 @@ def evaluate(matrix: DecisionMatrix, weights: WeightVector, s=0.0) -> Evaluation
     b = mad_transform(norm, s)
     utilities = b @ w
     has_ties = np.unique(utilities).size < utilities.size
-    return EvaluationResult(
-        utilities=utilities,
-        ranking=_ordinal_ranks(_finite_key(utilities)),
-        alternative_ids=matrix.alternative_ids,
-        has_ties=has_ties,
-    )
+    return EvaluationResult._from_scores(utilities, matrix.alternative_ids, has_ties=has_ties)
 
 
 def evaluate_with_group_s(

@@ -12,7 +12,8 @@ Formats:
   header row optional; bounds need exactly one row per hierarchy criterion;
 * ranking: CSV with ``alternative`` and ``rank`` columns, or a sweep export
   that adds ``subset`` and ``s``; every ``s`` and ``rank`` cell must be a
-  number, and every ``s`` must lie in [0, 1].
+  number, and every ``s`` must lie in [0, 1]; an alternative may not repeat
+  in a plain file, nor within a subset at its deepest ``s``.
 
 ``records_to_csv`` writes a header of ``fieldnames`` and one row per record;
 every record must carry exactly those keys. Python floats are written by
@@ -360,6 +361,31 @@ def _bad_ranking_row(path, r, row, header, columns) -> InputError:
     raise AssertionError(f"{path}: row {r} has every column and valid cells")
 
 
+def _repeated_alternative(path, header, deepest_s=None) -> InputError:
+    """Name the first row that repeats an alternative of the ranking kept, and the row it repeats.
+
+    A plain file keeps every row. For a sweep export, ``deepest_s`` maps each
+    subset to its deepest ``s``; only rows at that ``s`` are kept, and the
+    subset is named too.
+    """
+    ai = header.index("alternative")
+    rows = _iter_rows(path)
+    next(rows)
+    first = {}  # (subset, alternative) -> its first row
+    for r, row in enumerate(rows, start=1):
+        subset = None
+        if deepest_s is not None:
+            subset = row[header.index("subset")]
+            if float(row[header.index("s")]) != deepest_s[subset]:
+                continue
+        key = (subset, row[ai])
+        if key in first:
+            where = "" if subset is None else f" in subset {subset or '()'}"
+            return InputError(f"{path}: alternative '{row[ai]}' repeated{where} at rows {first[key]} and {r}")
+        first[key] = r
+    raise AssertionError(f"{path}: no alternative repeats in the ranking kept")
+
+
 def load_ranking_file(path):
     """Read a ranking CSV: plain (alternative, rank) or a sweep export.
 
@@ -370,7 +396,10 @@ def load_ranking_file(path):
     point. The file is read in one pass; a short row, a non-numeric ``s``
     or ``rank`` cell, or an ``s`` that is NaN or outside [0, 1] raises
     InputError naming the row (data rows counted from 1, blank lines
-    skipped) and the column.
+    skipped) and the column. An alternative repeated in the ranking kept,
+    the whole of a plain file or a subset's rows at its deepest ``s``,
+    raises InputError naming it and both rows, and the subset for a sweep
+    export; rows at a shallower ``s`` may repeat.
     """
     rows = _iter_rows(path)
     header = [c.strip().lower() for c in next(rows)]
@@ -388,23 +417,28 @@ def load_ranking_file(path):
             plain = {}
             for r, row in enumerate(rows, start=1):
                 plain[row[ai]] = float(row[ri])
+            if len(plain) < r:
+                raise _repeated_alternative(path, header)
             return "simple", plain
 
         si, gi = header.index("subset"), header.index("s")
-        deepest: dict[str, tuple] = {}  # subset -> (deepest s, its first row, {alternative: rank})
+        deepest: dict[str, tuple] = {}  # subset -> (deepest s, its first row, [(alternative, rank), ...])
         for r, row in enumerate(rows, start=1):
             s, rank = float(row[gi]), float(row[ri])
             entry = deepest.get(row[si])
             if entry is not None and s == entry[0]:
-                entry[2][row[ai]] = rank
+                entry[2].append((row[ai], rank))
             elif not 0.0 <= s <= 1.0:  # NaN fails too
                 raise ValueError(s)
             elif entry is None or s > entry[0]:
-                deepest[row[si]] = (s, r, {row[ai]: rank})
+                deepest[row[si]] = (s, r, [(row[ai], rank)])
     except (ValueError, IndexError):
         raise _bad_ranking_row(path, r, row, header, columns) from None
     ordered = sorted(deepest.items(), key=lambda item: item[1][1])
-    return "sweep", {sub: entry[2] for sub, entry in ordered}
+    final = {sub: dict(entry[2]) for sub, entry in ordered}
+    if any(len(final[sub]) < len(entry[2]) for sub, entry in ordered):
+        raise _repeated_alternative(path, header, {sub: entry[0] for sub, entry in ordered})
+    return "sweep", final
 
 
 def _key_mismatch(records, fieldnames) -> ValueError:

@@ -19,11 +19,11 @@ kernels that ``weighted_spearman`` and ``pearson`` run on a single row.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _normalized
+from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _normalized, _Ranked
 from .correlation import _checked_rows, _ordinal_ranks, _pearson_rows, _weighted_spearman_rows
 from .errors import InputError, SspahpError
 from .evaluation import _membership
@@ -135,8 +135,8 @@ class SweepSpec:
         object.__setattr__(self, "group_subsets", subsets)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+@dataclass(frozen=True, eq=False)
+class SweepResult(_Ranked):
     """Utilities and ranks for every (subset, s) cell of a sweep.
 
     Both arrays are shaped [subset, s, alternative], in the order of
@@ -148,19 +148,8 @@ class SweepResult:
     s_grid: np.ndarray
     utilities: np.ndarray
     ranks: np.ndarray
-    #: True when the arrays were built for this result and nothing else
-    #: holds them, as in ``run_sweep``: they are frozen in place, not copied
-    _owned: InitVar[bool] = False
 
-    __eq__ = _fields_equal
-
-    def __post_init__(self, _owned):
-        if _owned:
-            self.utilities.setflags(write=False)
-            self.ranks.setflags(write=False)
-        else:
-            _frozen_array(self, "utilities", np.asarray(self.utilities, dtype=float))
-            _frozen_array(self, "ranks", np.asarray(self.ranks, dtype=int))
+    _ARRAYS = {"utilities": float, "ranks": int}
 
     def final_rankings(self) -> dict[tuple[str, ...], np.ndarray]:
         """Per subset, the ranking at the last (deepest) grid point."""
@@ -173,7 +162,7 @@ class SweepResult:
             si = self.subsets.index(subset)
         except ValueError:
             raise InputError(f"subset {subset_label(subset) or '()'} not in sweep")
-        return self.ranks[si, :, self.alternative_ids.index(alternative_id)]
+        return self.ranks[si, :, self._position(alternative_id)]
 
     def to_records(self) -> list[dict]:
         """Long-format rows: subset, s, alternative, utility, rank."""

@@ -420,6 +420,31 @@ class TestCorrCommand:
         assert result.exit_code == 3
         assert "subset G2: correlation undefined for a constant vector" in result.stderr
 
+    @pytest.mark.parametrize(
+        "once, repeated, message",
+        [
+            pytest.param(
+                "alternative,rank\na,1\nb,2\n",
+                "alternative,rank\na,1\nb,2\na,1\n",
+                "repeated.csv: alternative 'a' repeated at rows 1 and 3",
+                id="plain",
+            ),
+            pytest.param(
+                "subset,s,alternative,rank\nG1,1,a,1\nG1,1,b,2\n",
+                "subset,s,alternative,rank\nG1,1,a,1\nG1,1,b,2\nG1,1,a,2\n",
+                "repeated.csv: alternative 'a' repeated in subset G1 at rows 1 and 3",
+                id="sweep-export",
+            ),
+        ],
+    )
+    def test_repeated_alternative_is_an_input_error(self, runner, tmp_path, once, repeated, message):
+        (tmp_path / "once.csv").write_text(once)
+        (tmp_path / "repeated.csv").write_text(repeated)
+        result = runner.invoke(main, ["corr", str(tmp_path / "repeated.csv"), str(tmp_path / "once.csv")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("input error: ")
+        assert message in result.stderr
+
     def test_mixed_file_kinds_are_rejected(self, runner, data_files, tmp_path):
         matrix_path, hierarchy_path = data_files
         a = tmp_path / "a.csv"

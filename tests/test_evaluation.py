@@ -186,6 +186,8 @@ class TestEvaluate:
         w = WeightVector(np.array([1.0]), m.criterion_ids)
         result = evaluate(m, w)
         assert result.rank_of("a2") == 1
+        with pytest.raises(InputError, match="alternative 'zz' not in the result"):
+            result.rank_of("zz")
 
     def test_ranking_is_the_integer_input_order_ranking_of_the_utilities(self):
         m = make_matrix([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [3.0, 3.0]])

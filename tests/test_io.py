@@ -49,7 +49,11 @@ def records_to_csv_oracle(records, fieldnames):
 
 
 def load_ranking_file_oracle(path):
-    """Straightforward reader: find each subset's deepest s, then a second pass."""
+    """Straightforward reader: find each subset's deepest s, then a second pass.
+
+    An alternative repeated in the ranking kept raises InputError naming the
+    first repeat, its first row, and for a sweep export its subset.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     header = [c.strip().lower() for c in rows[0]]
@@ -61,14 +65,37 @@ def load_ranking_file_oracle(path):
         deepest = {}
         for row in rows[1:]:
             deepest[row[si]] = max(deepest.get(row[si], -1.0), float(row[gi]))
-        out = {}
-        for row in rows[1:]:
+        out, first = {}, {}
+        for r, row in enumerate(rows[1:], start=1):
             if float(row[gi]) == deepest[row[si]]:
+                if (row[si], row[ai]) in first:
+                    raise InputError(
+                        f"{path}: alternative '{row[ai]}' repeated in subset {row[si] or '()'} "
+                        f"at rows {first[row[si], row[ai]]} and {r}"
+                    )
+                first[row[si], row[ai]] = r
                 out.setdefault(row[si], {})[row[ai]] = float(row[ri])
         return "sweep", out
     ai = header.index("alternative")
     ri = header.index("rank")
-    return "simple", {row[ai]: float(row[ri]) for row in rows[1:]}
+    out, first = {}, {}
+    for r, row in enumerate(rows[1:], start=1):
+        if row[ai] in first:
+            raise InputError(f"{path}: alternative '{row[ai]}' repeated at rows {first[row[ai]]} and {r}")
+        first[row[ai]] = r
+        out[row[ai]] = float(row[ri])
+    return "simple", out
+
+
+def assert_reads_like_the_oracle(path):
+    """The reader returns what the oracle returns, or raises the oracle's error."""
+    try:
+        want = load_ranking_file_oracle(path)
+    except InputError as exc:
+        with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+            load_ranking_file(path)
+    else:
+        assert_same_ranking(load_ranking_file(path), want)
 
 
 def to_records_oracle(result):
@@ -653,7 +680,7 @@ class TestLoadRankingFile:
             with pytest.raises(InputError, match=message):
                 load_ranking_file(path)
         else:
-            assert_same_ranking(load_ranking_file(path), load_ranking_file_oracle(path))
+            assert_reads_like_the_oracle(path)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -666,7 +693,7 @@ class TestLoadRankingFile:
         lines = [header] + [[r, "n", a] if extra_column else [a, r] for a, r in rows]
         path = tmp_path_factory.mktemp("ranking") / "plain.csv"
         write_lines(path, lines, [min(b, len(lines)) for b in blank_at])
-        assert_same_ranking(load_ranking_file(path), load_ranking_file_oracle(path))
+        assert_reads_like_the_oracle(path)
 
     def test_exported_sweep_round_trips(self, tmp_path):
         result = small_export_sweep()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from sspahp import (
     weighted_spearman,
 )
 from sspahp.io import records_to_csv
-from sspahp import sensitivity
+from sspahp import benchmarks, core, sensitivity
 from sspahp.sensitivity import MAX_DIMENSIONS, MAX_SWEEP_CELLS, subset_label
 
 from conftest import make_matrix, random_weights, two_level_hierarchy
@@ -218,20 +220,48 @@ class TestRunSweep:
         rows = result.to_records()
         assert len(rows) == len(spec.group_subsets) * len(spec.s_grid) * spec.matrix.m
 
-    def test_sweep_freezes_the_arrays_it_built_without_copying(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "build, scores, ranks",
+        [
+            pytest.param(run_sweep, "utilities", "ranks", id="run_sweep"),
+            pytest.param(lambda spec: evaluate(spec.matrix, spec.weights, 0.5), "utilities", "ranking", id="evaluate"),
+            pytest.param(
+                lambda spec: evaluate_with_group_s(spec.matrix, spec.weights, spec.hierarchy, ("G2",), 0.5),
+                "utilities",
+                "ranking",
+                id="evaluate_with_group_s",
+            ),
+            *[
+                pytest.param(
+                    lambda spec, method=method: getattr(benchmarks, method)(spec.matrix, spec.weights),
+                    "values",
+                    "ranking",
+                    id=method,
+                )
+                for method in benchmarks.METHODS
+            ],
+        ],
+    )
+    def test_sweep_freezes_the_arrays_it_built_without_copying(self, monkeypatch, build, scores, ranks):
         spec, _ = small_sweep()
         copied = []
-        monkeypatch.setattr(sensitivity, "_frozen_array", lambda obj, name, values: copied.append(name))
-        result = run_sweep(spec)
+        # the result types freeze their arrays in core, through its own binding
+        monkeypatch.setattr(core, "_frozen_array", lambda obj, name, values: copied.append(name))
+        result = build(spec)
         assert copied == []
-        assert not result.utilities.flags.writeable and not result.ranks.flags.writeable
-        assert result.utilities.dtype == float and result.ranks.dtype == int
+        assert not getattr(result, scores).flags.writeable and not getattr(result, ranks).flags.writeable
+        assert getattr(result, scores).dtype == float and getattr(result, ranks).dtype == int
+        # arrays passed in by a caller are still copied, through the patched helper
+        type(result)(**{f.name: getattr(result, f.name) for f in dataclasses.fields(result)})
+        assert sorted(copied) == sorted([scores, ranks])
 
     def test_trajectory_lookup(self):
         spec, result = small_sweep()
         traj = result.rank_trajectory("a1", ("G1", "G2", "G3"))
         assert traj.shape == (len(spec.s_grid),)
         assert traj[0] == result.ranks[0, 0, 0]
+        with pytest.raises(InputError, match="alternative 'zz' not in the result"):
+            result.rank_trajectory("zz", ("G1", "G2", "G3"))
 
     def test_unknown_subset_in_trajectory_is_rejected(self):
         _, result = small_sweep()
