@@ -6,30 +6,14 @@ how far strength on one criterion can offset weakness on another. Criterion
 weights come from pairwise judgments (principal eigenvector), entropy, or
 CRITIC; five reference MCDA methods, rank-correlation measures, and a
 group-subset sensitivity sweep support validation of the results.
+
+Each public name is imported from its submodule on first use (PEP 562), so
+``import sspahp`` loads only the exception types, and a command-line run
+loads only the submodules its command needs.
 """
 
-from .benchmarks import (
-    BenchmarkScore,
-    codas,
-    mabac,
-    promethee2,
-    run_all,
-    spotis,
-    topsis,
-)
-from .core import (
-    CriteriaHierarchy,
-    DecisionMatrix,
-    Dimension,
-    NormalizedMatrix,
-    SubDimension,
-    ValidationReport,
-    WeightVector,
-    flatten_hierarchy,
-    normalize_minmax,
-    validate_matrix,
-)
-from .correlation import pearson, rank_from_scores, weighted_spearman
+import importlib
+
 from .errors import (
     ConvergenceError,
     DegenerateWeightsError,
@@ -38,82 +22,70 @@ from .errors import (
     NumericalError,
     SspahpError,
 )
-from .evaluation import (
-    EvaluationResult,
-    SustainabilityCoefficients,
-    evaluate,
-    evaluate_with_group_s,
-    mad_transform,
-)
-from .sensitivity import (
-    SweepResult,
-    SweepSpec,
-    compare_rankings,
-    default_s_grid,
-    enumerate_group_subsets,
-    run_sweep,
-    stability_report,
-)
-from .weighting import (
-    ConsistencyReport,
-    PairwiseMatrix,
-    RANDOM_INDEX,
-    aggregate_pairwise,
-    ahp_weights,
-    consistency,
-    critic_weights,
-    distribute_weights,
-    entropy_weights,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BenchmarkScore",
-    "ConsistencyReport",
-    "ConvergenceError",
-    "CriteriaHierarchy",
-    "DecisionMatrix",
-    "DegenerateWeightsError",
-    "Dimension",
-    "EvaluationResult",
-    "InconsistentJudgmentsError",
-    "InputError",
-    "NormalizedMatrix",
-    "NumericalError",
-    "PairwiseMatrix",
-    "RANDOM_INDEX",
-    "SspahpError",
-    "SubDimension",
-    "SustainabilityCoefficients",
-    "SweepResult",
-    "SweepSpec",
-    "ValidationReport",
-    "WeightVector",
-    "aggregate_pairwise",
-    "ahp_weights",
-    "codas",
-    "compare_rankings",
-    "consistency",
-    "critic_weights",
-    "default_s_grid",
-    "distribute_weights",
-    "entropy_weights",
-    "enumerate_group_subsets",
-    "evaluate",
-    "evaluate_with_group_s",
-    "flatten_hierarchy",
-    "mabac",
-    "mad_transform",
-    "normalize_minmax",
-    "pearson",
-    "promethee2",
-    "rank_from_scores",
-    "run_all",
-    "run_sweep",
-    "spotis",
-    "stability_report",
-    "topsis",
-    "validate_matrix",
-    "weighted_spearman",
-]
+#: each public name under the submodule that defines it
+_EXPORTS = {
+    "benchmarks": ("BenchmarkScore", "codas", "mabac", "promethee2", "run_all", "spotis", "topsis"),
+    "core": (
+        "CriteriaHierarchy",
+        "DecisionMatrix",
+        "Dimension",
+        "NormalizedMatrix",
+        "SubDimension",
+        "ValidationReport",
+        "WeightVector",
+        "flatten_hierarchy",
+        "normalize_minmax",
+        "validate_matrix",
+    ),
+    "correlation": ("pearson", "rank_from_scores", "weighted_spearman"),
+    "errors": (
+        "ConvergenceError",
+        "DegenerateWeightsError",
+        "InconsistentJudgmentsError",
+        "InputError",
+        "NumericalError",
+        "SspahpError",
+    ),
+    "evaluation": ("EvaluationResult", "SustainabilityCoefficients", "evaluate", "evaluate_with_group_s", "mad_transform"),
+    "sensitivity": (
+        "SweepResult",
+        "SweepSpec",
+        "compare_rankings",
+        "default_s_grid",
+        "enumerate_group_subsets",
+        "run_sweep",
+        "stability_report",
+    ),
+    "weighting": (
+        "ConsistencyReport",
+        "PairwiseMatrix",
+        "RANDOM_INDEX",
+        "aggregate_pairwise",
+        "ahp_weights",
+        "consistency",
+        "critic_weights",
+        "distribute_weights",
+        "entropy_weights",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """Import a public name's submodule on first use and keep the name here."""
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

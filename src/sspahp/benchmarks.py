@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX, DecisionMatrix, WeightVector, _normalized, _Ranked, require_valid
+from .core import DEFAULT_TAU, MAX, DecisionMatrix, WeightVector, _normalized, _Ranked, require_valid
 from .correlation import _tie_groups
 from .errors import InputError, NumericalError
 
@@ -24,8 +24,6 @@ SPOTIS = "spotis"
 PROMETHEE2 = "promethee2"
 
 METHODS = (TOPSIS, MABAC, CODAS, SPOTIS, PROMETHEE2)
-
-DEFAULT_TAU = 0.02
 
 #: CODAS compares this many rows with every alternative at a time
 _CODAS_ROWS = 64

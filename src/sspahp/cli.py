@@ -18,21 +18,11 @@ from pathlib import Path
 
 import click
 
+# weighting, evaluation, benchmarks and sensitivity are imported inside the
+# commands that run them, so each run loads only its own pipeline
 from . import io as sio
-from .benchmarks import DEFAULT_TAU, run_all
-from .core import WeightVector
-from .correlation import pearson, weighted_spearman
+from .core import DEFAULT_TAU, WeightVector
 from .errors import InconsistentJudgmentsError, InputError, NumericalError
-from .evaluation import evaluate, evaluate_with_group_s
-from .sensitivity import SweepSpec, compare_rankings, default_s_grid, run_sweep, subset_label
-from .weighting import (
-    CR_THRESHOLD,
-    aggregate_pairwise,
-    ahp_weights,
-    critic_weights,
-    distribute_weights,
-    entropy_weights,
-)
 
 FORMATS = ("table", "csv", "json")
 
@@ -103,6 +93,8 @@ def _ahp_from_path(pairwise_path, hierarchy=None, strict_cr=False):
     hierarchy is supplied, unlabeled matrices adopt its dimension ids (or
     criterion ids, when the matrix compares criteria directly).
     """
+    from .weighting import CR_THRESHOLD, aggregate_pairwise, ahp_weights
+
     path = Path(pairwise_path)
     if path.is_dir():
         pm = aggregate_pairwise(sio.load_pairwise_batch(path))
@@ -125,15 +117,17 @@ def _ahp_from_path(pairwise_path, hierarchy=None, strict_cr=False):
 
 def _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr):
     """Criterion weights, plus the ahp consistency report and dimension weights or None."""
+    if method == "file":
+        _require(weights_file is not None, "--weights-method file requires --weights-file")
+        return sio.load_weights(weights_file, hierarchy), None, None
+    from .weighting import critic_weights, distribute_weights, entropy_weights
+
     if method == "ahp":
         _require(pairwise is not None, "--weights-method ahp requires --pairwise")
         w, report = _ahp_from_path(pairwise, hierarchy, strict_cr)
         if hierarchy is not None and set(w.criterion_ids) == set(hierarchy.dimension_ids()):
             return distribute_weights(w, hierarchy), report, w
         return w, report, None
-    if method == "file":
-        _require(weights_file is not None, "--weights-method file requires --weights-file")
-        return sio.load_weights(weights_file, hierarchy), None, None
     _require(matrix is not None, f"--weights-method {method} requires --matrix and --hierarchy")
     weigh = entropy_weights if method == "entropy" else critic_weights
     return weigh(matrix), None, None
@@ -246,6 +240,8 @@ _shared_eval_options = [
 @_handled
 def eval_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, strict_cr, fmt, out, s_value, groups):
     """Score and rank the alternatives."""
+    from .evaluation import evaluate_with_group_s
+
     matrix, hierarchy = _load_inputs(matrix_path, hierarchy_path)
     w, _, _ = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
     # no --groups: every dimension, so every criterion gets s ("" is the empty subset)
@@ -278,6 +274,10 @@ def eval_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, strict
 @_handled
 def benchmarks_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, strict_cr, fmt, out, tau, bounds_path, with_corr):
     """Run the reference methods next to the plain (s = 0) evaluation."""
+    from .benchmarks import run_all
+    from .correlation import pearson, weighted_spearman
+    from .evaluation import evaluate
+
     matrix, hierarchy = _load_inputs(matrix_path, hierarchy_path)
     w, _, _ = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
     bounds = sio.load_bounds(bounds_path, hierarchy) if bounds_path else None
@@ -353,6 +353,8 @@ def benchmarks_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, 
 @_handled
 def sweep_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, strict_cr, fmt, out, groups, step):
     """Trace rankings across compensation-reduction levels and group subsets."""
+    from .sensitivity import SweepSpec, default_s_grid, run_sweep, subset_label
+
     matrix, hierarchy = _load_inputs(matrix_path, hierarchy_path)
     w, _, _ = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
 
@@ -401,6 +403,8 @@ def corr_cmd(file_a, file_b, fmt, out):
     Accepts plain ranking CSVs (alternative, rank) or sweep exports; sweep
     exports are compared subset by subset at the deepest grid point.
     """
+    from .sensitivity import compare_rankings, subset_label
+
     kind_a, data_a = sio.load_ranking_file(file_a)
     kind_b, data_b = sio.load_ranking_file(file_b)
     _require(kind_a == kind_b, "cannot mix a plain ranking file with a sweep export")

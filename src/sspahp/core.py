@@ -16,6 +16,9 @@ OBJECTIVE_TOKENS = (MAX, MIN)
 #: absolute tolerance for numeric invariant checks
 TOL = 1e-9
 
+#: CODAS threshold default, kept here so the CLI can show it without loading the reference methods
+DEFAULT_TAU = 0.02
+
 
 def _as_2d(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -370,3 +373,33 @@ def flatten_hierarchy(h: CriteriaHierarchy) -> list[tuple[str, str]]:
                 seen_crit.add(cid)
                 out.append((cid, dim.id))
     return out
+
+
+def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids=None) -> np.ndarray:
+    """Boolean [subset, criterion] table: is the criterion's dimension in the subset?
+
+    One [subset, dimension] table is filled and then indexed by each
+    criterion's dimension, so the hierarchy is flattened once for any number
+    of subsets. Columns follow ``criterion_ids`` (default: the hierarchy's
+    canonical order). Unknown group ids are checked first: the error names
+    them and carries the first subset holding one as its ``subset``
+    attribute. Criteria absent from the hierarchy raise InputError next.
+    """
+    column = {d: j for j, d in enumerate(hierarchy.dimension_ids())}
+    cols = np.array([column.get(g, -1) for subset in subsets for g in subset], dtype=int)
+    rows = np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets])
+    unknown = rows[cols < 0]
+    if unknown.size:
+        subset = subsets[unknown[0]]
+        error = InputError(f"unknown group id(s): {', '.join(g for g in subset if g not in column)}")
+        error.subset = subset
+        raise error
+    dim_of = dict(flatten_hierarchy(hierarchy))
+    if criterion_ids is None:
+        criterion_ids = tuple(dim_of)
+    missing = [c for c in criterion_ids if c not in dim_of]
+    if missing:
+        raise InputError(f"criteria not present in the hierarchy: {', '.join(missing)}")
+    table = np.zeros((len(subsets), len(column)), dtype=bool)
+    table[rows, cols] = True
+    return table[:, [column[dim_of[c]] for c in criterion_ids]]

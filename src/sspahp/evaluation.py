@@ -22,9 +22,9 @@ from .core import (
     WeightVector,
     _fields_equal,
     _frozen_array,
+    _membership,
     _normalized,
     _Ranked,
-    flatten_hierarchy,
 )
 from .errors import InputError
 
@@ -66,36 +66,6 @@ class SustainabilityCoefficients:
         """
         selected = _membership(hierarchy, (tuple(groups),), criterion_ids)[0]
         return cls(np.where(selected, float(s_value), 0.0))
-
-
-def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids=None) -> np.ndarray:
-    """Boolean [subset, criterion] table: is the criterion's dimension in the subset?
-
-    One [subset, dimension] table is filled and then indexed by each
-    criterion's dimension, so the hierarchy is flattened once for any number
-    of subsets. Columns follow ``criterion_ids`` (default: the hierarchy's
-    canonical order). Unknown group ids are checked first: the error names
-    them and carries the first subset holding one as its ``subset``
-    attribute. Criteria absent from the hierarchy raise InputError next.
-    """
-    column = {d: j for j, d in enumerate(hierarchy.dimension_ids())}
-    cols = np.array([column.get(g, -1) for subset in subsets for g in subset], dtype=int)
-    rows = np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets])
-    unknown = rows[cols < 0]
-    if unknown.size:
-        subset = subsets[unknown[0]]
-        error = InputError(f"unknown group id(s): {', '.join(g for g in subset if g not in column)}")
-        error.subset = subset
-        raise error
-    dim_of = dict(flatten_hierarchy(hierarchy))
-    if criterion_ids is None:
-        criterion_ids = tuple(dim_of)
-    missing = [c for c in criterion_ids if c not in dim_of]
-    if missing:
-        raise InputError(f"criteria not present in the hierarchy: {', '.join(missing)}")
-    table = np.zeros((len(subsets), len(column)), dtype=bool)
-    table[rows, cols] = True
-    return table[:, [column[dim_of[c]] for c in criterion_ids]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +119,8 @@ def evaluate(matrix: DecisionMatrix, weights: WeightVector, s=0.0) -> Evaluation
     norm = _normalized(matrix)
     b = mad_transform(norm, s)
     utilities = b @ w
-    has_ties = np.unique(utilities).size < utilities.size
+    ordered = np.sort(utilities)
+    has_ties = bool((ordered[1:] == ordered[:-1]).any())  # -0.0 == 0.0 counts as a tie
     return EvaluationResult._from_scores(utilities, matrix.alternative_ids, has_ties=has_ties)
 
 

@@ -42,7 +42,6 @@ from .core import (
     require_valid,
 )
 from .errors import InputError
-from .weighting import PairwiseMatrix
 
 
 def _unreadable(path, exc: IsADirectoryError | UnicodeDecodeError) -> InputError:
@@ -259,6 +258,8 @@ def load_pairwise(path) -> PairwiseMatrix:
     alongside decimals. Every row must hold as many entries as there are
     rows; the other checks are ``PairwiseMatrix``'s, reported with the path.
     """
+    from .weighting import PairwiseMatrix
+
     rows = list(_iter_rows(path))
 
     def is_numeric(cell: str) -> bool:

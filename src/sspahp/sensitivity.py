@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _normalized, _Ranked
+from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _membership, _normalized, _Ranked
 from .correlation import _checked_rows, _ordinal_ranks, _pearson_rows, _weighted_spearman_rows
 from .errors import InputError, SspahpError
-from .evaluation import _membership
 
 DEFAULT_STEP = 0.05
 
@@ -140,7 +139,9 @@ class SweepResult(_Ranked):
     """Utilities and ranks for every (subset, s) cell of a sweep.
 
     Both arrays are shaped [subset, s, alternative], in the order of
-    ``subsets``, ``s_grid`` and ``alternative_ids``.
+    ``subsets``, ``s_grid`` and ``alternative_ids``. ``subsets`` is held as
+    a tuple of tuples, and ``s_grid`` as a read-only float vector under the
+    same freeze rule as the two arrays.
     """
 
     alternative_ids: tuple[str, ...]
@@ -150,6 +151,13 @@ class SweepResult(_Ranked):
     ranks: np.ndarray
 
     _ARRAYS = {"utilities": float, "ranks": int}
+
+    def __post_init__(self, _owned):
+        object.__setattr__(self, "subsets", tuple(map(tuple, self.subsets)))
+        grid = (np.asarray if _owned else np.array)(self.s_grid, dtype=float)
+        grid.setflags(write=False)
+        object.__setattr__(self, "s_grid", grid)
+        super().__post_init__(_owned)
 
     def final_rankings(self) -> dict[tuple[str, ...], np.ndarray]:
         """Per subset, the ranking at the last (deepest) grid point."""

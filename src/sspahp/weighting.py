@@ -217,10 +217,7 @@ def entropy_weights(matrix: DecisionMatrix) -> WeightVector:
     m = x.shape[0]
 
     if (x < 0).any():
-        bad = [
-            matrix.criterion_ids[j]
-            for j in np.unique(np.nonzero(x < 0)[1])
-        ]
+        bad = [matrix.criterion_ids[j] for j in np.flatnonzero((x < 0).any(axis=0))]
         raise InputError(
             "entropy weighting needs non-negative values; criteria with "
             f"negatives: {', '.join(bad)} (shift them before weighting)"

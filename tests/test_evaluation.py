@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,18 @@ from sspahp import (
 )
 
 from conftest import make_matrix, random_matrix, random_weights, two_level_hierarchy
+
+
+def weighted_sums(utilities):
+    """Have ``evaluate`` take ``utilities`` as its weighted sums.
+
+    A matrix product adds its terms to +0.0, so it cannot give -0.0: the
+    transformed matrix is replaced by a stand-in whose product with the
+    weights is the given vector.
+    """
+    transformed = mock.MagicMock()
+    transformed.__matmul__.return_value = np.array(utilities)
+    return mock.patch("sspahp.evaluation.mad_transform", return_value=transformed)
 
 
 def brute_force_utilities(values, objectives, weights, s):
@@ -150,11 +164,17 @@ class TestEvaluate:
         assert result.has_ties
         # earlier row takes the better rank
         assert result.ranking[0] < result.ranking[1]
+        # utilities equal only as -0.0 and 0.0 tie as well
+        with weighted_sums([-0.0, 0.0, 0.5]):
+            assert evaluate(m, w, 0.5).has_ties
 
     def test_no_ties_flag_on_distinct_utilities(self):
         m = make_matrix([[1.0], [2.0], [5.0]])
         w = WeightVector(np.array([1.0]), m.criterion_ids)
         assert not evaluate(m, w, 0.0).has_ties
+        # adjacent floats are distinct
+        with weighted_sums([0.5, np.nextafter(0.5, 1.0), 0.25]):
+            assert not evaluate(m, w, 0.0).has_ties
 
     def test_permuting_rows_permutes_utilities(self):
         rng = np.random.default_rng(9)

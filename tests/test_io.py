@@ -641,19 +641,40 @@ def small_export_sweep(m=7, seed=3):
 def sweep_file(draw):
     labels = draw(st.lists(st.sampled_from(["", "G1", "G2", "G1+G2", "G3", "x y"]), min_size=1, max_size=4, unique=True))
     alternatives = draw(st.lists(st.sampled_from(["a1", "a2", "a3", " a4", "a,5"]), min_size=1, max_size=4, unique=True))
-    grid = draw(st.lists(st.sampled_from(["0", "0.5", "1", "1.0", "-0.0", "-1", "-2", "nan", " 0.25 "]), min_size=1, max_size=4))
+    s_cells = ["0", "0.5", "1", "1.0", "-0.0", " 0.25 "]
+    deepest = draw(st.sampled_from(s_cells))
+    # one spelling of the deepest s; shallower ones may repeat, also spelled apart
+    shallower = [s for s in s_cells if float(s) < float(deepest)]
+    grid = [deepest, *(draw(st.lists(st.sampled_from(shallower), max_size=3)) if shallower else [])]
+    if draw(st.integers(0, 3)) == 3:  # about one file in five holds an s outside [0, 1]
+        grid.append(draw(st.sampled_from(["-1", "-2", "nan"])))
     rows = [
         [label, s, alt, draw(st.sampled_from(["1", "2.0", " 3 ", "4"]))]
         for label in labels
         for s in grid
         for alt in alternatives
     ]
-    rows += draw(st.lists(st.sampled_from(rows), max_size=6))  # repeats, also at the deepest s
+    shallow = [row for row in rows if row[1] != deepest]
+    if shallow:  # repeats below the deepest s, which the reader skips
+        rows += draw(st.lists(st.sampled_from(shallow), max_size=6))
+    if draw(st.integers(0, 3)) == 3:  # about one in five repeats rows at any s, the deepest too
+        rows += draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
     rows = draw(st.permutations(rows))
     order = draw(st.permutations(range(4)))
     header = [["Subset", " s", "alternative", "RANK "][i] for i in order]
     lines = [header] + [[row[i] for i in order] for row in rows]
     return lines, draw(st.lists(st.integers(1, len(lines)), max_size=4))
+
+
+@st.composite
+def plain_rows(draw):
+    """(alternative, rank) rows; about one file in five repeats an alternative."""
+    rank = st.sampled_from(["1", "2.5", " 3"])
+    alternatives = ["a1", "a2", "b", " c ", "d", "a,3", "e e", "f"]
+    rows = draw(st.lists(st.tuples(st.sampled_from(alternatives), rank), max_size=8, unique_by=lambda row: row[0]))
+    if rows and draw(st.integers(0, 3)) == 3:
+        rows.insert(draw(st.integers(0, len(rows))), (draw(st.sampled_from(rows))[0], draw(rank)))
+    return rows
 
 
 def write_lines(path, lines, blank_at=()):
@@ -684,7 +705,7 @@ class TestLoadRankingFile:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.lists(st.tuples(st.sampled_from(["a1", "a2", "b", " c "]), st.sampled_from(["1", "2.5", " 3"])), max_size=8),
+        plain_rows(),
         st.lists(st.integers(1, 9), max_size=3),
         st.booleans(),
     )

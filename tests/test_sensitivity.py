@@ -268,6 +268,16 @@ class TestRunSweep:
         with pytest.raises(InputError, match="not in sweep"):
             result.rank_trajectory("a1", ("G9",))
 
+    def test_list_grid_and_subsets_are_frozen_like_the_arrays(self):
+        grid = [0.0, 1.0]
+        result = SweepResult(("a", "b"), [["G1"]], grid, [[[0.5, 0.25], [0.0, 0.25]]], [[[1, 2], [2, 1]]])
+        assert result.subsets == (("G1",),)
+        assert result.s_grid.dtype == float and not result.s_grid.flags.writeable
+        grid[1] = 0.5
+        assert result.s_grid.tolist() == [0.0, 1.0]
+        assert [(r["s"], r["rank"]) for r in result.to_records()] == [(0.0, 1), (0.0, 2), (1.0, 2), (1.0, 1)]
+        assert result.rank_trajectory("a", ("G1",)).tolist() == [1, 2]
+
     def test_cell_errors_carry_their_coordinates(self):
         h = two_level_hierarchy()
         rng = np.random.default_rng(103)
