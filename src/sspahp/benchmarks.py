@@ -166,6 +166,9 @@ def spotis(
             raise InputError(
                 f"bounds must be shaped ({x.shape[1]}, 2), got {b.shape}"
             )
+    infinite = [cid for cid, ok in zip(matrix.criterion_ids, np.isfinite(b).all(axis=1)) if not ok]
+    if infinite:
+        raise InputError(f"bounds must be finite; offending criteria: {', '.join(infinite)}")
     span = b[:, 1] - b[:, 0]
     degenerate = np.nonzero(span <= 0)[0]
     if degenerate.size:

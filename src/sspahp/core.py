@@ -328,7 +328,10 @@ class CriteriaHierarchy:
     """Dimension -> sub-dimension -> criterion tree with objective directions.
 
     The flattened criterion order (dimension-major, then sub-dimension-major)
-    is the canonical order every aligned vector follows.
+    is the canonical order every aligned vector follows. Construction walks
+    the tree once: a repeated dimension id or a criterion listed twice raises
+    InputError naming the entry, e.g. ``dimensions[1]: duplicate dimension
+    id 'G1'``.
     """
 
     dimensions: tuple[Dimension, ...]
@@ -337,12 +340,27 @@ class CriteriaHierarchy:
     def __post_init__(self):
         object.__setattr__(self, "dimensions", tuple(self.dimensions))
         object.__setattr__(self, "objectives", dict(self.objectives))
+        seen_dims: set[str] = set()
+        dimension_of: dict[str, str] = {}
+        for i, dim in enumerate(self.dimensions):
+            if dim.id in seen_dims:
+                raise InputError(f"dimensions[{i}]: duplicate dimension id '{dim.id}'")
+            seen_dims.add(dim.id)
+            for j, sub in enumerate(dim.sub_dimensions):
+                for k, cid in enumerate(sub.criterion_ids):
+                    if cid in dimension_of:
+                        raise InputError(
+                            f"dimensions[{i}].sub_dimensions[{j}].criteria[{k}]: duplicate criterion '{cid}'"
+                        )
+                    dimension_of[cid] = dim.id
+        # the canonical order, kept outside the fields: not compared, not in the repr
+        object.__setattr__(self, "_dimension_of", dimension_of)
 
     def dimension_ids(self) -> tuple[str, ...]:
         return tuple(d.id for d in self.dimensions)
 
     def criterion_ids(self) -> tuple[str, ...]:
-        return tuple(cid for cid, _ in flatten_hierarchy(self))
+        return tuple(self._dimension_of)
 
     def objective_for(self, criterion_id: str) -> str:
         try:
@@ -352,34 +370,15 @@ class CriteriaHierarchy:
 
 
 def flatten_hierarchy(h: CriteriaHierarchy) -> list[tuple[str, str]]:
-    """Return (criterion_id, dimension_id) pairs in canonical order.
-
-    Raises InputError when a criterion is listed under more than one
-    sub-dimension or a dimension id repeats.
-    """
-    seen_dims: set[str] = set()
-    seen_crit: set[str] = set()
-    out: list[tuple[str, str]] = []
-    for dim in h.dimensions:
-        if dim.id in seen_dims:
-            raise InputError(f"duplicate dimension id '{dim.id}'")
-        seen_dims.add(dim.id)
-        for sub in dim.sub_dimensions:
-            for cid in sub.criterion_ids:
-                if cid in seen_crit:
-                    raise InputError(
-                        f"criterion '{cid}' appears in more than one sub-dimension"
-                    )
-                seen_crit.add(cid)
-                out.append((cid, dim.id))
-    return out
+    """Return (criterion_id, dimension_id) pairs in canonical order."""
+    return list(h._dimension_of.items())
 
 
 def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids=None) -> np.ndarray:
     """Boolean [subset, criterion] table: is the criterion's dimension in the subset?
 
     One [subset, dimension] table is filled and then indexed by each
-    criterion's dimension, so the hierarchy is flattened once for any number
+    criterion's dimension, so the hierarchy is read once for any number
     of subsets. Columns follow ``criterion_ids`` (default: the hierarchy's
     canonical order). Unknown group ids are checked first: the error names
     them and carries the first subset holding one as its ``subset``
@@ -394,7 +393,7 @@ def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids=None) -> np
         error = InputError(f"unknown group id(s): {', '.join(g for g in subset if g not in column)}")
         error.subset = subset
         raise error
-    dim_of = dict(flatten_hierarchy(hierarchy))
+    dim_of = hierarchy._dimension_of
     if criterion_ids is None:
         criterion_ids = tuple(dim_of)
     missing = [c for c in criterion_ids if c not in dim_of]

@@ -129,8 +129,8 @@ def _field(entry, key, kind):
 def load_hierarchy(path) -> CriteriaHierarchy:
     """Read a criteria hierarchy with objectives from JSON.
 
-    The document is walked once; a malformed entry raises InputError naming
-    the file and the entry, e.g. ``dimensions[0].sub_dimensions[1]``.
+    A malformed entry, or a dimension or criterion that repeats, raises
+    InputError naming the file and the entry, e.g. ``dimensions[1]``.
     """
     path = Path(path)
     if not path.exists():
@@ -151,8 +151,6 @@ def load_hierarchy(path) -> CriteriaHierarchy:
         for i, d in enumerate(doc["dimensions"]):
             where = f"dimensions[{i}]"
             dim_id = _field(d, "id", str)
-            if any(dim.id == dim_id for dim in dimensions):
-                raise InputError(f"duplicate dimension id '{dim_id}'")
             dim_name = _field(d, "name", str) if "name" in d else dim_id
             subs = []
             for j, sd in enumerate(_field(d, "sub_dimensions", list)):
@@ -164,16 +162,16 @@ def load_hierarchy(path) -> CriteriaHierarchy:
                     cid, obj = _field(c, "id", str), _field(c, "objective", str)
                     if obj not in OBJECTIVE_TOKENS:
                         raise InputError(f"unknown objective token '{obj}' for '{cid}' (expected 'max' or 'min')")
-                    if cid in objectives:
-                        raise InputError(f"duplicate criterion '{cid}'")
                     objectives[cid] = obj
                     cids.append(cid)
                 subs.append(SubDimension(name=sub_name, criterion_ids=tuple(cids)))
             dimensions.append(Dimension(id=dim_id, name=dim_name, sub_dimensions=tuple(subs)))
     except InputError as exc:
         raise InputError(f"{path}: {where}: {exc}") from exc
-
-    return CriteriaHierarchy(dimensions=tuple(dimensions), objectives=objectives)
+    try:
+        return CriteriaHierarchy(dimensions=tuple(dimensions), objectives=objectives)
+    except InputError as exc:  # a repeated dimension or criterion, named by its entry
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def hierarchy_to_dict(h: CriteriaHierarchy) -> dict:

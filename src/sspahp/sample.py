@@ -2,9 +2,11 @@
 
 The hierarchy mirrors a five-dimension health-system assessment model
 (equity, quality of care, responsiveness, financial coverage, adaptability)
-with 25 criteria split across sub-dimensions. The performance values are
+with 25 criteria split across sub-dimensions. It is defined once, by the
+shipped ``data/sample_hierarchy.json``. The performance values are
 SYNTHETIC: drawn from a seeded generator, useful for demos and tests, and
-not measurements of any real country or system.
+not measurements of any real country or system. ``write_sample`` writes
+both files again, byte for byte the shipped copies.
 """
 
 from __future__ import annotations
@@ -13,83 +15,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CriteriaHierarchy, DecisionMatrix, Dimension, SubDimension
-from .io import write_hierarchy_json, write_matrix_csv
+from .core import CriteriaHierarchy, DecisionMatrix
+from .io import load_hierarchy, write_hierarchy_json, write_matrix_csv
 
 SAMPLE_SEED = 42
 
 #: directory holding the pre-generated copies shipped with the package
 DATA_DIR = Path(__file__).parent / "data"
 
-_STRUCTURE = [
-    (
-        "G1",
-        "Equity",
-        [
-            ("Service access", ["C1", "C2"]),
-            ("Workforce availability", ["C3", "C4"]),
-            ("Infrastructure availability", ["C5", "C6", "C7"]),
-        ],
-    ),
-    (
-        "G2",
-        "Quality of care",
-        [
-            ("Treatment effectiveness", ["C8", "C9", "C10", "C11"]),
-            ("Patient safety", ["C12"]),
-            ("Health outcomes", ["C13", "C14"]),
-        ],
-    ),
-    (
-        "G3",
-        "Responsiveness",
-        [
-            ("Economic burden", ["C15"]),
-            ("Non-economic burden", ["C16", "C17"]),
-        ],
-    ),
-    (
-        "G4",
-        "Financial coverage",
-        [
-            ("Risk protection", ["C18"]),
-            ("Financial contribution", ["C19", "C20"]),
-        ],
-    ),
-    (
-        "G5",
-        "Adaptability",
-        [
-            ("Public health investment", ["C21", "C22"]),
-            ("Human resources investment", ["C23", "C24"]),
-            ("Technology uptake", ["C25"]),
-        ],
-    ),
-]
-
-#: criteria where smaller raw values are better
-_COST_CRITERIA = {"C8", "C11", "C12", "C14", "C15", "C16", "C17"}
-
 
 def sample_hierarchy() -> CriteriaHierarchy:
-    """The five-dimension, 25-criterion hierarchy used by the sample data."""
-    dimensions = tuple(
-        Dimension(
-            id=did,
-            name=name,
-            sub_dimensions=tuple(
-                SubDimension(name=sub_name, criterion_ids=tuple(cids))
-                for sub_name, cids in subs
-            ),
-        )
-        for did, name, subs in _STRUCTURE
-    )
-    objectives = {}
-    for _, _, subs in _STRUCTURE:
-        for _, cids in subs:
-            for cid in cids:
-                objectives[cid] = "min" if cid in _COST_CRITERIA else "max"
-    return CriteriaHierarchy(dimensions=dimensions, objectives=objectives)
+    """The five-dimension, 25-criterion hierarchy of the sample data, read from its shipped JSON."""
+    return load_hierarchy(DATA_DIR / "sample_hierarchy.json")
 
 
 def sample_matrix(

@@ -42,15 +42,20 @@ def default_s_grid(step: float = DEFAULT_STEP) -> np.ndarray:
     """Evenly spaced grid over [0, 1] starting at 0 with the given step.
 
     When the step divides 1 the grid ends exactly at 1 (21 points for the
-    default 0.05); otherwise it stops at the last multiple below 1.
+    default 0.05); otherwise it stops at the last multiple below 1. Points
+    are counted first: a grid too long for one subset of two alternatives
+    within ``MAX_SWEEP_CELLS`` raises InputError before any is built.
     """
     if not 0.0 < step <= 1.0:
         raise InputError(f"step must lie in (0, 1], got {step}")
-    n_steps = round(1.0 / step)
-    if abs(n_steps * step - 1.0) < 1e-9:
-        return np.linspace(0.0, 1.0, n_steps + 1)
-    count = int(np.floor(1.0 / step + 1e-9)) + 1
-    return np.round(np.arange(count) * step, 12)
+    span = 1.0 / step  # inf for a subnormal step, so the count is a float
+    exact = abs(np.round(span) * step - 1.0) < 1e-9
+    count = np.round(span) + 1 if exact else np.floor(span + 1e-9) + 1
+    if count > MAX_SWEEP_CELLS // 2:
+        raise InputError(f"step {step} gives {count:,.0f} grid points; a sweep holds at most {MAX_SWEEP_CELLS // 2:,}")
+    if exact:
+        return np.linspace(0.0, 1.0, int(count))
+    return np.round(np.arange(int(count)) * step, 12)
 
 
 def enumerate_group_subsets(dimension_ids) -> tuple[tuple[str, ...], ...]:
@@ -113,7 +118,7 @@ class SweepSpec:
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise InputError("s grid must be a non-empty vector")
-        if grid.min() < 0.0 or grid.max() > 1.0:
+        if not ((grid >= 0.0) & (grid <= 1.0)).all():  # NaN fails both
             raise InputError("s grid values must lie in [0, 1]")
         if (np.diff(grid) <= 0).any():
             raise InputError("s grid must increase strictly")

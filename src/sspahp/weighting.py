@@ -24,7 +24,6 @@ from .core import (
     _fields_equal,
     _frozen_array,
     _normalized,
-    flatten_hierarchy,
     require_valid,
 )
 from .errors import ConvergenceError, DegenerateWeightsError, InputError
@@ -289,7 +288,6 @@ def distribute_weights(
     each sub-dimension's share equally among its criteria, preserving total
     mass. ``dimension_weights`` ids must match the hierarchy's dimension ids.
     """
-    flatten_hierarchy(hierarchy)  # surfaces duplicate memberships before splitting
     dim_weights = dimension_weights.aligned(hierarchy.dimension_ids())
 
     weights: list[float] = []

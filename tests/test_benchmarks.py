@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,14 @@ class TestSpotis:
         m = make_matrix([[3.0], [3.0]])
         with pytest.raises(InputError, match="min < max"):
             spotis(m, equal_weights(m))
+
+    def test_non_finite_bounds_name_their_criteria(self):
+        m = make_matrix([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]])
+        bounds = np.array([[0.0, 4.0], [np.nan, 5.0], [0.0, np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="^bounds must be finite; offending criteria: c2, c3$"):
+                spotis(m, equal_weights(m), bounds=bounds)
 
     def test_wider_bounds_shrink_preferences_consistently(self):
         m = make_matrix([[1.0], [3.0]])

@@ -327,6 +327,16 @@ class TestSweepCommand:
         assert lines[0] == "subset,s,alternative,utility,rank"
         assert len(lines) == 1 + 32 * 21 * 16
 
+    def test_step_past_the_largest_grid_exits_2(self, runner, data_files):
+        matrix_path, hierarchy_path = data_files
+        result = runner.invoke(
+            main,
+            ["sweep", "--matrix", matrix_path, "--hierarchy", hierarchy_path,
+             "--weights-method", "critic", "--step", repr(1 / 2**24)],
+        )
+        assert result.exit_code == 2
+        assert "step 5.960464477539063e-08 gives 16,777,217 grid points" in result.stderr
+
     def test_single_subset_table_summary(self, runner, data_files):
         matrix_path, hierarchy_path = data_files
         result = runner.invoke(
@@ -523,6 +533,18 @@ class TestMalformedInputs:
              "--weights-method", "critic", "--bounds", str(path)],
         )
         self.assert_input_error(result, "bounds.csv: duplicate criterion row 'C7'")
+
+    def test_non_finite_bounds_cell(self, runner, data_files, tmp_path):
+        matrix_path, hierarchy_path = data_files
+        path = tmp_path / "bounds.csv"
+        rows = ["criterion_id,min,max"] + [f"C{j},{'nan' if j == 3 else 0},1000" for j in range(1, 26)]
+        path.write_text("\n".join(rows) + "\n")
+        result = runner.invoke(
+            main,
+            ["benchmarks", "--matrix", matrix_path, "--hierarchy", hierarchy_path,
+             "--weights-method", "critic", "--bounds", str(path)],
+        )
+        self.assert_input_error(result, "bounds must be finite; offending criteria: C3\n")
 
     def test_non_finite_weight(self, runner, tmp_path):
         path = tmp_path / "w.csv"

@@ -30,7 +30,7 @@ from sspahp import (
     validate_matrix,
 )
 from sspahp import core
-from sspahp.io import load_decision_matrix, write_matrix_csv
+from sspahp.io import load_decision_matrix, load_hierarchy, write_hierarchy_json, write_matrix_csv
 from sspahp.sample import sample_hierarchy, sample_matrix
 
 from conftest import make_matrix, two_level_hierarchy
@@ -307,27 +307,81 @@ class TestFlattenHierarchy:
         assert flatten_hierarchy(h) == [("C1", "G1")]
 
     def test_duplicate_criterion_membership_is_structural_error(self):
-        h = CriteriaHierarchy(
-            dimensions=(
-                Dimension("G1", "g1", (SubDimension("sd1", ("C1",)),)),
-                Dimension("G2", "g2", (SubDimension("sd1", ("C1",)),)),
-            ),
-            objectives={"C1": "max"},
-        )
-        with pytest.raises(InputError, match="more than one sub-dimension"):
-            flatten_hierarchy(h)
+        with pytest.raises(
+            InputError, match=r"^dimensions\[1\]\.sub_dimensions\[0\]\.criteria\[0\]: duplicate criterion 'C1'$"
+        ):
+            CriteriaHierarchy(
+                dimensions=(
+                    Dimension("G1", "g1", (SubDimension("sd1", ("C1",)),)),
+                    Dimension("G2", "g2", (SubDimension("sd1", ("C1",)),)),
+                ),
+                objectives={"C1": "max"},
+            )
 
     def test_duplicate_dimension_id_is_structural_error(self):
-        h = CriteriaHierarchy(
-            dimensions=(
-                Dimension("G1", "g1", (SubDimension("sd1", ("C1",)),)),
-                Dimension("G1", "g2", (SubDimension("sd1", ("C2",)),)),
-            ),
-            objectives={"C1": "max", "C2": "max"},
-        )
         with pytest.raises(InputError, match="duplicate dimension"):
-            flatten_hierarchy(h)
+            CriteriaHierarchy(
+                dimensions=(
+                    Dimension("G1", "g1", (SubDimension("sd1", ("C1",)),)),
+                    Dimension("G1", "g2", (SubDimension("sd1", ("C2",)),)),
+                ),
+                objectives={"C1": "max", "C2": "max"},
+            )
 
+
+def flatten_oracle(dimensions) -> list[tuple[str, str]]:
+    """The tree walk ``flatten_hierarchy`` once ran on every call, naming each entry it refuses.
+
+    The reference for the walk ``CriteriaHierarchy`` now makes once, when it
+    is built.
+    """
+    seen_dims: set[str] = set()
+    seen_crit: set[str] = set()
+    out: list[tuple[str, str]] = []
+    for i, dim in enumerate(dimensions):
+        if dim.id in seen_dims:
+            raise InputError(f"dimensions[{i}]: duplicate dimension id '{dim.id}'")
+        seen_dims.add(dim.id)
+        for j, sub in enumerate(dim.sub_dimensions):
+            for k, cid in enumerate(sub.criterion_ids):
+                if cid in seen_crit:
+                    raise InputError(f"dimensions[{i}].sub_dimensions[{j}].criteria[{k}]: duplicate criterion '{cid}'")
+                seen_crit.add(cid)
+                out.append((cid, dim.id))
+    return out
+
+
+# few ids, so that dimensions and criteria repeat often
+_trees = st.lists(
+    st.tuples(
+        st.sampled_from(["G1", "G2", "G3"]),
+        st.lists(st.lists(st.sampled_from(["C1", "C2", "C3", "C4", "C5", "C6"]), max_size=3), max_size=3),
+    ),
+    max_size=4,
+)
+
+
+@given(_trees)
+@settings(max_examples=200, deadline=None)
+def test_hierarchy_walk_matches_the_oracle(tmp_path_factory, tree):
+    dimensions = tuple(
+        Dimension(did, f"dimension {did}", tuple(SubDimension(f"sd{j}", tuple(cids)) for j, cids in enumerate(subs)))
+        for did, subs in tree
+    )
+    objectives = {cid: ("max", "min")[int(cid[1:]) % 2] for _, subs in tree for cids in subs for cid in cids}
+    try:
+        expected = flatten_oracle(dimensions)
+    except InputError as exc:
+        with pytest.raises(InputError) as info:
+            CriteriaHierarchy(dimensions=dimensions, objectives=objectives)
+        assert str(info.value) == str(exc)
+        return
+    h = CriteriaHierarchy(dimensions=dimensions, objectives=objectives)
+    assert flatten_hierarchy(h) == expected
+    assert h.criterion_ids() == tuple(cid for cid, _ in expected)
+    path = tmp_path_factory.getbasetemp() / "tree.json"
+    write_hierarchy_json(h, path)
+    assert load_hierarchy(path) == h
 
 
 _IDS = ("a1", "a2")

@@ -66,6 +66,13 @@ class TestGrid:
         with pytest.raises(InputError, match="step"):
             default_s_grid(0.0)
 
+    def test_step_past_the_largest_grid_is_refused_before_building_it(self):
+        # 1 / 2**24 gives 2**24 + 1 points, one more than a subset of two alternatives can hold
+        with pytest.raises(InputError, match=r"^step 5\.960464477539063e-08 gives 16,777,217 grid points; a sweep holds at most 16,777,216$"):
+            default_s_grid(1 / 2**24)
+        with pytest.raises(InputError, match=r"^step 5e-324 gives inf grid points"):
+            default_s_grid(5e-324)
+
 
 class TestSubsetEnumeration:
     def test_binary_counter_order_over_five_dimensions(self):
@@ -156,8 +163,9 @@ class TestSweepSpec:
         h = two_level_hierarchy()
         m = make_matrix(np.ones((2, 6)) * [[1.0], [2.0]], crit_prefix="C")
         w = WeightVector(np.full(6, 1 / 6), m.criterion_ids)
-        with pytest.raises(InputError, match=r"\[0, 1\]"):
-            SweepSpec(matrix=m, hierarchy=h, weights=w, s_grid=[0.0, 1.5])
+        for grid in ([0.0, 1.5], [np.nan], [0.0, np.nan]):
+            with pytest.raises(InputError, match=r"\[0, 1\]"):
+                SweepSpec(matrix=m, hierarchy=h, weights=w, s_grid=grid)
 
     def test_rejects_duplicate_subsets(self):
         h = two_level_hierarchy()
