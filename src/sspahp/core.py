@@ -52,8 +52,9 @@ def _fields_equal(self, other) -> bool:
 class _Ranked:
     """Base of the result types: scores for the alternatives and the ranks they induce.
 
-    A subclass's ``_ARRAYS`` maps its score field, then its rank field, to a
-    dtype. Arrays a caller passes are copied; with ``_owned=True`` they were
+    A subclass's ``_ARRAYS`` maps each array field to its dtype, the score
+    field first and the rank field second where ``_from_scores`` builds the
+    result. Arrays a caller passes are copied; with ``_owned=True`` they were
     built for this result alone and are frozen in place. Subclasses are
     declared with ``eq=False``, so they keep this ``==``.
     """
@@ -331,7 +332,9 @@ class CriteriaHierarchy:
     is the canonical order every aligned vector follows. Construction walks
     the tree once: a repeated dimension id or a criterion listed twice raises
     InputError naming the entry, e.g. ``dimensions[1]: duplicate dimension
-    id 'G1'``.
+    id 'G1'``. Failing that, the first dimension with no sub-dimensions or
+    sub-dimension with no criteria raises, e.g. ``dimensions[5]: dimension
+    'G6' has no sub-dimensions``.
     """
 
     dimensions: tuple[Dimension, ...]
@@ -342,17 +345,26 @@ class CriteriaHierarchy:
         object.__setattr__(self, "objectives", dict(self.objectives))
         seen_dims: set[str] = set()
         dimension_of: dict[str, str] = {}
+        empty = []
         for i, dim in enumerate(self.dimensions):
             if dim.id in seen_dims:
                 raise InputError(f"dimensions[{i}]: duplicate dimension id '{dim.id}'")
             seen_dims.add(dim.id)
+            if not dim.sub_dimensions:
+                empty.append(f"dimensions[{i}]: dimension '{dim.id}' has no sub-dimensions")
             for j, sub in enumerate(dim.sub_dimensions):
+                if not sub.criterion_ids:
+                    empty.append(
+                        f"dimensions[{i}].sub_dimensions[{j}]: sub-dimension '{sub.name}' of '{dim.id}' has no criteria"
+                    )
                 for k, cid in enumerate(sub.criterion_ids):
                     if cid in dimension_of:
                         raise InputError(
                             f"dimensions[{i}].sub_dimensions[{j}].criteria[{k}]: duplicate criterion '{cid}'"
                         )
                     dimension_of[cid] = dim.id
+        if empty:
+            raise InputError(empty[0])
         # the canonical order, kept outside the fields: not compared, not in the repr
         object.__setattr__(self, "_dimension_of", dimension_of)
 

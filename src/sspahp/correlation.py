@@ -113,19 +113,66 @@ def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return num / np.sqrt(vx * vy)
 
 
-def _ordinal_ranks(key: np.ndarray) -> np.ndarray:
+#: rows are ranked in blocks of about this many cells, so a block's temporaries stay small
+_BLOCK_CELLS = 2**17
+
+#: a block of fewer cells is ranked faster by one stable argsort alone
+_FAST_MIN_CELLS = 2048
+
+
+def _ordinal_ranks(key: np.ndarray, dtype=int) -> np.ndarray:
     """Integer ranks 1..N along the last axis, smallest key first, ties in input order.
 
-    The stable sort order of each row is offset to flat positions, so the
-    ranks go in with one scatter into the flat result.
+    A flat key of fewer than ``_FAST_MIN_CELLS`` scores, as ``evaluate`` and
+    the reference methods rank, takes one stable argsort and one scatter.
     """
-    ranks = np.empty(key.shape, dtype=int)
-    if key.size:  # an empty key has no rows to offset
-        n = key.shape[-1]
-        order = np.argsort(key, axis=-1, kind="stable").reshape(-1, n)
-        order += np.arange(0, key.size, n)[:, None]
-        ranks.reshape(-1)[order] = np.arange(1, n + 1)
+    if key.ndim == 1 and key.size < _FAST_MIN_CELLS:
+        ranks = np.empty(key.shape, dtype=dtype)
+        ranks[np.argsort(key, kind="stable")] = np.arange(1, key.size + 1)
+        return ranks
+    rows = np.ascontiguousarray(key).reshape(-1, key.shape[-1]) if key.size else None
+    return _ranks_in_blocks(key.shape, lambda lo, hi: rows[lo:hi], dtype)
+
+
+def _ranks_in_blocks(shape, key_rows, dtype) -> np.ndarray:
+    """Ranks along the last axis of ``shape``, each block of flat rows ranked from ``key_rows(lo, hi)``.
+
+    A block holds about ``_BLOCK_CELLS`` cells and at least one row, so only
+    the ranks are kept whole.
+    """
+    ranks = np.empty(shape, dtype=dtype)
+    if ranks.size:  # an empty shape has no rows to rank
+        n = shape[-1]
+        flat = ranks.reshape(-1, n)
+        step = max(1, _BLOCK_CELLS // n)
+        for lo in range(0, len(flat), step):
+            hi = min(lo + step, len(flat))
+            _rank_rows(key_rows(lo, hi), flat[lo:hi])
     return ranks
+
+
+def _rank_rows(key: np.ndarray, out: np.ndarray) -> None:
+    """Write the ranks of each row of a C-ordered [row, n] key into ``out``, ties in input order.
+
+    Numpy's default argsort is faster than the stable one but may put equal
+    keys in any order. So the sorted keys are gathered through one flat
+    index, and only rows with equal neighbours (``-0.0 == 0.0`` among them)
+    are sorted again stably. Keys must be finite: NaNs never compare equal,
+    so their ties would go unseen. Small blocks take the stable sort alone.
+    The sort order of each row is offset to flat positions, so the ranks go
+    in with one scatter into ``out``, which must be C-ordered too.
+    """
+    n = key.shape[1]
+    fast = key.size >= _FAST_MIN_CELLS
+    order = np.argsort(key, axis=-1, kind=None if fast else "stable")
+    offsets = np.arange(0, key.size, n)[:, None]
+    order += offsets
+    if fast:
+        ordered = key.reshape(-1)[order]
+        tied = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        if tied.size:
+            order[tied] = np.argsort(key[tied], axis=-1, kind="stable") + offsets[tied]
+    out.reshape(-1)[order] = np.arange(1, n + 1)
 
 
 def _finite_key(scores: np.ndarray, higher_better: bool = True) -> np.ndarray:
@@ -144,8 +191,10 @@ def rank_from_scores(values, higher_better: bool = True, ties: str = INPUT_ORDER
     coefficients expect). Under ``input-order`` an array with more than one
     axis is ranked along its last axis; ``average`` takes a flat vector.
 
-    Both rules take one stable argsort; under ``average`` a tie group at
-    sorted positions ``[start, end)`` gets rank ``(start + 1 + end) / 2``.
+    ``average`` takes one stable argsort, and a tie group at sorted
+    positions ``[start, end)`` gets rank ``(start + 1 + end) / 2``.
+    ``input-order`` ranks as a sweep does, so a vector of fewer than 2,048
+    scores takes one stable argsort too.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim == 0 or (v.ndim > 1 and ties == AVERAGE):

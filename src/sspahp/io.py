@@ -129,8 +129,9 @@ def _field(entry, key, kind):
 def load_hierarchy(path) -> CriteriaHierarchy:
     """Read a criteria hierarchy with objectives from JSON.
 
-    A malformed entry, or a dimension or criterion that repeats, raises
-    InputError naming the file and the entry, e.g. ``dimensions[1]``.
+    A malformed entry, a dimension or criterion that repeats, or a dimension
+    or sub-dimension left empty raises InputError naming the file and the
+    entry, e.g. ``dimensions[1]``.
     """
     path = Path(path)
     if not path.exists():
@@ -170,7 +171,7 @@ def load_hierarchy(path) -> CriteriaHierarchy:
         raise InputError(f"{path}: {where}: {exc}") from exc
     try:
         return CriteriaHierarchy(dimensions=tuple(dimensions), objectives=objectives)
-    except InputError as exc:  # a repeated dimension or criterion, named by its entry
+    except InputError as exc:  # a repeated or empty entry, named by its path
         raise InputError(f"{path}: {exc}") from exc
 
 

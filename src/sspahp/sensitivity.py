@@ -7,9 +7,11 @@ groups. The matrix is normalized once; because each utility is affine in
 the coefficient, the whole sweep follows from one penalty per (subset,
 alternative). The hierarchy is flattened once into a boolean
 [subset, criterion] membership table, so all penalties come from one
-matrix product. Results are held as dense ``utilities`` and integer
-``ranks`` arrays shaped [subset, s, alternative], so serialized output is
-byte-stable across runs.
+matrix product. A result keeps what the sweep is made of: the base
+utility ``r.w`` of each alternative, the penalty of each (subset,
+alternative) and the grid, with int32 ``ranks`` shaped [subset, s,
+alternative]. Utilities are rebuilt from those factors by the same
+expression on each access, so serialized output is byte-stable across runs.
 
 The summaries work on whole arrays too: ``stability_report`` reduces the
 ranks of all alternatives at once, and ``compare_rankings`` stacks the
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _membership, _normalized, _Ranked
-from .correlation import _checked_rows, _ordinal_ranks, _pearson_rows, _weighted_spearman_rows
+from .correlation import _BLOCK_CELLS, _checked_rows, _pearson_rows, _ranks_in_blocks, _weighted_spearman_rows
 from .errors import InputError, SspahpError
 
 DEFAULT_STEP = 0.05
@@ -32,10 +34,15 @@ DEFAULT_STEP = 0.05
 #: largest dimension count a subset enumeration accepts (2^20 subsets)
 MAX_DIMENSIONS = 20
 
-#: largest subsets x grid points x alternatives a sweep accepts; each cell
-#: holds a float64 utility and an int64 rank, 512 MiB at the limit
-MAX_SWEEP_CELLS = 2**25
-_CELL_BYTES = np.dtype(float).itemsize + np.dtype(int).itemsize
+#: bytes a sweep may take: an int32 rank for each cell, plus the temporaries
+#: of ranking one block of cells; the float key, sort order, sorted keys and
+#: a stable re-sort of every row peak at 42 bytes a cell when all rows tie
+_SWEEP_BYTES = 512 * 2**20
+_CELL_BYTES = np.dtype(np.int32).itemsize
+_BLOCK_CELL_BYTES = 48
+
+#: largest subsets x grid points x alternatives a sweep accepts
+MAX_SWEEP_CELLS = (_SWEEP_BYTES - _BLOCK_CELLS * _BLOCK_CELL_BYTES) // _CELL_BYTES
 
 
 def default_s_grid(step: float = DEFAULT_STEP) -> np.ndarray:
@@ -141,28 +148,40 @@ class SweepSpec:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult(_Ranked):
-    """Utilities and ranks for every (subset, s) cell of a sweep.
+    """What a sweep is made of, and the ranks of every (subset, s) cell.
 
-    Both arrays are shaped [subset, s, alternative], in the order of
-    ``subsets``, ``s_grid`` and ``alternative_ids``. ``subsets`` is held as
-    a tuple of tuples, and ``s_grid`` as a read-only float vector under the
-    same freeze rule as the two arrays.
+    ``base`` [alternative] holds each utility r.w before any reduction,
+    ``penalty`` [subset, alternative] what the subset's dimensions take off
+    per unit of s, and ``ranks`` the int32 rank of every cell, shaped
+    [subset, s, alternative] in the order of ``subsets``, ``s_grid`` and
+    ``alternative_ids``. ``subsets`` is held as a tuple of tuples; the grid
+    and the three arrays are read-only under the freeze rule of the result
+    types. ``utilities`` is derived from the factors on each access.
     """
 
     alternative_ids: tuple[str, ...]
     subsets: tuple[tuple[str, ...], ...]
     s_grid: np.ndarray
-    utilities: np.ndarray
+    base: np.ndarray
+    penalty: np.ndarray
     ranks: np.ndarray
 
-    _ARRAYS = {"utilities": float, "ranks": int}
+    _ARRAYS = {"s_grid": float, "base": float, "penalty": float, "ranks": np.int32}
 
     def __post_init__(self, _owned):
         object.__setattr__(self, "subsets", tuple(map(tuple, self.subsets)))
-        grid = (np.asarray if _owned else np.array)(self.s_grid, dtype=float)
-        grid.setflags(write=False)
-        object.__setattr__(self, "s_grid", grid)
         super().__post_init__(_owned)
+
+    @property
+    def utilities(self) -> np.ndarray:
+        """Read-only utility of every cell, ``base - s * penalty``, shaped like ``ranks``.
+
+        The array is rebuilt on every access and not cached, so read it
+        once outside a loop.
+        """
+        utilities = self.base - self.s_grid[None, :, None] * self.penalty[:, None, :]
+        utilities.setflags(write=False)
+        return utilities
 
     def final_rankings(self) -> dict[tuple[str, ...], np.ndarray]:
         """Per subset, the ranking at the last (deepest) grid point."""
@@ -178,27 +197,33 @@ class SweepResult(_Ranked):
         return self.ranks[si, :, self._position(alternative_id)]
 
     def to_records(self) -> list[dict]:
-        """Long-format rows: subset, s, alternative, utility, rank."""
-        grid, utilities, ranks = self.s_grid.tolist(), self.utilities.tolist(), self.ranks.tolist()
-        labels = [subset_label(sub) for sub in self.subsets]
+        """Long-format rows: subset, s, alternative, utility, rank.
+
+        Utilities are rebuilt one subset at a time, by the expression of
+        ``utilities``.
+        """
+        grid, column = self.s_grid.tolist(), self.s_grid[:, None]
+        labels = map(subset_label, self.subsets)
         return [
             {"subset": label, "s": s, "alternative": alt, "utility": u, "rank": r}
-            for label, u_rows, r_rows in zip(labels, utilities, ranks)
-            for s, u_row, r_row in zip(grid, u_rows, r_rows)
+            for label, p_row, r_rows in zip(labels, self.penalty, self.ranks)
+            for s, u_row, r_row in zip(grid, (self.base - column * p_row).tolist(), r_rows.tolist())
             for alt, u, r in zip(self.alternative_ids, u_row, r_row)
         ]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every (subset, s) cell of the spec in one pass.
+    """Evaluate every (subset, s) cell of the spec.
 
     For a fixed subset S every utility is affine in s:
     U[S, s] = r.w - s * P[S], where r is the normalized matrix and P[S]
     sums the weighted deviations |mean(r) - r| * w over the criteria of the
     dimensions in S. One boolean [subset, criterion] membership table gives
-    every P[S] in a single product, and the ranks come as integers from one
-    stable argsort of all cells. Matrix and weight errors name the first
-    cell; an unknown group id names its own subset.
+    every P[S] in a single product. The cells are ranked in blocks of rows,
+    each from the key s * P[S] - r.w: the negated utility, which sorts the
+    same way, ties included. Only the factors and the int32 ranks are kept.
+    Matrix and weight errors name the first cell; an unknown group id names
+    its own subset.
     """
     matrix, grid, subsets = spec.matrix, spec.s_grid, spec.group_subsets
     try:
@@ -211,14 +236,24 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             f"sweep cell (subset={subset_label(subset) or '()'}, s={grid[0]:g}): {exc}"
         ) from exc
 
+    base = r @ w
     penalty = membership.astype(float) @ (np.abs(r.mean(axis=0) - r) * w).T  # [subset, alternative]
-    utilities = (r @ w) - grid[None, :, None] * penalty[:, None, :]
+
+    def key_rows(lo, hi):
+        """s * P - base for the flat (subset, s) rows lo..hi, in one buffer."""
+        rows = np.arange(lo, hi)
+        key = penalty[rows // grid.size]
+        key *= grid[rows % grid.size, None]
+        key -= base
+        return key
+
     return SweepResult(
         alternative_ids=matrix.alternative_ids,
         subsets=subsets,
         s_grid=grid,
-        utilities=utilities,
-        ranks=_ordinal_ranks(-utilities),
+        base=base,
+        penalty=penalty,
+        ranks=_ranks_in_blocks((len(subsets), grid.size, matrix.m), key_rows, np.int32),
         _owned=True,
     )
 

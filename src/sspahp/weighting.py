@@ -293,15 +293,9 @@ def distribute_weights(
     weights: list[float] = []
     ids: list[str] = []
     for dim, dim_weight in zip(hierarchy.dimensions, dim_weights):
-        subs = dim.sub_dimensions
-        if not subs:
-            raise InputError(f"dimension '{dim.id}' has no sub-dimensions")
+        subs = dim.sub_dimensions  # never empty, as the hierarchy checked
         sub_share = dim_weight / len(subs)
         for sub in subs:
-            if not sub.criterion_ids:
-                raise InputError(
-                    f"sub-dimension '{sub.name}' of '{dim.id}' has no criteria"
-                )
             crit_share = sub_share / len(sub.criterion_ids)
             for cid in sub.criterion_ids:
                 ids.append(cid)

@@ -332,10 +332,10 @@ class TestSweepCommand:
         result = runner.invoke(
             main,
             ["sweep", "--matrix", matrix_path, "--hierarchy", hierarchy_path,
-             "--weights-method", "critic", "--step", repr(1 / 2**24)],
+             "--weights-method", "critic", "--step", repr(1 / 66_322_432)],
         )
         assert result.exit_code == 2
-        assert "step 5.960464477539063e-08 gives 16,777,217 grid points" in result.stderr
+        assert "step 1.5077854804841896e-08 gives 66,322,433 grid points" in result.stderr
 
     def test_single_subset_table_summary(self, runner, data_files):
         matrix_path, hierarchy_path = data_files
@@ -521,6 +521,23 @@ class TestMalformedInputs:
             main, ["eval", "--matrix", matrix_path, "--hierarchy", str(path), "--weights-method", "critic"]
         )
         self.assert_input_error(result, fragment)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(["sweep", "--weights-method", "critic", "--groups", "G6", "--format", "csv"], id="sweep"),
+            pytest.param(["eval", "--weights-method", "critic"], id="eval"),
+        ],
+    )
+    def test_hierarchy_with_an_empty_dimension(self, runner, data_files, tmp_path, args):
+        matrix_path, hierarchy_path = data_files
+        doc = json.loads(Path(hierarchy_path).read_text())
+        doc["dimensions"].append({"id": "G6", "name": "empty", "sub_dimensions": []})
+        path = tmp_path / "h6.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [*args, "--matrix", matrix_path, "--hierarchy", str(path)])
+        self.assert_input_error(result, "h6.json: dimensions[5]: dimension 'G6' has no sub-dimensions")
+        assert result.stdout == ""
 
     def test_repeated_bounds_row(self, runner, data_files, tmp_path):
         matrix_path, hierarchy_path = data_files

@@ -318,6 +318,33 @@ class TestFlattenHierarchy:
                 objectives={"C1": "max"},
             )
 
+    def test_dimension_without_sub_dimensions_is_structural_error(self):
+        with pytest.raises(InputError, match=r"^dimensions\[1\]: dimension 'G2' has no sub-dimensions$"):
+            CriteriaHierarchy(
+                dimensions=(Dimension("G1", "g1", (SubDimension("sd1", ("C1",)),)), Dimension("G2", "g2", ())),
+                objectives={"C1": "max"},
+            )
+
+    def test_sub_dimension_without_criteria_is_structural_error(self):
+        with pytest.raises(
+            InputError, match=r"^dimensions\[0\]\.sub_dimensions\[1\]: sub-dimension 'sd2' of 'G1' has no criteria$"
+        ):
+            CriteriaHierarchy(
+                dimensions=(Dimension("G1", "g1", (SubDimension("sd1", ("C1",)), SubDimension("sd2", ()))),),
+                objectives={"C1": "max"},
+            )
+
+    def test_a_repeat_is_named_before_an_earlier_empty_entry(self):
+        with pytest.raises(InputError, match=r"^dimensions\[2\]: duplicate dimension id 'G1'$"):
+            CriteriaHierarchy(
+                dimensions=(
+                    Dimension("G1", "g1", (SubDimension("sd1", ("C1",)),)),
+                    Dimension("G2", "g2", ()),
+                    Dimension("G1", "g3", (SubDimension("sd1", ("C2",)),)),
+                ),
+                objectives={"C1": "max", "C2": "max"},
+            )
+
     def test_duplicate_dimension_id_is_structural_error(self):
         with pytest.raises(InputError, match="duplicate dimension"):
             CriteriaHierarchy(
@@ -348,16 +375,33 @@ def flatten_oracle(dimensions) -> list[tuple[str, str]]:
                     raise InputError(f"dimensions[{i}].sub_dimensions[{j}].criteria[{k}]: duplicate criterion '{cid}'")
                 seen_crit.add(cid)
                 out.append((cid, dim.id))
+    # with no repeat anywhere, the first empty entry is refused
+    for i, dim in enumerate(dimensions):
+        if not dim.sub_dimensions:
+            raise InputError(f"dimensions[{i}]: dimension '{dim.id}' has no sub-dimensions")
+        for j, sub in enumerate(dim.sub_dimensions):
+            if not sub.criterion_ids:
+                raise InputError(f"dimensions[{i}].sub_dimensions[{j}]: sub-dimension '{sub.name}' of '{dim.id}' has no criteria")
     return out
 
 
-# few ids, so that dimensions and criteria repeat often
-_trees = st.lists(
-    st.tuples(
-        st.sampled_from(["G1", "G2", "G3"]),
-        st.lists(st.lists(st.sampled_from(["C1", "C2", "C3", "C4", "C5", "C6"]), max_size=3), max_size=3),
+def _numbered(shape):
+    """A tree with fresh ids from its shape, [[criterion count per sub-dimension] per dimension]."""
+    ids = iter(range(1, 25))
+    return [(f"G{i + 1}", [[f"C{next(ids)}" for _ in range(n)] for n in subs]) for i, subs in enumerate(shape)]
+
+
+# few ids, so that dimensions and criteria repeat often; or fresh ids, so
+# that only the empty dimensions and sub-dimensions both kinds draw decide
+_trees = st.one_of(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["G1", "G2", "G3"]),
+            st.lists(st.lists(st.sampled_from(["C1", "C2", "C3", "C4", "C5", "C6"]), max_size=3), max_size=3),
+        ),
+        max_size=4,
     ),
-    max_size=4,
+    st.lists(st.lists(st.integers(min_value=0, max_value=2), max_size=3), max_size=4).map(_numbered),
 )
 
 
@@ -446,12 +490,22 @@ _IDS = ("a1", "a2")
             id="SweepSpec.s_grid",
         ),
         pytest.param(
-            lambda a: SweepResult(_IDS, ((),), [0.0], a, [[[2, 1]]]).utilities,
-            np.array([[[0.25, 0.75]]]),
+            lambda a: SweepResult(_IDS, ((),), [0.0], a, [[0.0, 0.0]], [[[2, 1]]]).utilities,
+            np.array([0.25, 0.75]),
             id="SweepResult.utilities",
         ),
         pytest.param(
-            lambda a: SweepResult(_IDS, ((),), [0.0], [[[0.25, 0.75]]], a).ranks,
+            lambda a: SweepResult(_IDS, ((),), [0.0], a, [[0.0, 0.0]], [[[2, 1]]]).base,
+            np.array([0.25, 0.75]),
+            id="SweepResult.base",
+        ),
+        pytest.param(
+            lambda a: SweepResult(_IDS, ((),), [0.0], [0.25, 0.75], a, [[[2, 1]]]).penalty,
+            np.array([[0.0, 0.5]]),
+            id="SweepResult.penalty",
+        ),
+        pytest.param(
+            lambda a: SweepResult(_IDS, ((),), [0.0], [0.25, 0.75], [[0.0, 0.0]], a).ranks,
             np.array([[[2, 1]]]),
             id="SweepResult.ranks",
         ),
@@ -468,7 +522,7 @@ def test_construction_leaves_the_caller_array_writable(build, caller):
 
 
 def _sweep_result(ranks):
-    return SweepResult(_IDS, ((),), [0.0], [[[0.25, 0.75]]], ranks)
+    return SweepResult(_IDS, ((),), [0.0], [0.25, 0.75], [[0.0, 0.0]], ranks)
 
 
 @pytest.mark.parametrize(

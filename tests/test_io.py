@@ -234,6 +234,23 @@ class TestLoadHierarchy:
         with pytest.raises(InputError, match=message):
             load_hierarchy(path)
 
+    @pytest.mark.parametrize(
+        "dimension, message",
+        [
+            ({"id": "G2", "sub_dimensions": []}, r"h\.json: dimensions\[1\]: dimension 'G2' has no sub-dimensions$"),
+            (
+                {"id": "G2", "sub_dimensions": [{"name": "b", "criteria": []}]},
+                r"h\.json: dimensions\[1\]\.sub_dimensions\[0\]: sub-dimension 'b' of 'G2' has no criteria$",
+            ),
+        ],
+    )
+    def test_empty_entries_name_the_file_and_the_entry(self, tmp_path, dimension, message):
+        first = {"id": "G1", "sub_dimensions": [{"name": "a", "criteria": [{"id": "C1", "objective": "max"}]}]}
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"dimensions": [first, dimension]}))
+        with pytest.raises(InputError, match=message):
+            load_hierarchy(path)
+
 
 def small_hierarchy_file(tmp_path, n=2):
     doc = {

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -30,7 +31,7 @@ from sspahp import (
     weighted_spearman,
 )
 from sspahp.io import records_to_csv
-from sspahp import benchmarks, core, sensitivity
+from sspahp import benchmarks, core, correlation, sensitivity
 from sspahp.sensitivity import MAX_DIMENSIONS, MAX_SWEEP_CELLS, subset_label
 
 from conftest import make_matrix, random_weights, two_level_hierarchy
@@ -67,9 +68,10 @@ class TestGrid:
             default_s_grid(0.0)
 
     def test_step_past_the_largest_grid_is_refused_before_building_it(self):
-        # 1 / 2**24 gives 2**24 + 1 points, one more than a subset of two alternatives can hold
-        with pytest.raises(InputError, match=r"^step 5\.960464477539063e-08 gives 16,777,217 grid points; a sweep holds at most 16,777,216$"):
-            default_s_grid(1 / 2**24)
+        # one point more than a subset of two alternatives can hold
+        assert MAX_SWEEP_CELLS // 2 == 66_322_432
+        with pytest.raises(InputError, match=r"^step 1\.5077854804841896e-08 gives 66,322,433 grid points; a sweep holds at most 66,322,432$"):
+            default_s_grid(1 / 66_322_432)
         with pytest.raises(InputError, match=r"^step 5e-324 gives inf grid points"):
             default_s_grid(5e-324)
 
@@ -131,19 +133,28 @@ class TestSweepSize:
         monkeypatch.setattr(sensitivity, "enumerate_group_subsets", never)
         message = (
             "a sweep of 1,048,576 subsets x 21 grid points x 16 alternatives needs "
-            "5,637,144,576 bytes for 352,321,536 cells; at most 33,554,432 cells are supported"
+            "1,409,286,144 bytes for 352,321,536 cells; at most 132,644,864 cells are supported"
         )
         with pytest.raises(InputError, match=message):
             flat_spec(MAX_DIMENSIONS, 16)
 
+    def test_eight_dimensions_at_ten_thousand_alternatives_fit_and_twelve_do_not(self):
+        assert flat_spec(8, 10_000).s_grid.size == 21
+        message = (
+            "a sweep of 4,096 subsets x 21 grid points x 10000 alternatives needs "
+            "3,440,640,000 bytes for 860,160,000 cells; at most 132,644,864 cells are supported"
+        )
+        with pytest.raises(InputError, match=message):
+            flat_spec(12, 10_000)
+
     @pytest.mark.parametrize("explicit", [False, True])
     def test_limit_is_inclusive(self, explicit):
-        assert MAX_SWEEP_CELLS == 1024 * 2048 * 16
+        assert MAX_SWEEP_CELLS == 1024 * 253 * 512
         subsets = enumerate_group_subsets([f"G{i + 1}" for i in range(10)]) if explicit else None
-        spec = flat_spec(10, 16, s_grid=np.linspace(0.0, 1.0, 2048), group_subsets=subsets)
+        spec = flat_spec(10, 512, s_grid=np.linspace(0.0, 1.0, 253), group_subsets=subsets)
         assert len(spec.group_subsets) * spec.s_grid.size * spec.matrix.m == MAX_SWEEP_CELLS
-        with pytest.raises(InputError, match="1,024 subsets x 2049 grid points x 16 alternatives"):
-            flat_spec(10, 16, s_grid=np.linspace(0.0, 1.0, 2049), group_subsets=subsets)
+        with pytest.raises(InputError, match="1,024 subsets x 254 grid points x 512 alternatives"):
+            flat_spec(10, 512, s_grid=np.linspace(0.0, 1.0, 254), group_subsets=subsets)
 
 
 class TestSweepSpec:
@@ -257,11 +268,13 @@ class TestRunSweep:
         monkeypatch.setattr(core, "_frozen_array", lambda obj, name, values: copied.append(name))
         result = build(spec)
         assert copied == []
-        assert not getattr(result, scores).flags.writeable and not getattr(result, ranks).flags.writeable
-        assert getattr(result, scores).dtype == float and getattr(result, ranks).dtype == int
+        arrays = [f.name for f in dataclasses.fields(result) if isinstance(getattr(result, f.name), np.ndarray)]
+        assert not any(getattr(result, name).flags.writeable for name in [scores, ranks, *arrays])
+        rank_dtype = np.int32 if build is run_sweep else int
+        assert getattr(result, scores).dtype == float and getattr(result, ranks).dtype == rank_dtype
         # arrays passed in by a caller are still copied, through the patched helper
         type(result)(**{f.name: getattr(result, f.name) for f in dataclasses.fields(result)})
-        assert sorted(copied) == sorted([scores, ranks])
+        assert sorted(copied) == sorted(arrays)
 
     def test_trajectory_lookup(self):
         spec, result = small_sweep()
@@ -278,7 +291,7 @@ class TestRunSweep:
 
     def test_list_grid_and_subsets_are_frozen_like_the_arrays(self):
         grid = [0.0, 1.0]
-        result = SweepResult(("a", "b"), [["G1"]], grid, [[[0.5, 0.25], [0.0, 0.25]]], [[[1, 2], [2, 1]]])
+        result = SweepResult(("a", "b"), [["G1"]], grid, [0.5, 0.25], [[0.5, 0.0]], [[[1, 2], [2, 1]]])
         assert result.subsets == (("G1",),)
         assert result.s_grid.dtype == float and not result.s_grid.flags.writeable
         grid[1] = 0.5
@@ -385,7 +398,8 @@ def fake_sweep_from_trajectory(trajectory):
         alternative_ids=alt_ids,
         subsets=(("G1",),),
         s_grid=np.linspace(0, 1, len(trajectory)),
-        utilities=(1.0 - ranks / (m + 1.0))[None],
+        base=np.zeros(m),
+        penalty=np.zeros((1, m)),
         ranks=ranks[None],
     )
 
@@ -635,7 +649,82 @@ def test_stability_report_equals_the_per_alternative_oracle(n_subsets, n_grid, m
         alternative_ids=tuple(f"a{i + 1}" for i in range(m)),
         subsets=enumerate_group_subsets(("G1", "G2"))[:n_subsets],
         s_grid=np.linspace(0.0, 1.0, n_grid),
-        utilities=np.zeros(ranks.shape),
+        base=np.zeros(m),
+        penalty=np.zeros((n_subsets, m)),
         ranks=ranks,
     )
     assert stability_report(result) == stability_oracle(result)
+
+
+@contextlib.contextmanager
+def ranking_blocks(cells):
+    """Rank in blocks of ``cells`` cells, all on the fast path; None keeps the shipped block and cut-off."""
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:
+            mp.setattr(correlation, "_BLOCK_CELLS", cells)
+            mp.setattr(correlation, "_FAST_MIN_CELLS", 0)
+        yield
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([None, 1, 2, 3]),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_blocked_ranks_equal_the_stable_sort_oracle(rows, m, block_rows, data):
+    pool = st.sampled_from([-0.0, 0.0, 0.5, -0.5, 1.0, 2.0**-1074])
+    key = np.array(data.draw(st.lists(st.lists(pool, min_size=m, max_size=m), min_size=rows, max_size=rows)))
+    if rows == 1 and data.draw(st.booleans()):
+        key = key[0]
+    with ranking_blocks(None if block_rows is None else block_rows * m):
+        ranks = correlation._ordinal_ranks(key, np.int32)
+    assert ranks.dtype == np.int32
+    assert np.array_equal(ranks, ordinal_ranks_oracle(-key))
+
+
+def eighths_spec(values):
+    """A sweep over ``two_level_hierarchy`` whose utilities are exact: values 0..8, weights in eighths."""
+    weights = WeightVector(np.array([2, 1, 2, 1, 1, 1]) / 8, tuple(f"C{j + 1}" for j in range(6)))
+    return SweepSpec(make_matrix(values, crit_prefix="C"), two_level_hierarchy(), weights)
+
+
+def crossing_ties(utilities):
+    """(subset, s, a, b) cells where a and b tie exactly but swap order between s = 0 and s = 1."""
+    gap = utilities[:, :, :, None] - utilities[:, :, None, :]
+    return np.argwhere((gap == 0) & (gap[:, :1] * gap[:, -1:] < 0))
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 2, 3])
+def test_duplicated_alternatives_tie_in_input_order(block_rows):
+    distinct = np.random.default_rng(11).integers(0, 9, size=(16, 6)).astype(float)
+    distinct[0], distinct[1] = 0.0, 8.0
+    values = distinct[np.random.default_rng(12).permutation(np.arange(32) % 16)]
+    spec = eighths_spec(values)
+    with ranking_blocks(block_rows and block_rows * 32):
+        result = run_sweep(spec)
+    utilities, ranks = sweep_oracle(spec)
+    assert np.array_equal(result.utilities, utilities)
+    assert np.array_equal(result.ranks, ranks)
+    # the two copies of a row tie at every cell, and the earlier one ranks first
+    for row in distinct:
+        early, late = np.flatnonzero((values == row).all(axis=1))
+        assert (utilities[..., early] == utilities[..., late]).all()
+        assert (result.ranks[..., early] < result.ranks[..., late]).all()
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 2, 3])
+def test_lines_crossing_on_a_grid_point_tie_in_input_order(block_rows):
+    values = np.random.default_rng(17).integers(0, 9, size=(16, 6)).astype(float)
+    values[0], values[1] = 0.0, 8.0
+    spec = eighths_spec(values)
+    with ranking_blocks(block_rows and block_rows * 16):
+        result = run_sweep(spec)
+    utilities, ranks = sweep_oracle(spec)
+    assert np.array_equal(result.utilities, utilities)
+    assert np.array_equal(result.ranks, ranks)
+    ties = crossing_ties(utilities)
+    assert len(ties) >= 2 * 20  # each crossing is found as (a, b) and as (b, a)
+    for si, gi, a, b in ties[ties[:, 2] < ties[:, 3]]:
+        assert result.ranks[si, gi, a] < result.ranks[si, gi, b]

@@ -347,14 +347,13 @@ class TestDistributeWeights:
         assert crit.as_dict() == {"C1": 1.0}
 
     def test_empty_sub_dimension_is_structural_error(self):
-        from sspahp import CriteriaHierarchy, Dimension, SubDimension, WeightVector
+        from sspahp import CriteriaHierarchy, Dimension, SubDimension
 
-        h = CriteriaHierarchy(
-            dimensions=(Dimension("G1", "g", (SubDimension("sd", ()),)),),
-            objectives={},
-        )
         with pytest.raises(InputError, match="no criteria"):
-            distribute_weights(WeightVector(np.array([1.0]), ("G1",)), h)
+            CriteriaHierarchy(
+                dimensions=(Dimension("G1", "g", (SubDimension("sd", ()),)),),
+                objectives={},
+            )
 
     def test_mismatched_dimension_ids_are_rejected(self, hierarchy):
         from sspahp import WeightVector
