@@ -345,16 +345,16 @@ class CriteriaHierarchy:
         object.__setattr__(self, "objectives", dict(self.objectives))
         seen_dims: set[str] = set()
         dimension_of: dict[str, str] = {}
-        empty = []
+        empty = None
         for i, dim in enumerate(self.dimensions):
             if dim.id in seen_dims:
                 raise InputError(f"dimensions[{i}]: duplicate dimension id '{dim.id}'")
             seen_dims.add(dim.id)
             if not dim.sub_dimensions:
-                empty.append(f"dimensions[{i}]: dimension '{dim.id}' has no sub-dimensions")
+                empty = empty or f"dimensions[{i}]: dimension '{dim.id}' has no sub-dimensions"
             for j, sub in enumerate(dim.sub_dimensions):
                 if not sub.criterion_ids:
-                    empty.append(
+                    empty = empty or (
                         f"dimensions[{i}].sub_dimensions[{j}]: sub-dimension '{sub.name}' of '{dim.id}' has no criteria"
                     )
                 for k, cid in enumerate(sub.criterion_ids):
@@ -364,7 +364,7 @@ class CriteriaHierarchy:
                         )
                     dimension_of[cid] = dim.id
         if empty:
-            raise InputError(empty[0])
+            raise InputError(empty)
         # the canonical order, kept outside the fields: not compared, not in the repr
         object.__setattr__(self, "_dimension_of", dimension_of)
 

@@ -120,18 +120,10 @@ _BLOCK_CELLS = 2**17
 _FAST_MIN_CELLS = 2048
 
 
-def _ordinal_ranks(key: np.ndarray, dtype=int) -> np.ndarray:
-    """Integer ranks 1..N along the last axis, smallest key first, ties in input order.
-
-    A flat key of fewer than ``_FAST_MIN_CELLS`` scores, as ``evaluate`` and
-    the reference methods rank, takes one stable argsort and one scatter.
-    """
-    if key.ndim == 1 and key.size < _FAST_MIN_CELLS:
-        ranks = np.empty(key.shape, dtype=dtype)
-        ranks[np.argsort(key, kind="stable")] = np.arange(1, key.size + 1)
-        return ranks
+def _ordinal_ranks(key: np.ndarray) -> np.ndarray:
+    """Integer ranks 1..N along the last axis, smallest key first, ties in input order."""
     rows = np.ascontiguousarray(key).reshape(-1, key.shape[-1]) if key.size else None
-    return _ranks_in_blocks(key.shape, lambda lo, hi: rows[lo:hi], dtype)
+    return _ranks_in_blocks(key.shape, lambda lo, hi: rows[lo:hi], int)
 
 
 def _ranks_in_blocks(shape, key_rows, dtype) -> np.ndarray:

@@ -34,15 +34,23 @@ DEFAULT_STEP = 0.05
 #: largest dimension count a subset enumeration accepts (2^20 subsets)
 MAX_DIMENSIONS = 20
 
-#: bytes a sweep may take: an int32 rank for each cell, plus the temporaries
-#: of ranking one block of cells; the float key, sort order, sorted keys and
-#: a stable re-sort of every row peak at 42 bytes a cell when all rows tie
-_SWEEP_BYTES = 512 * 2**20
+#: bytes a sweep may take: an int32 rank for each cell, a float64 penalty for
+#: each (subset, alternative), and the temporaries of ranking one block of
+#: cells; the float key, sort order, sorted keys and a stable re-sort of
+#: every row peak at 42 bytes a cell when all rows tie
+MAX_SWEEP_BYTES = 512 * 2**20
 _CELL_BYTES = np.dtype(np.int32).itemsize
-_BLOCK_CELL_BYTES = 48
+_PENALTY_BYTES = np.dtype(float).itemsize
+_BLOCK_BYTES = _BLOCK_CELLS * 48
 
-#: largest subsets x grid points x alternatives a sweep accepts
-MAX_SWEEP_CELLS = (_SWEEP_BYTES - _BLOCK_CELLS * _BLOCK_CELL_BYTES) // _CELL_BYTES
+
+def _sweep_bytes(n_subsets: int, n_grid: int, m: int) -> tuple[int, int, int]:
+    """Bytes of a sweep's ranks, of its penalty and of ranking one block."""
+    return n_subsets * n_grid * m * _CELL_BYTES, n_subsets * m * _PENALTY_BYTES, _BLOCK_BYTES
+
+
+#: most grid points one subset of two alternatives can hold within ``MAX_SWEEP_BYTES``
+MAX_GRID_POINTS = (MAX_SWEEP_BYTES - sum(_sweep_bytes(1, 0, 2))) // (2 * _CELL_BYTES)
 
 
 def default_s_grid(step: float = DEFAULT_STEP) -> np.ndarray:
@@ -50,16 +58,16 @@ def default_s_grid(step: float = DEFAULT_STEP) -> np.ndarray:
 
     When the step divides 1 the grid ends exactly at 1 (21 points for the
     default 0.05); otherwise it stops at the last multiple below 1. Points
-    are counted first: a grid too long for one subset of two alternatives
-    within ``MAX_SWEEP_CELLS`` raises InputError before any is built.
+    are counted first: more than ``MAX_GRID_POINTS`` raise InputError
+    before any is built.
     """
     if not 0.0 < step <= 1.0:
         raise InputError(f"step must lie in (0, 1], got {step}")
     span = 1.0 / step  # inf for a subnormal step, so the count is a float
     exact = abs(np.round(span) * step - 1.0) < 1e-9
     count = np.round(span) + 1 if exact else np.floor(span + 1e-9) + 1
-    if count > MAX_SWEEP_CELLS // 2:
-        raise InputError(f"step {step} gives {count:,.0f} grid points; a sweep holds at most {MAX_SWEEP_CELLS // 2:,}")
+    if count > MAX_GRID_POINTS:
+        raise InputError(f"step {step} gives {count:,.0f} grid points; a sweep holds at most {MAX_GRID_POINTS:,}")
     if exact:
         return np.linspace(0.0, 1.0, int(count))
     return np.round(np.arange(int(count)) * step, 12)
@@ -88,12 +96,12 @@ def enumerate_group_subsets(dimension_ids) -> tuple[tuple[str, ...], ...]:
 
 
 def _check_sweep_size(n_subsets: int, n_grid: int, m: int) -> None:
-    cells = n_subsets * n_grid * m
-    if cells > MAX_SWEEP_CELLS:
+    ranks, penalty, block = _sweep_bytes(n_subsets, n_grid, m)
+    if ranks + penalty + block > MAX_SWEEP_BYTES:
         raise InputError(
             f"a sweep of {n_subsets:,} subsets x {n_grid} grid points x {m} alternatives "
-            f"needs {cells * _CELL_BYTES:,} bytes for {cells:,} cells; "
-            f"at most {MAX_SWEEP_CELLS:,} cells are supported"
+            f"needs {ranks + penalty + block:,} bytes ({ranks:,} for ranks, {penalty:,} for penalties, "
+            f"{block:,} for ranking); at most {MAX_SWEEP_BYTES:,} bytes are supported"
         )
 
 
@@ -106,8 +114,9 @@ def subset_label(subset) -> str:
 class SweepSpec:
     """Everything a sweep needs: data bindings, grid, and subset list.
 
-    More than ``MAX_SWEEP_CELLS`` subsets x grid points x alternatives
-    raise InputError before any subset list or result array is built.
+    A sweep that would take more than ``MAX_SWEEP_BYTES`` for its ranks,
+    penalties and ranking temporaries raises InputError before any subset
+    list or result array is built.
     """
 
     matrix: DecisionMatrix

@@ -332,10 +332,10 @@ class TestSweepCommand:
         result = runner.invoke(
             main,
             ["sweep", "--matrix", matrix_path, "--hierarchy", hierarchy_path,
-             "--weights-method", "critic", "--step", repr(1 / 66_322_432)],
+             "--weights-method", "critic", "--step", repr(1 / 66_322_430)],
         )
         assert result.exit_code == 2
-        assert "step 1.5077854804841896e-08 gives 66,322,433 grid points" in result.stderr
+        assert "step 1.507785525952532e-08 gives 66,322,431 grid points" in result.stderr
 
     def test_single_subset_table_summary(self, runner, data_files):
         matrix_path, hierarchy_path = data_files

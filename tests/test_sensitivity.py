@@ -32,7 +32,7 @@ from sspahp import (
 )
 from sspahp.io import records_to_csv
 from sspahp import benchmarks, core, correlation, sensitivity
-from sspahp.sensitivity import MAX_DIMENSIONS, MAX_SWEEP_CELLS, subset_label
+from sspahp.sensitivity import MAX_DIMENSIONS, MAX_GRID_POINTS, MAX_SWEEP_BYTES, subset_label
 
 from conftest import make_matrix, random_weights, two_level_hierarchy
 
@@ -69,9 +69,9 @@ class TestGrid:
 
     def test_step_past_the_largest_grid_is_refused_before_building_it(self):
         # one point more than a subset of two alternatives can hold
-        assert MAX_SWEEP_CELLS // 2 == 66_322_432
-        with pytest.raises(InputError, match=r"^step 1\.5077854804841896e-08 gives 66,322,433 grid points; a sweep holds at most 66,322,432$"):
-            default_s_grid(1 / 66_322_432)
+        assert MAX_GRID_POINTS == 66_322_430
+        with pytest.raises(InputError, match=r"^step 1\.507785525952532e-08 gives 66,322,431 grid points; a sweep holds at most 66,322,430$"):
+            default_s_grid(1 / 66_322_430)
         with pytest.raises(InputError, match=r"^step 5e-324 gives inf grid points"):
             default_s_grid(5e-324)
 
@@ -132,29 +132,42 @@ class TestSweepSize:
 
         monkeypatch.setattr(sensitivity, "enumerate_group_subsets", never)
         message = (
-            "a sweep of 1,048,576 subsets x 21 grid points x 16 alternatives needs "
-            "1,409,286,144 bytes for 352,321,536 cells; at most 132,644,864 cells are supported"
+            "a sweep of 1,048,576 subsets x 21 grid points x 16 alternatives needs 1,549,795,328 bytes "
+            r"\(1,409,286,144 for ranks, 134,217,728 for penalties, 6,291,456 for ranking\); "
+            "at most 536,870,912 bytes are supported"
         )
         with pytest.raises(InputError, match=message):
             flat_spec(MAX_DIMENSIONS, 16)
+
+    def test_penalties_count_at_a_one_point_grid(self, monkeypatch):
+        # the ranks alone take 528 MB of the 537 MB; the [subset, alternative] penalties double that
+        monkeypatch.setattr(sensitivity, "enumerate_group_subsets", None)  # refused before any subset is listed
+        message = (
+            "a sweep of 1,048,576 subsets x 1 grid points x 126 alternatives needs 1,591,738,368 bytes "
+            r"\(528,482,304 for ranks, 1,056,964,608 for penalties, 6,291,456 for ranking\)"
+        )
+        with pytest.raises(InputError, match=message):
+            flat_spec(MAX_DIMENSIONS, 126, s_grid=[1.0])
 
     def test_eight_dimensions_at_ten_thousand_alternatives_fit_and_twelve_do_not(self):
         assert flat_spec(8, 10_000).s_grid.size == 21
         message = (
             "a sweep of 4,096 subsets x 21 grid points x 10000 alternatives needs "
-            "3,440,640,000 bytes for 860,160,000 cells; at most 132,644,864 cells are supported"
+            r"3,774,611,456 bytes \(3,440,640,000 for ranks, 327,680,000 for penalties, 6,291,456 for ranking\); "
+            "at most 536,870,912 bytes are supported"
         )
         with pytest.raises(InputError, match=message):
             flat_spec(12, 10_000)
 
     @pytest.mark.parametrize("explicit", [False, True])
     def test_limit_is_inclusive(self, explicit):
-        assert MAX_SWEEP_CELLS == 1024 * 253 * 512
+        # 1,024 x 251 x 512 int32 ranks, 1,024 x 512 float penalties and one block of 2^17 cells at 48 bytes
+        assert MAX_SWEEP_BYTES == 1024 * 512 * (251 * 4 + 8) + 2**17 * 48
         subsets = enumerate_group_subsets([f"G{i + 1}" for i in range(10)]) if explicit else None
-        spec = flat_spec(10, 512, s_grid=np.linspace(0.0, 1.0, 253), group_subsets=subsets)
-        assert len(spec.group_subsets) * spec.s_grid.size * spec.matrix.m == MAX_SWEEP_CELLS
-        with pytest.raises(InputError, match="1,024 subsets x 254 grid points x 512 alternatives"):
-            flat_spec(10, 512, s_grid=np.linspace(0.0, 1.0, 254), group_subsets=subsets)
+        spec = flat_spec(10, 512, s_grid=np.linspace(0.0, 1.0, 251), group_subsets=subsets)
+        assert (len(spec.group_subsets), spec.s_grid.size, spec.matrix.m) == (1024, 251, 512)
+        with pytest.raises(InputError, match="1,024 subsets x 252 grid points x 512 alternatives"):
+            flat_spec(10, 512, s_grid=np.linspace(0.0, 1.0, 252), group_subsets=subsets)
 
 
 class TestSweepSpec:
@@ -679,8 +692,7 @@ def test_blocked_ranks_equal_the_stable_sort_oracle(rows, m, block_rows, data):
     if rows == 1 and data.draw(st.booleans()):
         key = key[0]
     with ranking_blocks(None if block_rows is None else block_rows * m):
-        ranks = correlation._ordinal_ranks(key, np.int32)
-    assert ranks.dtype == np.int32
+        ranks = correlation._ordinal_ranks(key)
     assert np.array_equal(ranks, ordinal_ranks_oracle(-key))
 
 
