@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TAU, MAX, DecisionMatrix, WeightVector, _normalized, _Ranked, require_valid
-from .correlation import _tie_groups
+from .correlation import _tie_sums
 from .errors import InputError, NumericalError
 
 TOPSIS = "topsis"
@@ -190,19 +190,6 @@ def spotis(
     return BenchmarkScore._from_scores(preference, matrix.alternative_ids, method=SPOTIS, higher_better=False)
 
 
-def _lead(x: np.ndarray) -> np.ndarray:
-    """Per cell, how many values of its column are strictly lower minus strictly higher."""
-    m = x.shape[0]
-    # tied cells share one group, so the sort need not be stable
-    order = np.argsort(x.T, axis=-1)
-    start, end = _tie_groups(np.take_along_axis(x.T, order, axis=-1))
-    start += end  # start - (m - end)
-    start -= m
-    lead = np.empty(x.shape, dtype=np.intp)
-    np.put_along_axis(lead.T, order, start, axis=-1)
-    return lead
-
-
 def promethee2(matrix: DecisionMatrix, weights: WeightVector) -> BenchmarkScore:
     """Net outranking flow under the usual preference function.
 
@@ -217,12 +204,17 @@ def promethee2(matrix: DecisionMatrix, weights: WeightVector) -> BenchmarkScore:
     better_j(a) count the alternatives strictly worse and strictly better
     than a on j. One argsort of all columns gives them: in a column sorted
     ascending, a cell whose tie group spans positions [start, end) has
-    start values below it and m - end above. O(mn log m) time, O(mn) memory.
+    start values below it and m - end above: a lead of start + 1 + end less
+    m + 1. The integer lead is written through its transpose, so it stays
+    C-ordered. O(mn log m) time, O(mn) memory.
     """
     x, w, profit = _prepare(matrix, weights)
-    lead = _lead(x)
+    m = x.shape[0]
+    lead = np.empty(x.shape, dtype=np.intp)
+    _tie_sums(x.T, lead.T)  # lead stays C-ordered for lead @ w, with no transposing copy
+    lead -= m + 1
     np.negative(lead, out=lead, where=~profit)  # on a cost criterion lower wins
-    phi = (lead @ w) / (x.shape[0] - 1)
+    phi = (lead @ w) / (m - 1)
     return BenchmarkScore._from_scores(phi, matrix.alternative_ids, method=PROMETHEE2)
 
 

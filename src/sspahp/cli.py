@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -55,15 +56,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _table(headers, rows) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        )
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    lines = ("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in [headers, *rows])
     return "\n".join(lines) + "\n"
 
 
@@ -88,16 +82,20 @@ def _load_inputs(matrix_path, hierarchy_path):
 def _ahp_from_path(pairwise_path, hierarchy=None, strict_cr=False):
     """Weights from a pairwise CSV (or directory of expert CSVs).
 
-    Multiple matrices are combined by geometric mean before the eigen
-    solve, so the consistency gate applies to the consensus matrix. When a
-    hierarchy is supplied, unlabeled matrices adopt its dimension ids (or
-    criterion ids, when the matrix compares criteria directly).
+    Multiple matrices are aligned by label and combined by geometric mean
+    before the eigen solve, so the consistency gate applies to the consensus
+    matrix. When a hierarchy is supplied, unlabeled matrices adopt its
+    dimension ids, or criterion ids when the matrix compares criteria directly.
     """
     from .weighting import CR_THRESHOLD, aggregate_pairwise, ahp_weights
 
     path = Path(pairwise_path)
     if path.is_dir():
-        pm = aggregate_pairwise(sio.load_pairwise_batch(path))
+        matrices = sio.load_pairwise_batch(path)
+        try:
+            pm = aggregate_pairwise(matrices)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc} (files counted in name order)") from exc
     else:
         pm = sio.load_pairwise(path)
     if hierarchy is not None and pm.labels is None:
@@ -138,12 +136,7 @@ def _weights_payload(weights: WeightVector, report, dim_weights=None) -> dict:
     if dim_weights is not None:
         payload["dimension_weights"] = dim_weights.as_dict()
     if report is not None:
-        payload["consistency"] = {
-            "lambda_max": report.lambda_max,
-            "ci": report.ci,
-            "cr": report.cr,
-            "acceptable": report.acceptable,
-        }
+        payload["consistency"] = asdict(report)
     return payload
 
 

@@ -44,26 +44,6 @@ def _reject_rows(bad: np.ndarray, error: Exception) -> None:
         raise error
 
 
-def _tie_groups(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end (exclusive) of each position's tie group along the last axis.
-
-    ``ordered`` holds keys already sorted along its last axis. Neighbours
-    that compare equal (``-0.0 == 0.0`` included) share a group, and every
-    position of a group spanning ``[start, end)`` gets that start and end.
-    """
-    m = ordered.shape[-1]
-    pos = np.arange(1, m)
-    differs = ordered[..., 1:] != ordered[..., :-1]
-    start = np.zeros(ordered.shape, dtype=np.intp)
-    np.multiply(differs, pos, out=start[..., 1:])
-    np.maximum.accumulate(start, axis=-1, out=start)
-    end = np.full(ordered.shape, m, dtype=np.intp)
-    np.copyto(end[..., :-1], pos, where=differs)
-    backwards = end[..., ::-1]
-    np.minimum.accumulate(backwards, axis=-1, out=backwards)
-    return start, end
-
-
 def weighted_spearman(x, y) -> float:
     """Rank agreement that weighs disagreements at the top more heavily.
 
@@ -116,8 +96,9 @@ def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 #: rows are ranked in blocks of about this many cells, so a block's temporaries stay small
 _BLOCK_CELLS = 2**17
 
-#: a block of fewer cells is ranked faster by one stable argsort alone
-_FAST_MIN_CELLS = 2048
+#: bytes ranking one block may take: the float key, sort order, sorted keys
+#: and a stable re-sort of every row peak at 42 bytes a cell when all rows tie
+_BLOCK_BYTES = _BLOCK_CELLS * 48
 
 
 def _ordinal_ranks(key: np.ndarray) -> np.ndarray:
@@ -150,21 +131,46 @@ def _rank_rows(key: np.ndarray, out: np.ndarray) -> None:
     keys in any order. So the sorted keys are gathered through one flat
     index, and only rows with equal neighbours (``-0.0 == 0.0`` among them)
     are sorted again stably. Keys must be finite: NaNs never compare equal,
-    so their ties would go unseen. Small blocks take the stable sort alone.
-    The sort order of each row is offset to flat positions, so the ranks go
-    in with one scatter into ``out``, which must be C-ordered too.
+    so their ties would go unseen. The sort order of each row is offset to
+    flat positions, so the ranks go in with one scatter into ``out``, which
+    must be C-ordered too.
     """
     n = key.shape[1]
-    fast = key.size >= _FAST_MIN_CELLS
-    order = np.argsort(key, axis=-1, kind=None if fast else "stable")
+    order = np.argsort(key, axis=-1)
     offsets = np.arange(0, key.size, n)[:, None]
     order += offsets
-    if fast:
-        ordered = key.reshape(-1)[order]
-        tied = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-        if tied.size:
-            order[tied] = np.argsort(key[tied], axis=-1, kind="stable") + offsets[tied]
+    ordered = key.reshape(-1)[order]
+    tied = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if tied.size:
+        order[tied] = np.argsort(key[tied], axis=-1, kind="stable") + offsets[tied]
     out.reshape(-1)[order] = np.arange(1, n + 1)
+
+
+def _tie_sums(key: np.ndarray, out: np.ndarray) -> None:
+    """Write ``start + 1 + end`` of each cell's tie group along the last axis of ``key`` into ``out``.
+
+    A group of equal keys (``-0.0 == 0.0`` among them) spans sorted
+    positions ``[start, end)``, so the value is twice the cell's average
+    rank, an exact integer. The order inside a group changes no sum, so the
+    default argsort serves. ``out`` is an integer array shaped like ``key``
+    in any layout, a transposed view included.
+    """
+    m = key.shape[-1]
+    order = np.argsort(key, axis=-1)
+    ordered = np.take_along_axis(key, order, axis=-1)
+    differs = ordered[..., 1:] != ordered[..., :-1]
+    del ordered  # with ``out`` already held, free what start and end no longer need
+    pos = np.arange(1, m)
+    start = np.zeros(key.shape, dtype=np.intp)
+    np.multiply(differs, pos, out=start[..., 1:])
+    np.maximum.accumulate(start, axis=-1, out=start)
+    end = np.full(key.shape, m + 1, dtype=np.intp)  # end + 1
+    np.copyto(end[..., :-1], pos + 1, where=differs)
+    del differs
+    backwards = end[..., ::-1]
+    np.minimum.accumulate(backwards, axis=-1, out=backwards)
+    start += end
+    np.put_along_axis(out, order, start, axis=-1)
 
 
 def _finite_key(scores: np.ndarray, higher_better: bool = True) -> np.ndarray:
@@ -183,10 +189,10 @@ def rank_from_scores(values, higher_better: bool = True, ties: str = INPUT_ORDER
     coefficients expect). Under ``input-order`` an array with more than one
     axis is ranked along its last axis; ``average`` takes a flat vector.
 
-    ``average`` takes one stable argsort, and a tie group at sorted
-    positions ``[start, end)`` gets rank ``(start + 1 + end) / 2``.
-    ``input-order`` ranks as a sweep does, so a vector of fewer than 2,048
-    scores takes one stable argsort too.
+    Both rules take numpy's default argsort. ``input-order`` ranks as a
+    sweep does: only a vector with equal scores is sorted again, stably.
+    Under ``average`` a tie group at sorted positions ``[start, end)`` gets
+    rank ``(start + 1 + end) / 2``, whatever the order inside it.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim == 0 or (v.ndim > 1 and ties == AVERAGE):
@@ -196,8 +202,6 @@ def rank_from_scores(values, higher_better: bool = True, ties: str = INPUT_ORDER
         return _ordinal_ranks(key).astype(float)
     if ties != AVERAGE:
         raise InputError(f"unknown tie rule '{ties}'")
-    order = np.argsort(key, kind="stable")
-    start, end = _tie_groups(key[order])
-    ranks = np.empty(v.shape)
-    ranks[order] = (start + 1 + end) / 2
-    return ranks
+    twice = np.empty(v.shape, dtype=np.intp)
+    _tie_sums(key, twice)
+    return twice / 2

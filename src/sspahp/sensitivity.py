@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _membership, _normalized, _Ranked
-from .correlation import _BLOCK_CELLS, _checked_rows, _pearson_rows, _ranks_in_blocks, _weighted_spearman_rows
+from .correlation import _BLOCK_BYTES, _checked_rows, _pearson_rows, _ranks_in_blocks, _weighted_spearman_rows
 from .errors import InputError, SspahpError
 
 DEFAULT_STEP = 0.05
@@ -35,13 +35,10 @@ DEFAULT_STEP = 0.05
 MAX_DIMENSIONS = 20
 
 #: bytes a sweep may take: an int32 rank for each cell, a float64 penalty for
-#: each (subset, alternative), and the temporaries of ranking one block of
-#: cells; the float key, sort order, sorted keys and a stable re-sort of
-#: every row peak at 42 bytes a cell when all rows tie
+#: each (subset, alternative), and ``_BLOCK_BYTES`` for ranking one block
 MAX_SWEEP_BYTES = 512 * 2**20
 _CELL_BYTES = np.dtype(np.int32).itemsize
 _PENALTY_BYTES = np.dtype(float).itemsize
-_BLOCK_BYTES = _BLOCK_CELLS * 48
 
 
 def _sweep_bytes(n_subsets: int, n_grid: int, m: int) -> tuple[int, int, int]:
@@ -295,13 +292,22 @@ def compare_rankings(result_a, result_b) -> dict[tuple[str, ...], tuple[float, f
 
     Accepts SweepResult objects (their full-reduction rankings are compared)
     or plain mappings of subset -> ranking vector. Subset lists must match.
-    The rankings of each length are stacked and both coefficients computed
-    row-wise; an invalid ranking raises with its subset named.
+    Two sweeps are paired by alternative id; ids found in only one raise
+    InputError naming them. The rankings of each length are stacked and
+    both coefficients computed row-wise; an invalid ranking raises with its
+    subset named.
     """
     subsets, a = _subset_rankings(result_a)
     others, b = _subset_rankings(result_b)
     if subsets != others:
         raise InputError("subset lists differ between the two results")
+    swept = isinstance(result_a, SweepResult) and isinstance(result_b, SweepResult)
+    if swept and result_a.alternative_ids != result_b.alternative_ids:
+        position = {alt: i for i, alt in enumerate(result_b.alternative_ids)}
+        only = set(result_a.alternative_ids).symmetric_difference(position)
+        if only:
+            raise InputError(f"alternative ids differ between the two results; in only one: {', '.join(sorted(only))}")
+        b = b[:, [position[alt] for alt in result_a.alternative_ids]]
     values = np.empty((len(subsets), 2))
     for idx, x, y in _same_shape_rows(subsets, a, b):
         try:

@@ -106,6 +106,9 @@ class ConsistencyReport:
 def aggregate_pairwise(matrices: list[PairwiseMatrix]) -> PairwiseMatrix:
     """Element-wise geometric mean of several judgment matrices.
 
+    Labelled matrices are first put in the first one's label order. Matrices
+    over different items, or labelled and unlabelled ones mixed, raise
+    InputError naming the two (counted from 1) and their labels.
     The geometric mean of reciprocal matrices is reciprocal by construction,
     so the consensus matrix is again a valid PairwiseMatrix.
     """
@@ -114,11 +117,16 @@ def aggregate_pairwise(matrices: list[PairwiseMatrix]) -> PairwiseMatrix:
     sizes = {m.n for m in matrices}
     if len(sizes) != 1:
         raise InputError(f"pairwise matrices differ in size: {sorted(sizes)}")
-    stack = np.stack([m.values for m in matrices])
-    consensus = np.exp(np.log(stack).mean(axis=0))
-    labels = matrices[0].labels
-    if any(m.labels != labels for m in matrices[1:]):
-        labels = None
+    labels, stack = matrices[0].labels, []
+    for i, m in enumerate(matrices, start=1):
+        order = slice(None)
+        if m.labels != labels:
+            if labels is None or m.labels is None or len(set(m.labels)) < m.n or set(m.labels) != set(labels):
+                listed = ["unlabelled" if x is None else ", ".join(x) for x in (labels, m.labels)]
+                raise InputError(f"pairwise matrices 1 and {i} compare different items: {listed[0]} vs {listed[1]}")
+            order = [m.labels.index(label) for label in labels]
+        stack.append(m.values[order][:, order])
+    consensus = np.exp(np.log(np.stack(stack)).mean(axis=0))
     return PairwiseMatrix(consensus, labels=labels)
 
 
@@ -254,14 +262,8 @@ def critic_weights(matrix: DecisionMatrix, sample_std: bool = True) -> WeightVec
     ``sample_std`` selects the m-1 divisor (default); pass False for the
     population form. Constant columns have sigma = 0 and receive weight 0.
     """
-    norm = _normalized(matrix)
-    r = norm.values
-    m, n = r.shape
-    ddof = 1 if sample_std else 0
-    if sample_std and m < 2:
-        raise InputError("sample standard deviation needs at least 2 alternatives")
-
-    sigma = r.std(axis=0, ddof=ddof)
+    r = _normalized(matrix).values
+    sigma = r.std(axis=0, ddof=1 if sample_std else 0)
     centered = r - r.mean(axis=0)
     ss = (centered**2).sum(axis=0)
     denom = np.sqrt(np.outer(ss, ss))

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from sspahp import PairwiseMatrix
 from sspahp.cli import main
 from sspahp.io import (
     load_decision_matrix,
@@ -106,6 +107,59 @@ class TestWeightsCommand:
         # geometric mean of 2 and 8 is 4, a consistent 2x2 with weights 0.8/0.2
         assert doc["weights"]["c1"] == pytest.approx(0.8)
 
+    def test_expert_headers_in_another_order_are_aligned(self, runner, tmp_path, data_files):
+        _, hierarchy_path = data_files
+        ids = ["G1", "G2", "G3", "G4", "G5"]
+        body = ["1,3,5,7,9", "1/3,1,3,5,7", "1/5,1/3,1,3,5", "1/7,1/5,1/3,1,3", "1/9,1/7,1/5,1/3,1"]
+        d = tmp_path / "experts"
+        d.mkdir()
+        for name, labels in (("a.csv", ids), ("b.csv", ids[::-1])):
+            (d / name).write_text("\n".join([",".join(labels), *body]) + "\n")
+        result = runner.invoke(main, ["weights", "--method", "ahp", "--pairwise", str(d), "--hierarchy", hierarchy_path])
+        assert result.exit_code == 0, result.output
+        # each judgment meets its reverse, so the consensus is all ones
+        dimensions = result.output.split("\n\n")[0].splitlines()[1:]
+        assert dimensions == [f"{g}         0.2000" for g in ids]
+        assert result.output.endswith("CR = 0.00\n")
+
+    def test_experts_over_different_items_exit_2(self, runner, tmp_path):
+        d = tmp_path / "experts"
+        d.mkdir()
+        (d / "a.csv").write_text("G1,G2\n1,2\n1/2,1\n")
+        (d / "b.csv").write_text("1,2\n1/2,1\n")
+        result = runner.invoke(main, ["weights", "--method", "ahp", "--pairwise", str(d)])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"input error: {d}: pairwise matrices 1 and 2 compare different items: G1, G2 vs unlabelled "
+            "(files counted in name order)\n"
+        )
+
+    def test_an_unlabelled_matrix_takes_the_dimension_ids(self, runner, tmp_path, data_files):
+        _, hierarchy_path = data_files
+        path = tmp_path / "unlabelled.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in CONSENSUS_JUDGMENTS.tolist()))
+        hierarchy = load_hierarchy(hierarchy_path)
+        dims, _ = ahp_weights(PairwiseMatrix(CONSENSUS_JUDGMENTS, labels=hierarchy.dimension_ids()))
+        args = ["weights", "--method", "ahp", "--pairwise", str(path), "--hierarchy", hierarchy_path, "--format", "json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert doc["dimension_weights"] == dims.as_dict()
+        assert doc["weights"] == distribute_weights(dims, hierarchy).as_dict()
+
+    def test_an_unlabelled_matrix_takes_the_criterion_ids(self, runner, tmp_path):
+        criteria = [[{"id": "C1", "objective": "max"}, {"id": "C2", "objective": "min"}], [{"id": "C3", "objective": "max"}]]
+        doc = {"dimensions": [{"id": f"G{i + 1}", "sub_dimensions": [{"name": "sd", "criteria": c}]} for i, c in enumerate(criteria)]}
+        hierarchy_path = tmp_path / "hierarchy.json"
+        hierarchy_path.write_text(json.dumps(doc))
+        path = tmp_path / "unlabelled.csv"
+        path.write_text("1,2,4\n1/2,1,2\n1/4,1/2,1\n")
+        args = ["weights", "--method", "ahp", "--pairwise", str(path), "--hierarchy", str(hierarchy_path), "--format", "json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert doc["weights"] == pytest.approx({"C1": 4 / 7, "C2": 2 / 7, "C3": 1 / 7}, abs=1e-12)
+        assert "dimension_weights" not in doc
 
     @pytest.mark.parametrize("method", ["critic", "entropy", "file", "ahp"])
     def test_json_weights_match_the_library(self, runner, data_files, judgments_file, tmp_path, method):
@@ -303,6 +357,18 @@ class TestBenchmarksCommand:
             assert -2.0 < entry["r_w"] <= 1.0
             assert -1.0 - 1e-12 <= entry["pearson"] <= 1.0 + 1e-12
 
+    def test_corr_table_matches_the_json_coefficients(self, runner, data_files):
+        matrix_path, hierarchy_path = data_files
+        args = ["benchmarks", "--matrix", matrix_path, "--hierarchy", hierarchy_path, "--weights-method", "critic", "--corr"]
+        table = runner.invoke(main, args)
+        doc = json.loads(runner.invoke(main, [*args, "--format", "json"]).output)
+        assert table.exit_code == 0
+        rows = table.output.split("\ncorrelation with sspahp\n")[1].splitlines()
+        assert rows[0].split() == ["method", "r_w", "pearson"]
+        assert [row.split() for row in rows[1:]] == [
+            [name, f"{c['r_w']:.4f}", f"{c['pearson']:.4f}"] for name, c in doc["correlation_with_sspahp"].items()
+        ]
+
     def test_corr_toggle_rejects_csv_format(self, runner, data_files):
         matrix_path, hierarchy_path = data_files
         result = runner.invoke(
@@ -326,6 +392,20 @@ class TestSweepCommand:
         lines = result.output.splitlines()
         assert lines[0] == "subset,s,alternative,utility,rank"
         assert len(lines) == 1 + 32 * 21 * 16
+
+    def test_json_carries_the_grid_subsets_and_records(self, runner, data_files):
+        matrix_path, hierarchy_path = data_files
+        result = runner.invoke(
+            main,
+            ["sweep", "--matrix", matrix_path, "--hierarchy", hierarchy_path,
+             "--weights-method", "critic", "--groups", "G1,G4", "--step", "0.25", "--format", "json"],
+        )
+        assert result.exit_code == 0
+        hierarchy = load_hierarchy(hierarchy_path)
+        matrix = load_decision_matrix(matrix_path, hierarchy)
+        spec = SweepSpec(matrix, hierarchy, critic_weights(matrix), default_s_grid(0.25), (("G1", "G4"),))
+        expected = {"s_grid": [0.0, 0.25, 0.5, 0.75, 1.0], "subsets": [["G1", "G4"]], "records": run_sweep(spec).to_records()}
+        assert json.loads(result.output) == expected
 
     def test_step_past_the_largest_grid_exits_2(self, runner, data_files):
         matrix_path, hierarchy_path = data_files

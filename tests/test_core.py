@@ -306,6 +306,10 @@ class TestFlattenHierarchy:
         )
         assert flatten_hierarchy(h) == [("C1", "G1")]
 
+    def test_membership_names_criteria_absent_from_the_hierarchy(self):
+        with pytest.raises(InputError, match=r"^criteria not present in the hierarchy: C9, X1$"):
+            SustainabilityCoefficients.for_groups(two_level_hierarchy(), ("G1",), 0.5, ("C1", "C9", "C2", "X1"))
+
     def test_duplicate_criterion_membership_is_structural_error(self):
         with pytest.raises(
             InputError, match=r"^dimensions\[1\]\.sub_dimensions\[0\]\.criteria\[0\]: duplicate criterion 'C1'$"

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sspahp import InputError, NumericalError, pearson, rank_from_scores, weighted_spearman
+from sspahp.correlation import _tie_sums
 
 
 def weighted_spearman_oracle(x, y):
@@ -181,3 +182,31 @@ class TestAverageRanksMatchTheOracle:
     def test_tie_heavy_vectors(self, values, higher_better):
         got = rank_from_scores(values, higher_better=higher_better, ties="average")
         assert np.array_equal(got, average_ranks_oracle(values, higher_better))
+
+
+def tie_sums_oracle(key):
+    """start + 1 + end of each cell's tie group, from searchsorted left and right in its sorted row."""
+    rows = key.reshape(-1, key.shape[-1])
+    sums = [np.searchsorted(s, row, "left") + np.searchsorted(s, row, "right") + 1 for s, row in zip(np.sort(rows), rows)]
+    return np.array(sums, dtype=np.intp).reshape(key.shape)
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=30),
+    st.sampled_from(["rows", "flat", "transposed"]),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_tie_sums_equal_the_searchsorted_oracle(rows, m, layout, data):
+    """Tie-heavy keys, -0.0 among them, written into C-ordered, flat and transposed outputs."""
+    pool = st.sampled_from([-0.0, 0.0, 0.5, -0.5, 1.0, 2.0**-1074])
+    key = np.array(data.draw(st.lists(st.lists(pool, min_size=m, max_size=m), min_size=rows, max_size=rows)))
+    if layout == "flat":
+        key = key[0]
+    out = np.full(key.shape, -1, dtype=np.intp)
+    if layout == "transposed":  # as PROMETHEE II calls it: a column-major view of key and out
+        key = np.ascontiguousarray(key.T).T
+        out = np.empty(key.shape[::-1], dtype=np.intp).T
+    _tie_sums(key, out)
+    assert np.array_equal(out, tie_sums_oracle(key))

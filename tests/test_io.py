@@ -132,6 +132,12 @@ class TestLoadHierarchy:
         assert h.objective_for("C8") == "min"
         assert h.objective_for("C1") == "max"
 
+    def test_malformed_json_names_the_file(self, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text('{"dimensions": [')
+        with pytest.raises(InputError, match=r"^malformed JSON in .*h\.json: "):
+            load_hierarchy(path)
+
     def test_single_criterion_hierarchy_is_valid(self, tmp_path):
         doc = {
             "dimensions": [
@@ -328,6 +334,21 @@ class TestLoadDecisionMatrix:
         with pytest.raises(InputError, match="need at least 2 alternatives, got 0"):
             load_decision_matrix(path, h)
 
+    def test_ragged_row_names_the_file_and_row(self, tmp_path):
+        h = small_hierarchy_file(tmp_path)
+        path = tmp_path / "m.csv"
+        path.write_text("alternative,C1,C2\na1,1,2\na2,3\n")
+        with pytest.raises(InputError, match=r"m\.csv: row 2 has 2 cells, expected 3$"):
+            load_decision_matrix(path, h)
+
+    @pytest.mark.parametrize("text", ["", "\n , \n\n"])
+    def test_empty_file_is_named(self, tmp_path, text):
+        h = small_hierarchy_file(tmp_path)
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=r"^empty file: .*m\.csv$"):
+            load_decision_matrix(path, h)
+
     def test_wrong_first_header_is_rejected(self, tmp_path):
         h = small_hierarchy_file(tmp_path)
         path = tmp_path / "m.csv"
@@ -415,6 +436,18 @@ class TestLoadPairwise:
         path.write_text(text)
         with pytest.raises(InputError, match=r"p\.csv: " + message + "$"):
             load_pairwise(path)
+
+    def test_header_without_rows_names_the_file(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("G1,G2\n")
+        with pytest.raises(InputError, match=r"p\.csv: header without data$"):
+            load_pairwise(path)
+
+    def test_batch_of_a_file_is_refused(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("1,2\n0.5,1\n")
+        with pytest.raises(InputError, match=r"^not a directory: .*p\.csv$"):
+            load_pairwise_batch(path)
 
     def test_batch_errors_name_the_expert_file(self, tmp_path):
         d = tmp_path / "experts"
@@ -776,6 +809,18 @@ class TestLoadRankingFile:
         path.write_text("subset,s,alternative,rank\n" + "\n".join(rows) + "\n")
         message = rf"bad\.csv: s cell '{re.escape(cell)}' outside \[0, 1\] at row {row}, column 2$"
         with pytest.raises(InputError, match=message):
+            load_ranking_file(path)
+
+    def test_a_file_without_rank_columns_is_named(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("alternative,score\na1,0.5\n")
+        with pytest.raises(InputError, match=r"scores\.csv: expected \(alternative, rank\) columns or a sweep export$"):
+            load_ranking_file(path)
+
+    def test_a_repeat_at_the_deepest_s_is_named_past_shallower_repeats(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("subset,s,alternative,rank\nG1,0,a1,1\nG1,0,a1,2\nG1,1,a1,1\nG1,0,a2,2\nG1,1,a1,2\n")
+        with pytest.raises(InputError, match=r"sweep\.csv: alternative 'a1' repeated in subset G1 at rows 3 and 5$"):
             load_ranking_file(path)
 
     def test_negative_zero_s_is_the_start_of_the_grid(self, tmp_path):

@@ -399,6 +399,21 @@ class TestCompareRankings:
         with pytest.raises(InputError, match="subset lists differ"):
             compare_rankings(a, b)
 
+    def test_sweeps_are_paired_by_alternative_not_position(self):
+        spec, result = small_sweep()
+        m = spec.matrix
+        reversed_matrix = DecisionMatrix(m.alternative_ids[::-1], m.criterion_ids, m.values[::-1], m.objectives)
+        reversed_result = run_sweep(dataclasses.replace(spec, matrix=reversed_matrix))
+        assert np.array_equal(reversed_result.ranks[:, :, ::-1], result.ranks)
+        assert compare_rankings(result, reversed_result) == compare_rankings(result, result)
+
+    def test_sweeps_over_different_alternatives_are_refused(self):
+        _, result = small_sweep()
+        renamed = dataclasses.replace(result, alternative_ids=("a1", "x2", "a3", "a4", "a5", "x6"))
+        message = "alternative ids differ between the two results; in only one: a2, a6, x2, x6"
+        with pytest.raises(InputError, match=f"^{message}$"):
+            compare_rankings(result, renamed)
+
 
 def fake_sweep_from_trajectory(trajectory):
     """SweepResult with one subset whose first alternative follows the ranks."""
@@ -671,11 +686,10 @@ def test_stability_report_equals_the_per_alternative_oracle(n_subsets, n_grid, m
 
 @contextlib.contextmanager
 def ranking_blocks(cells):
-    """Rank in blocks of ``cells`` cells, all on the fast path; None keeps the shipped block and cut-off."""
+    """Rank in blocks of ``cells`` cells; None keeps the shipped block."""
     with pytest.MonkeyPatch.context() as mp:
         if cells is not None:
             mp.setattr(correlation, "_BLOCK_CELLS", cells)
-            mp.setattr(correlation, "_FAST_MIN_CELLS", 0)
         yield
 
 

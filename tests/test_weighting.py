@@ -18,6 +18,7 @@ from sspahp import (
 )
 
 from conftest import (
+    CONSENSUS_JUDGMENTS,
     DIMENSION_IDS,
     EXPECTED_CR,
     EXPECTED_DIMENSION_WEIGHTS,
@@ -89,6 +90,39 @@ class TestAggregatePairwise:
         mats = [random_reciprocal(rng, 5) for _ in range(7)]
         agg = aggregate_pairwise(mats)
         assert np.max(np.abs(agg.values * agg.values.T - 1.0)) < 1e-9
+
+    def test_labelled_matrices_are_aligned_before_averaging(self):
+        a = PairwiseMatrix(CONSENSUS_JUDGMENTS, labels=DIMENSION_IDS)
+        order = [3, 0, 4, 2, 1]
+        b = PairwiseMatrix(CONSENSUS_JUDGMENTS[np.ix_(order, order)], labels=tuple(DIMENSION_IDS[i] for i in order))
+        agg = aggregate_pairwise([a, b])
+        assert agg.labels == DIMENSION_IDS
+        assert np.array_equal(agg.values, aggregate_pairwise([a, a]).values)
+
+    def test_the_same_numbers_under_reversed_labels_cancel(self):
+        scale = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
+        gap = np.subtract.outer(np.arange(5), np.arange(5))
+        values = np.where(gap <= 0, scale[np.abs(gap)], 1.0 / scale[np.abs(gap)])
+        experts = [PairwiseMatrix(values, labels=DIMENSION_IDS), PairwiseMatrix(values, labels=DIMENSION_IDS[::-1])]
+        weights, report = ahp_weights(aggregate_pairwise(experts))
+        assert weights.criterion_ids == DIMENSION_IDS
+        assert np.allclose(weights.weights, 0.2, atol=1e-12)
+        assert report.cr == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "first, second, listed",
+        [
+            (("G1", "G2", "G3"), ("G1", "G2", "X3"), "G1, G2, G3 vs G1, G2, X3"),
+            (("G1", "G2", "G3"), None, "G1, G2, G3 vs unlabelled"),
+            (None, ("G1", "G2", "G3"), "unlabelled vs G1, G2, G3"),
+            (("G1", "G2", "G3"), ("G1", "G1", "G2"), "G1, G2, G3 vs G1, G1, G2"),
+        ],
+    )
+    def test_matrices_over_different_items_are_refused(self, first, second, listed):
+        same = PairwiseMatrix(np.ones((3, 3)), labels=first)
+        other = PairwiseMatrix(np.ones((3, 3)), labels=second)
+        with pytest.raises(InputError, match=f"pairwise matrices 1 and 3 compare different items: {listed}$"):
+            aggregate_pairwise([same, same, other])
 
 
 def test_random_index_table_holds_the_published_values():
@@ -281,6 +315,11 @@ class TestCriticWeights:
     def test_all_constant_matrix_is_degenerate(self):
         with pytest.raises(DegenerateWeightsError):
             critic_weights(make_matrix([[5.0, 2.0], [5.0, 2.0]]))
+
+    @pytest.mark.parametrize("sample_std", [True, False])
+    def test_one_alternative_is_refused(self, sample_std):
+        with pytest.raises(InputError, match="need at least 2 alternatives, got 1"):
+            critic_weights(make_matrix([[1.0, 2.0]]), sample_std=sample_std)
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(21)
