@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import functools
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
 
@@ -48,11 +51,23 @@ def _handled(fn):
     return wrapper
 
 
-def _emit(text: str, out: str | None) -> None:
+#: stdout as a text handle, every write passed to ``click.echo``
+_STDOUT = SimpleNamespace(write=functools.partial(click.echo, nl=False))
+
+
+@contextmanager
+def _opened(out: str | None):
+    """A text handle on the ``--out`` file, or on stdout without one."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with Path(out).open("w", encoding="utf-8") as fh:
+            yield fh
     else:
-        click.echo(text, nl=False)
+        yield _STDOUT
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _opened(out) as fh:
+        fh.write(text)
 
 
 def _table(headers, rows) -> str:
@@ -362,6 +377,12 @@ def sweep_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, stric
     )
     result = run_sweep(spec)
 
+    if fmt == "csv":
+        # one subset's rows at a time, so the rows of the whole sweep are never held
+        with _opened(out) as fh:
+            records = chain.from_iterable(result.record_blocks())
+            sio.write_records_csv(fh, records, ["subset", "s", "alternative", "utility", "rank"])
+        return
     if fmt == "json":
         text = sio.records_to_json(
             {
@@ -369,10 +390,6 @@ def sweep_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, stric
                 "subsets": [list(s) for s in result.subsets],
                 "records": result.to_records(),
             }
-        )
-    elif fmt == "csv":
-        text = sio.records_to_csv(
-            result.to_records(), ["subset", "s", "alternative", "utility", "rank"]
         )
     else:
         final = result.final_rankings()

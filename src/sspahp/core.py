@@ -76,9 +76,13 @@ class _Ranked:
         """The result owning ``scores`` and the ranks they induce, ties in input order.
 
         Rank 1 goes to the highest score unless ``higher_better=False`` is
-        among the fields. A NaN or infinite score raises InputError.
+        among the fields. A class with a ``has_ties`` field gets whether any
+        two scores are equal, ``-0.0`` and ``0.0`` among them. A NaN or
+        infinite score raises InputError.
         """
-        ranking = _ordinal_ranks(_finite_key(scores, fields.get("higher_better", True)))
+        ranking, tied = _ordinal_ranks(_finite_key(scores, fields.get("higher_better", True)))
+        if "has_ties" in cls.__dataclass_fields__:
+            fields["has_ties"] = tied
         arrays = dict(zip(cls._ARRAYS, (scores, ranking)))
         return cls(**arrays, alternative_ids=alternative_ids, **fields, _owned=True)
 

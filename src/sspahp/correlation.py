@@ -101,30 +101,34 @@ _BLOCK_CELLS = 2**17
 _BLOCK_BYTES = _BLOCK_CELLS * 48
 
 
-def _ordinal_ranks(key: np.ndarray) -> np.ndarray:
-    """Integer ranks 1..N along the last axis, smallest key first, ties in input order."""
+def _ordinal_ranks(key: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Integer ranks 1..N along the last axis, smallest key first, ties in input order.
+
+    The flag tells whether any row holds equal keys.
+    """
     rows = np.ascontiguousarray(key).reshape(-1, key.shape[-1]) if key.size else None
     return _ranks_in_blocks(key.shape, lambda lo, hi: rows[lo:hi], int)
 
 
-def _ranks_in_blocks(shape, key_rows, dtype) -> np.ndarray:
+def _ranks_in_blocks(shape, key_rows, dtype) -> tuple[np.ndarray, bool]:
     """Ranks along the last axis of ``shape``, each block of flat rows ranked from ``key_rows(lo, hi)``.
 
     A block holds about ``_BLOCK_CELLS`` cells and at least one row, so only
-    the ranks are kept whole.
+    the ranks are kept whole. The flag tells whether any row holds equal keys.
     """
     ranks = np.empty(shape, dtype=dtype)
+    tied = False
     if ranks.size:  # an empty shape has no rows to rank
         n = shape[-1]
         flat = ranks.reshape(-1, n)
         step = max(1, _BLOCK_CELLS // n)
         for lo in range(0, len(flat), step):
             hi = min(lo + step, len(flat))
-            _rank_rows(key_rows(lo, hi), flat[lo:hi])
-    return ranks
+            tied |= _rank_rows(key_rows(lo, hi), flat[lo:hi])
+    return ranks, tied
 
 
-def _rank_rows(key: np.ndarray, out: np.ndarray) -> None:
+def _rank_rows(key: np.ndarray, out: np.ndarray) -> bool:
     """Write the ranks of each row of a C-ordered [row, n] key into ``out``, ties in input order.
 
     Numpy's default argsort is faster than the stable one but may put equal
@@ -133,7 +137,7 @@ def _rank_rows(key: np.ndarray, out: np.ndarray) -> None:
     are sorted again stably. Keys must be finite: NaNs never compare equal,
     so their ties would go unseen. The sort order of each row is offset to
     flat positions, so the ranks go in with one scatter into ``out``, which
-    must be C-ordered too.
+    must be C-ordered too. Returns whether any row holds equal keys.
     """
     n = key.shape[1]
     order = np.argsort(key, axis=-1)
@@ -144,6 +148,7 @@ def _rank_rows(key: np.ndarray, out: np.ndarray) -> None:
     if tied.size:
         order[tied] = np.argsort(key[tied], axis=-1, kind="stable") + offsets[tied]
     out.reshape(-1)[order] = np.arange(1, n + 1)
+    return bool(tied.size)
 
 
 def _tie_sums(key: np.ndarray, out: np.ndarray) -> None:
@@ -199,7 +204,7 @@ def rank_from_scores(values, higher_better: bool = True, ties: str = INPUT_ORDER
         raise InputError("expected a flat score vector")
     key = _finite_key(v, higher_better)
     if ties == INPUT_ORDER:
-        return _ordinal_ranks(key).astype(float)
+        return _ordinal_ranks(key)[0].astype(float)
     if ties != AVERAGE:
         raise InputError(f"unknown tie rule '{ties}'")
     twice = np.empty(v.shape, dtype=np.intp)

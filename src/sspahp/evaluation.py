@@ -118,10 +118,7 @@ def evaluate(matrix: DecisionMatrix, weights: WeightVector, s=0.0) -> Evaluation
     w = weights.aligned(matrix.criterion_ids)
     norm = _normalized(matrix)
     b = mad_transform(norm, s)
-    utilities = b @ w
-    ordered = np.sort(utilities)
-    has_ties = bool((ordered[1:] == ordered[:-1]).any())  # -0.0 == 0.0 counts as a tie
-    return EvaluationResult._from_scores(utilities, matrix.alternative_ids, has_ties=has_ties)
+    return EvaluationResult._from_scores(b @ w, matrix.alternative_ids)
 
 
 def evaluate_with_group_s(

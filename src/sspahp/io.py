@@ -15,19 +15,25 @@ Formats:
   number, and every ``s`` must lie in [0, 1]; an alternative may not repeat
   in a plain file, nor within a subset at its deepest ``s``.
 
-``records_to_csv`` writes a header of ``fieldnames`` and one row per record;
-every record must carry exactly those keys. Python floats are written by
-``repr``, so they keep full precision; every other cell, a float subclass
-such as ``np.float64`` too, is written exactly as ``csv.writer`` writes it,
-with its quoting and the ``""`` of a lone empty field.
+``write_records_csv`` writes a header of ``fieldnames`` and one row per
+record to a text handle, a block of records at a time, and
+``records_to_csv`` returns the same text as a string; every record must
+carry exactly those keys. Python floats are written by ``repr``, so they
+keep full precision; every other cell, a float subclass such as
+``np.float64`` too, is written exactly as ``csv.writer`` writes it, with
+its quoting and the ``""`` of a lone empty field. The CLI streams a CSV
+sweep export through ``write_records_csv`` one subset at a time; a JSON
+export is still built as one text.
 """
 
 from __future__ import annotations
 
 import csv
 import io as _io
+import itertools
 import json
 import operator
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -423,13 +429,20 @@ def load_ranking_file(path):
 
         si, gi = header.index("subset"), header.index("s")
         deepest: dict[str, tuple] = {}  # subset -> (deepest s, its first row, [(alternative, rank), ...])
+        s_of, rank_of = {}, {}  # each distinct text parsed, and s range-checked, once
         for r, row in enumerate(rows, start=1):
-            s, rank = float(row[gi]), float(row[ri])
+            s = s_of.get(row[gi])
+            if s is None:
+                s = float(row[gi])
+                if not 0.0 <= s <= 1.0:  # NaN fails too
+                    raise ValueError(s)
+                s_of[row[gi]] = s
+            rank = rank_of.get(row[ri])
+            if rank is None:
+                rank = rank_of[row[ri]] = float(row[ri])
             entry = deepest.get(row[si])
             if entry is not None and s == entry[0]:
                 entry[2].append((row[ai], rank))
-            elif not 0.0 <= s <= 1.0:  # NaN fails too
-                raise ValueError(s)
             elif entry is None or s > entry[0]:
                 deepest[row[si]] = (s, r, [(row[ai], rank)])
     except (ValueError, IndexError):
@@ -441,9 +454,10 @@ def load_ranking_file(path):
     return "sweep", final
 
 
-def _key_mismatch(records, fieldnames) -> ValueError:
+def _key_mismatch(records, fieldnames, start) -> ValueError:
+    """Name the first record with other keys than ``fieldnames``, counting ``records`` from ``start``."""
     expected = set(fieldnames)
-    i, keys = next((i, rec.keys()) for i, rec in enumerate(records) if rec.keys() != expected)
+    i, keys = next((i, rec.keys()) for i, rec in enumerate(records, start) if rec.keys() != expected)
     return ValueError(
         f"record {i} has keys {list(keys)}, expected {list(fieldnames)}: "
         f"missing {[k for k in fieldnames if k not in keys]}, "
@@ -461,61 +475,89 @@ class _Lines(list):
     write = list.append
 
 
-def _render_column(cells: list, lone: bool) -> list[str]:
-    """Each cell's text as ``csv.writer`` writes it in a row of the table.
+def _csv_texts(values, lone: bool) -> list[str]:
+    """Each value's text as ``csv.writer`` writes it in a row of the table.
 
-    A column of exact floats that are all distinct goes through
-    ``float.__repr__``, the text ``csv.writer`` writes for a float.
-    Otherwise each distinct object is written once by ``csv.writer``, alone
-    in a one-field row, where it is quoted as in any row. The one exception
-    is an empty field: ``""`` when it is the table's only field (``lone``),
-    empty otherwise.
+    Each value is written alone in a one-field row, where it is quoted as in
+    any row. The one exception is an empty field: ``""`` when it is the
+    table's only field (``lone``), empty otherwise.
     """
-    # Distinct objects are found by id(), not by value, which would merge
-    # 0.0 with -0.0, and 1 with 1.0 and True. An id names one object only
-    # while that object lives: ``cells`` keeps every object alive until the
-    # cache is dropped at the end of this call. A cache kept longer could
-    # find a new object at the id of a freed one and hand it the wrong text.
-    keys = list(map(id, cells))
-    distinct = dict(zip(keys, cells))
-    if len(distinct) == len(cells) and set(map(type, cells)) == {float}:
-        return list(map(float.__repr__, cells))
     lines = _Lines()
-    csv.writer(lines, lineterminator="\n").writerows([cell] for cell in distinct.values())
+    csv.writer(lines, lineterminator="\n").writerows([value] for value in values)
     texts = [line[:-1] for line in lines]
     if not lone:
         texts = ["" if text == '""' else text for text in texts]
-    text_of = dict(zip(distinct, texts))
+    return texts
+
+
+def _render_column(cells: list, lone: bool) -> list[str]:
+    """Each cell's text as ``csv.writer`` writes it in a row of the table.
+
+    A column of exact ``str``s, or of exact ``int``s, renders each distinct
+    value once, and a ``str`` column that needs no quoting is its own text.
+    A column of exact floats that are all distinct goes through
+    ``float.__repr__``, the text ``csv.writer`` writes for a float. Any
+    other column renders each distinct object once.
+    """
+    kinds = set(map(type, cells))
+    if kinds == {str} or kinds == {int}:
+        # equal exact strs, or equal exact ints, always have the same text
+        distinct = list(dict.fromkeys(cells))
+        texts = _csv_texts(distinct, lone)
+        if texts == distinct:
+            return cells
+        return list(map(dict(zip(distinct, texts)).__getitem__, cells))
+    # Other distinct objects are found by id(), not by value, which would
+    # merge 0.0 with -0.0, and 1 with 1.0 and True. An id names one object
+    # only while that object lives: ``cells`` keeps every object alive until
+    # the cache is dropped at the end of this call. A cache kept longer could
+    # find a new object at the id of a freed one and hand it the wrong text.
+    keys = list(map(id, cells))
+    distinct = dict(zip(keys, cells))
+    if len(distinct) == len(cells) and kinds == {float}:
+        return list(map(float.__repr__, cells))
+    text_of = dict(zip(distinct, _csv_texts(distinct.values(), lone)))
     return list(map(text_of.__getitem__, keys))
+
+
+def write_records_csv(fh, records: Iterable[dict], fieldnames: list[str]) -> None:
+    """Write records as CSV to the text handle ``fh``, a block at a time.
+
+    The header is ``fieldnames``; each record becomes one row in that
+    column order. ``records`` may be any iterable: it is read
+    ``_BLOCK_ROWS`` records at a time, and each block is written before the
+    next is read. Every record must carry exactly the keys in
+    ``fieldnames``: a missing or an extra key raises ValueError naming the
+    record's index and the keys, after the blocks before it are written.
+    Python floats are written by ``repr`` and every other cell exactly as
+    ``csv.writer`` writes it; the rows are built column by column, and each
+    distinct cell is rendered once per block.
+    """
+    csv.writer(fh, lineterminator="\n").writerow(fieldnames)
+    getters = [operator.itemgetter(name) for name in fieldnames]
+    width, lone = len(set(fieldnames)), len(fieldnames) == 1
+    records, start = iter(records), 0
+    while block := list(itertools.islice(records, _BLOCK_ROWS)):
+        # with every field present, a record of the right size has no extra key
+        if set(map(len, block)) - {width}:
+            raise _key_mismatch(block, fieldnames, start)
+        try:
+            columns = [_render_column(list(map(get, block)), lone) for get in getters]
+        except KeyError:
+            raise _key_mismatch(block, fieldnames, start) from None
+        rows = map(",".join, zip(*columns)) if columns else [""] * len(block)
+        fh.write("\n".join(rows))
+        fh.write("\n")
+        start += len(block)
 
 
 def records_to_csv(records: list[dict], fieldnames: list[str]) -> str:
     """Serialize records to CSV text; floats keep full precision.
 
-    The header is ``fieldnames``; each record becomes one row in that
-    column order. Every record must carry exactly the keys in
-    ``fieldnames``: a missing or an extra key raises ValueError naming the
-    record's index and the keys. Python floats are written by ``repr`` and
-    every other cell exactly as ``csv.writer`` writes it; the rows are built
-    column by column, a block of records at a time, and each distinct cell
-    object is rendered once per block.
+    The text is what :func:`write_records_csv` writes, with its checks.
     """
-    # with every field present, a record of the right size has no extra key
-    if set(map(len, records)) - {len(set(fieldnames))}:
-        raise _key_mismatch(records, fieldnames)
     buf = _io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fieldnames)
-    getters = [operator.itemgetter(name) for name in fieldnames]
-    lone = len(fieldnames) == 1
-    for start in range(0, len(records), _BLOCK_ROWS):
-        block = records[start : start + _BLOCK_ROWS]
-        try:
-            columns = [_render_column(list(map(get, block)), lone) for get in getters]
-        except KeyError:
-            raise _key_mismatch(records, fieldnames) from None
-        rows = map(",".join, zip(*columns)) if columns else [""] * len(block)
-        buf.write("\n".join(rows))
-        buf.write("\n")
+    write_records_csv(buf, records, fieldnames)
     return buf.getvalue()
 
 

@@ -21,6 +21,7 @@ kernels that ``weighted_spearman`` and ``pearson`` run on a single row.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,20 +203,27 @@ class SweepResult(_Ranked):
             raise InputError(f"subset {subset_label(subset) or '()'} not in sweep")
         return self.ranks[si, :, self._position(alternative_id)]
 
-    def to_records(self) -> list[dict]:
-        """Long-format rows: subset, s, alternative, utility, rank.
+    def record_blocks(self) -> Iterator[list[dict]]:
+        """The rows of ``to_records``, one list per subset, each built when it is reached.
 
         Utilities are rebuilt one subset at a time, by the expression of
         ``utilities``.
         """
         grid, column = self.s_grid.tolist(), self.s_grid[:, None]
-        labels = map(subset_label, self.subsets)
-        return [
-            {"subset": label, "s": s, "alternative": alt, "utility": u, "rank": r}
-            for label, p_row, r_rows in zip(labels, self.penalty, self.ranks)
-            for s, u_row, r_row in zip(grid, (self.base - column * p_row).tolist(), r_rows.tolist())
-            for alt, u, r in zip(self.alternative_ids, u_row, r_row)
-        ]
+        for sub, p_row, r_rows in zip(self.subsets, self.penalty, self.ranks):
+            label = subset_label(sub)
+            yield [
+                {"subset": label, "s": s, "alternative": alt, "utility": u, "rank": r}
+                for s, u_row, r_row in zip(grid, (self.base - column * p_row).tolist(), r_rows.tolist())
+                for alt, u, r in zip(self.alternative_ids, u_row, r_row)
+            ]
+
+    def to_records(self) -> list[dict]:
+        """Long-format rows: subset, s, alternative, utility, rank."""
+        records = []
+        for block in self.record_blocks():
+            records += block
+        return records
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -259,7 +267,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         s_grid=grid,
         base=base,
         penalty=penalty,
-        ranks=_ranks_in_blocks((len(subsets), grid.size, matrix.m), key_rows, np.int32),
+        ranks=_ranks_in_blocks((len(subsets), grid.size, matrix.m), key_rows, np.int32)[0],
         _owned=True,
     )
 

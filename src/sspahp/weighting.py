@@ -54,8 +54,8 @@ class PairwiseMatrix:
 
     User-entered matrices normally hold comparison-scale values {1..9} and
     their reciprocals; geometric-mean aggregates may hold any positive reals.
-    Reciprocity (values[i][j] * values[j][i] == 1) and a unit diagonal are
-    enforced at construction.
+    Reciprocity (values[i][j] * values[j][i] == 1), a unit diagonal and
+    labels, when given, that name each row once are enforced at construction.
     """
 
     values: np.ndarray
@@ -86,6 +86,9 @@ class PairwiseMatrix:
                 raise InputError(
                     f"{len(labels)} labels for a {arr.shape[0]}x{arr.shape[0]} matrix"
                 )
+            repeated = next((x for i, x in enumerate(labels) if x in labels[:i]), None)
+            if repeated is not None:
+                raise InputError(f"pairwise label '{repeated}' repeated")
             object.__setattr__(self, "labels", labels)
 
     @property
@@ -121,7 +124,7 @@ def aggregate_pairwise(matrices: list[PairwiseMatrix]) -> PairwiseMatrix:
     for i, m in enumerate(matrices, start=1):
         order = slice(None)
         if m.labels != labels:
-            if labels is None or m.labels is None or len(set(m.labels)) < m.n or set(m.labels) != set(labels):
+            if labels is None or m.labels is None or set(m.labels) != set(labels):
                 listed = ["unlabelled" if x is None else ", ".join(x) for x in (labels, m.labels)]
                 raise InputError(f"pairwise matrices 1 and {i} compare different items: {listed[0]} vs {listed[1]}")
             order = [m.labels.index(label) for label in labels]

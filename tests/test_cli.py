@@ -1,16 +1,18 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from sspahp import PairwiseMatrix
+from sspahp import CriteriaHierarchy, Dimension, PairwiseMatrix, SubDimension
 from sspahp.cli import main
 from sspahp.io import (
     load_decision_matrix,
     load_hierarchy,
     load_pairwise,
     load_weights,
+    records_to_csv,
     write_hierarchy_json,
     write_matrix_csv,
 )
@@ -379,7 +381,46 @@ class TestBenchmarksCommand:
         assert result.exit_code == 2
 
 
+def k_dimension_hierarchy(k):
+    """``k`` dimensions of three criteria in two sub-dimensions; every third criterion is a cost."""
+    dims, objectives = [], {}
+    for d in range(k):
+        ids = [f"C{3 * d + i + 1}" for i in range(3)]
+        dims.append(Dimension(f"D{d + 1}", f"Dimension {d + 1}", (SubDimension("a", ids[:2]), SubDimension("b", ids[2:]))))
+        objectives.update({c: "min" if int(c[1:]) % 3 == 0 else "max" for c in ids})
+    return CriteriaHierarchy(tuple(dims), objectives)
+
+
+#: traced bytes a streamed ``sweep --format csv --out`` may take at k = 6, m = 100
+STREAMED_EXPORT_BYTES = 16 * 2**20
+
+
 class TestSweepCommand:
+    def test_csv_out_is_streamed_a_subset_at_a_time(self, runner, tmp_path):
+        hierarchy = k_dimension_hierarchy(6)
+        matrix_path, hierarchy_path, out = tmp_path / "m.csv", tmp_path / "h.json", tmp_path / "sweep.csv"
+        write_matrix_csv(sample_matrix(m=100, seed=5, hierarchy=hierarchy), matrix_path)
+        write_hierarchy_json(hierarchy, hierarchy_path)
+        args = ["sweep", "--matrix", str(matrix_path), "--hierarchy", str(hierarchy_path),
+                "--weights-method", "critic", "--format", "csv", "--out", str(out)]
+        fields = ["subset", "s", "alternative", "utility", "rank"]
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, args)
+            streamed_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            matrix = load_decision_matrix(matrix_path, hierarchy)
+            whole = records_to_csv(run_sweep(SweepSpec(matrix, hierarchy, critic_weights(matrix))).to_records(), fields)
+            whole_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert whole.count("\n") == 1 + 2**6 * 21 * 100
+        assert out.read_bytes().decode("utf-8") == whole
+        # every record and the whole text held at once go over the bound; one subset's rows stay under it
+        assert whole_peak > STREAMED_EXPORT_BYTES
+        assert streamed_peak < STREAMED_EXPORT_BYTES, f"{streamed_peak:,} traced bytes"
+
     def test_all_groups_row_count(self, runner, data_files):
         matrix_path, hierarchy_path = data_files
         result = runner.invoke(
@@ -576,6 +617,19 @@ class TestMalformedInputs:
         path.write_text("1,2,3\n0.5,1\n1/3,1,1\n")
         result = runner.invoke(main, ["weights", "--method", "ahp", "--pairwise", str(path)])
         self.assert_input_error(result, "ragged.csv: row 2 has 2 entries; expected a square 3x3 matrix")
+
+    def test_repeated_pairwise_label_is_refused_before_the_eigen_solve(self, runner, tmp_path, monkeypatch):
+        from sspahp import weighting
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the eigen solve ran")
+
+        monkeypatch.setattr(weighting, "_eigen_solve", no_solve)
+        path = tmp_path / "dup.csv"
+        path.write_text("G1,G1,G2\n1,1,2\n1,1,2\n1/2,1/2,1\n")
+        result = runner.invoke(main, ["weights", "--method", "ahp", "--pairwise", str(path)])
+        assert result.stderr == f"input error: {path}: pairwise label 'G1' repeated\n"
+        assert result.exit_code == 2
 
     def test_non_reciprocal_expert_file(self, runner, tmp_path):
         d = tmp_path / "experts"

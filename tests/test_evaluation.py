@@ -2,6 +2,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sspahp import (
     InputError,
@@ -175,6 +177,15 @@ class TestEvaluate:
         # adjacent floats are distinct
         with weighted_sums([0.5, np.nextafter(0.5, 1.0), 0.25]):
             assert not evaluate(m, w, 0.0).has_ties
+
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, float(np.nextafter(0.5, 1.0))]), min_size=2, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_ties_flag_matches_a_sort_of_the_utilities(self, utilities):
+        m = make_matrix([[float(i)] for i in range(len(utilities))])
+        w = WeightVector(np.array([1.0]), m.criterion_ids)
+        ordered = sorted(utilities)
+        with weighted_sums(utilities):
+            assert evaluate(m, w, 0.0).has_ties == any(a == b for a, b in zip(ordered, ordered[1:]))
 
     def test_permuting_rows_permutes_utilities(self):
         rng = np.random.default_rng(9)

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sspahp.io as sspahp_io
@@ -23,6 +23,7 @@ from sspahp.io import (
     load_weights,
     records_to_csv,
     write_hierarchy_json,
+    write_records_csv,
     write_matrix_csv,
 )
 from sspahp.sample import DATA_DIR, sample_hierarchy, sample_matrix, write_sample
@@ -605,7 +606,62 @@ def csv_table(draw):
     return records, fieldnames
 
 
+#: one kind of cell per column: the exact-type columns the writer renders by value, and the rest
+csv_column_kinds = st.sampled_from(
+    [
+        csv_text,  # exact str, quoting and "" included
+        st.text(alphabet="abG+_. 12", max_size=4),  # exact str that needs no quoting, "" aside
+        st.integers(min_value=-(10**20), max_value=10**20),
+        st.booleans(),
+        st.one_of(st.sampled_from([-0.0, 0.0, math.nan]), st.floats(allow_nan=True, allow_infinity=True)),
+        st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+        st.sampled_from([1, 1.0, True]),
+    ]
+)
+
+
+@st.composite
+def typed_table(draw):
+    kinds = draw(st.lists(csv_column_kinds, min_size=1, max_size=4))
+    n = draw(st.integers(0, 9))
+    columns = [draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]
+    fieldnames = [f"c{i}" for i in range(len(kinds))]
+    return [dict(zip(fieldnames, row)) for row in zip(*columns)], fieldnames
+
+
 class TestRecordsToCsv:
+    @settings(max_examples=400, deadline=None)
+    @given(typed_table(), st.sampled_from([1, 2, 3, sspahp_io._BLOCK_ROWS]))
+    @example(([{"a": ""}, {"a": "x"}, {"a": ""}], ["a"]), 2)
+    @example(([{"a": "", "b": 1}, {"a": 'q"', "b": 2}], ["a", "b"]), 1)
+    @example(([{"a": 1}, {"a": 1.0}, {"a": True}, {"a": 1}], ["a"]), 3)
+    def test_typed_columns_match_the_dictwriter_oracle(self, table, block_rows):
+        records, fieldnames = table
+        with mock.patch.object(sspahp_io, "_BLOCK_ROWS", block_rows):
+            assert records_to_csv(records, fieldnames) == records_to_csv_oracle(records, fieldnames)
+
+    def test_an_iterable_is_written_a_block_at_a_time(self):
+        fh = io.StringIO()
+
+        def records():
+            for i in range(7):
+                # every full block before this record is already written
+                assert fh.getvalue().count("\n") == 1 + i // 2 * 2
+                yield {"a": f"a{i}", "b": i}
+
+        with mock.patch.object(sspahp_io, "_BLOCK_ROWS", 2):
+            write_records_csv(fh, records(), ["a", "b"])
+        expected = [{"a": f"a{i}", "b": i} for i in range(7)]
+        assert fh.getvalue() == records_to_csv_oracle(expected, ["a", "b"])
+
+    def test_a_bad_record_in_a_later_block_is_named_by_its_index(self):
+        records = [{"a": 1, "b": 2}] * 5 + [{"a": 1}]
+        fh = io.StringIO()
+        with mock.patch.object(sspahp_io, "_BLOCK_ROWS", 2):
+            with pytest.raises(ValueError, match=r"^record 5 has keys \['a'\]"):
+                write_records_csv(fh, iter(records), ["a", "b"])
+        assert fh.getvalue() == "a,b\n" + "1,2\n" * 4
+
     @settings(max_examples=400, deadline=None)
     @given(csv_table(), st.sampled_from([1, 2, 3, sspahp_io._BLOCK_ROWS]))
     def test_matches_the_dictwriter_oracle_byte_for_byte(self, table, block_rows):
@@ -809,6 +865,24 @@ class TestLoadRankingFile:
         path.write_text("subset,s,alternative,rank\n" + "\n".join(rows) + "\n")
         message = rf"bad\.csv: s cell '{re.escape(cell)}' outside \[0, 1\] at row {row}, column 2$"
         with pytest.raises(InputError, match=message):
+            load_ranking_file(path)
+
+    @pytest.mark.parametrize(
+        "late, message",
+        [
+            ("G2,half,a1,1", r"non-numeric s cell 'half' at row 5, column 2"),
+            ("G2,1.5,a1,1", r"s cell '1\.5' outside \[0, 1\] at row 5, column 2"),
+            ("G2,2,a1,1", r"s cell '2' outside \[0, 1\] at row 5, column 2"),  # '2' is a good rank text above
+            ("G2,nan,a1,1", r"s cell 'nan' outside \[0, 1\] at row 5, column 2"),
+            ("G2,0,a1,2nd", r"non-numeric rank cell '2nd' at row 5, column 4"),
+            ("G2,0,a1", r"row 5 has 3 cells, no column 4 \(rank\)"),
+            ("G2,0", r"row 5 has 2 cells, no column 3 \(alternative\)"),
+        ],
+    )
+    def test_a_bad_cell_first_seen_on_a_late_row_is_named(self, tmp_path, late, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("subset,s,alternative,rank\nG1,0,a1,1\nG1,0,a2,2\nG1,1,a1,2\nG1,1,a2,1\n" + late + "\nG2,1,a2,1\n")
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: {message}$"):
             load_ranking_file(path)
 
     def test_a_file_without_rank_columns_is_named(self, tmp_path):

@@ -706,8 +706,10 @@ def test_blocked_ranks_equal_the_stable_sort_oracle(rows, m, block_rows, data):
     if rows == 1 and data.draw(st.booleans()):
         key = key[0]
     with ranking_blocks(None if block_rows is None else block_rows * m):
-        ranks = correlation._ordinal_ranks(key)
+        ranks, tied = correlation._ordinal_ranks(key)
     assert np.array_equal(ranks, ordinal_ranks_oracle(-key))
+    ordered = np.sort(key, axis=-1)
+    assert tied == bool((ordered[..., 1:] == ordered[..., :-1]).any())
 
 
 def eighths_spec(values):

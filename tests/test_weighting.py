@@ -56,6 +56,11 @@ class TestPairwiseMatrix:
         with pytest.raises(InputError, match="diagonal"):
             PairwiseMatrix(np.array([[2.0, 2.0], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("labels, repeated", [(("G1", "G1", "G2"), "G1"), (("G1", "G2", "G2"), "G2")])
+    def test_rejects_a_repeated_label(self, labels, repeated):
+        with pytest.raises(InputError, match=f"^pairwise label '{repeated}' repeated$"):
+            PairwiseMatrix(np.ones((3, 3)), labels=labels)
+
 
 class TestAggregatePairwise:
     def test_single_matrix_is_identity(self):
@@ -115,7 +120,6 @@ class TestAggregatePairwise:
             (("G1", "G2", "G3"), ("G1", "G2", "X3"), "G1, G2, G3 vs G1, G2, X3"),
             (("G1", "G2", "G3"), None, "G1, G2, G3 vs unlabelled"),
             (None, ("G1", "G2", "G3"), "unlabelled vs G1, G2, G3"),
-            (("G1", "G2", "G3"), ("G1", "G1", "G2"), "G1, G2, G3 vs G1, G1, G2"),
         ],
     )
     def test_matrices_over_different_items_are_refused(self, first, second, listed):
