@@ -25,7 +25,7 @@ import click
 # weighting, evaluation, benchmarks and sensitivity are imported inside the
 # commands that run them, so each run loads only its own pipeline
 from . import io as sio
-from .core import DEFAULT_TAU, WeightVector
+from .core import DEFAULT_TAU, WeightVector, _normalized
 from .errors import InconsistentJudgmentsError, InputError, NumericalError
 
 FORMATS = ("table", "csv", "json")
@@ -89,9 +89,17 @@ def _parse_groups(text: str):
     return tuple(g.strip() for g in text.split(",") if g.strip())
 
 
+def _warn_constant_columns(matrix) -> None:
+    """Print the matrix's normalization warnings, one constant criterion a line, to stderr."""
+    for warning in _normalized(matrix).warnings:
+        click.echo(f"warning: {warning}", err=True)
+
+
 def _load_inputs(matrix_path, hierarchy_path):
     hierarchy = sio.load_hierarchy(hierarchy_path)
-    return sio.load_decision_matrix(matrix_path, hierarchy), hierarchy
+    matrix = sio.load_decision_matrix(matrix_path, hierarchy)
+    _warn_constant_columns(matrix)
+    return matrix, hierarchy
 
 
 def _ahp_from_path(pairwise_path, hierarchy=None, strict_cr=False):
@@ -196,6 +204,8 @@ def weights_cmd(method, pairwise, matrix_path, hierarchy_path, weights_file, str
     """Derive criterion weights and (for ahp) report judgment consistency."""
     hierarchy = sio.load_hierarchy(hierarchy_path) if hierarchy_path else None
     matrix = sio.load_decision_matrix(matrix_path, hierarchy) if matrix_path and hierarchy else None
+    if matrix is not None and method in ("critic", "entropy"):
+        _warn_constant_columns(matrix)
     w, report, dim_weights = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
 
     if fmt == "json":

@@ -12,8 +12,13 @@ Formats:
   header row optional; bounds need exactly one row per hierarchy criterion;
 * ranking: CSV with ``alternative`` and ``rank`` columns, or a sweep export
   that adds ``subset`` and ``s``; every ``s`` and ``rank`` cell must be a
-  number, and every ``s`` must lie in [0, 1]; an alternative may not repeat
-  in a plain file, nor within a subset at its deepest ``s``.
+  number, every ``s`` must lie in [0, 1] and every ``rank`` must be finite;
+  an alternative may not repeat in a plain file, nor within a subset at its
+  deepest ``s``.
+
+Every CSV reader skips a blank row (every cell empty or whitespace) wherever
+it sits, the header is the first non-blank row, and data rows are counted
+from 1 without the blank ones.
 
 ``write_records_csv`` writes a header of ``fieldnames`` and one row per
 record to a text handle, a block of records at a time, and
@@ -32,8 +37,10 @@ import csv
 import io as _io
 import itertools
 import json
+import math
 import operator
 from collections.abc import Iterable
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -57,21 +64,36 @@ def _unreadable(path, exc: IsADirectoryError | UnicodeDecodeError) -> InputError
     return InputError(f"{path}: not UTF-8 text (cannot decode byte 0x{exc.object[exc.start]:02x})")
 
 
-def _iter_rows(path):
-    """Stream the non-blank CSV rows of a file, header first."""
+def _is_blank(row) -> bool:
+    """Whether every cell of a CSV row is empty or whitespace."""
+    return not "".join(row).strip()
+
+
+@contextmanager
+def _csv_rows(path):
+    """The first non-blank row of a UTF-8 CSV file, and a ``csv.reader`` on the rows after it.
+
+    A missing, empty, directory or undecodable file raises InputError.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError(f"file not found: {path}")
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            rows = (row for row in csv.reader(fh) if "".join(row).strip())
-            header = next(rows, None)
+            rows = csv.reader(fh)
+            header = next(itertools.filterfalse(_is_blank, rows), None)
             if header is None:
                 raise InputError(f"empty file: {path}")
-            yield header
-            yield from rows
+            yield header, rows
     except (IsADirectoryError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from None
+
+
+def _iter_rows(path):
+    """Stream the non-blank CSV rows of a file, header first."""
+    with _csv_rows(path) as (header, rows):
+        yield header
+        yield from itertools.filterfalse(_is_blank, rows)
 
 
 def _parse_number(token: str, where: str) -> float:
@@ -348,7 +370,7 @@ _PLAIN_COLUMNS = ("alternative", "rank")
 
 
 def _bad_ranking_row(path, r, row, header, columns) -> InputError:
-    """Name the first missing column, non-numeric s/rank cell or out-of-range s of a row."""
+    """Name the first missing column, non-numeric s/rank cell, out-of-range s or non-finite rank of a row."""
     for name in columns:
         c = header.index(name)
         if c >= len(row):
@@ -364,6 +386,8 @@ def _bad_ranking_row(path, r, row, header, columns) -> InputError:
                 )
             if name == "s" and not 0.0 <= value <= 1.0:
                 return InputError(f"{path}: s cell '{row[c]}' outside [0, 1] at row {r}, column {c + 1}")
+            if name == "rank" and not math.isfinite(value):
+                return InputError(f"{path}: rank cell '{row[c]}' not finite at row {r}, column {c + 1}")
     raise AssertionError(f"{path}: row {r} has every column and valid cells")
 
 
@@ -392,45 +416,34 @@ def _repeated_alternative(path, header, deepest_s=None) -> InputError:
     raise AssertionError(f"{path}: no alternative repeats in the ranking kept")
 
 
-def load_ranking_file(path):
-    """Read a ranking CSV: plain (alternative, rank) or a sweep export.
-
-    Returns ("simple", {alternative: rank}) for plain files and
-    ("sweep", {subset_label: {alternative: rank}}) for sweep exports, where
-    each subset's ranking is taken at its deepest grid point (its largest
-    ``s``) and subsets appear in the order of their first row at that
-    point. The file is read in one pass; a short row, a non-numeric ``s``
-    or ``rank`` cell, or an ``s`` that is NaN or outside [0, 1] raises
-    InputError naming the row (data rows counted from 1, blank lines
-    skipped) and the column. An alternative repeated in the ranking kept,
-    the whole of a plain file or a subset's rows at its deepest ``s``,
-    raises InputError naming it and both rows, and the subset for a sweep
-    export; rows at a shallower ``s`` may repeat.
-    """
-    rows = _iter_rows(path)
-    header = [c.strip().lower() for c in next(rows)]
-    if set(_SWEEP_COLUMNS).issubset(header):
-        columns = _SWEEP_COLUMNS
-    elif set(_PLAIN_COLUMNS).issubset(header):
-        columns = _PLAIN_COLUMNS
-    else:
-        raise InputError(f"{path}: expected (alternative, rank) columns or a sweep export")
-
+def _read_plain(path, header, numbered):
+    """The {alternative: rank} of a plain ranking file's numbered rows."""
     ai, ri = header.index("alternative"), header.index("rank")
-    r, row = 0, None
-    try:
-        if columns is _PLAIN_COLUMNS:
-            plain = {}
-            for r, row in enumerate(rows, start=1):
-                plain[row[ai]] = float(row[ri])
-            if len(plain) < r:
-                raise _repeated_alternative(path, header)
-            return "simple", plain
+    plain, blank, n = {}, 0, 0
+    for n, row in numbered:
+        try:
+            rank = float(row[ri])
+            if not math.isfinite(rank):
+                raise ValueError(rank)
+            plain[row[ai]] = rank
+        except (ValueError, IndexError):  # a blank row fails here too, and only here
+            if not _is_blank(row):
+                raise _bad_ranking_row(path, n - blank, row, header, _PLAIN_COLUMNS) from None
+            blank += 1
+    if len(plain) < n - blank:
+        raise _repeated_alternative(path, header)
+    return "simple", plain
 
-        si, gi = header.index("subset"), header.index("s")
-        deepest: dict[str, tuple] = {}  # subset -> (deepest s, its first row, [(alternative, rank), ...])
-        s_of, rank_of = {}, {}  # each distinct text parsed, and s range-checked, once
-        for r, row in enumerate(rows, start=1):
+
+def _read_sweep(path, header, numbered):
+    """Each subset's {alternative: rank} at its deepest ``s``, from a sweep export's numbered rows."""
+    si, gi, ai, ri = (header.index(name) for name in _SWEEP_COLUMNS)
+    # subset -> (deepest s, the place of its first row there, [(alternative, rank), ...])
+    deepest: dict[str, tuple] = {}
+    s_of, rank_of = {}, {}  # each distinct text parsed, and range-checked, once
+    blank = 0
+    for n, row in numbered:
+        try:
             s = s_of.get(row[gi])
             if s is None:
                 s = float(row[gi])
@@ -439,19 +452,53 @@ def load_ranking_file(path):
                 s_of[row[gi]] = s
             rank = rank_of.get(row[ri])
             if rank is None:
-                rank = rank_of[row[ri]] = float(row[ri])
+                rank = float(row[ri])
+                if not math.isfinite(rank):
+                    raise ValueError(rank)
+                rank_of[row[ri]] = rank
             entry = deepest.get(row[si])
             if entry is not None and s == entry[0]:
                 entry[2].append((row[ai], rank))
             elif entry is None or s > entry[0]:
-                deepest[row[si]] = (s, r, [(row[ai], rank)])
-    except (ValueError, IndexError):
-        raise _bad_ranking_row(path, r, row, header, columns) from None
+                deepest[row[si]] = (s, n, [(row[ai], rank)])
+        except (ValueError, IndexError):  # a blank row fails here too, and only here
+            if not _is_blank(row):
+                raise _bad_ranking_row(path, n - blank, row, header, _SWEEP_COLUMNS) from None
+            blank += 1
     ordered = sorted(deepest.items(), key=lambda item: item[1][1])
     final = {sub: dict(entry[2]) for sub, entry in ordered}
     if any(len(final[sub]) < len(entry[2]) for sub, entry in ordered):
         raise _repeated_alternative(path, header, {sub: entry[0] for sub, entry in ordered})
     return "sweep", final
+
+
+def load_ranking_file(path):
+    """Read a ranking CSV: plain (alternative, rank) or a sweep export.
+
+    Returns ("simple", {alternative: rank}) for plain files and
+    ("sweep", {subset_label: {alternative: rank}}) for sweep exports, where
+    each subset's ranking is taken at its deepest grid point (its largest
+    ``s``) and subsets appear in the order of their first row at that
+    point; only (alternative, rank) pairs are kept, never whole rows. The
+    file is read in one pass. The header is the first non-blank row, and a
+    blank row (every cell empty or whitespace) is skipped wherever it sits.
+    A short row, a non-numeric ``s`` or ``rank`` cell, an ``s`` that is NaN
+    or outside [0, 1], or a ``rank`` that is NaN or infinite raises
+    InputError naming the row (data rows counted from 1, blank rows not
+    counted) and the column. An alternative repeated in the ranking kept,
+    the whole of a plain file or a subset's rows at its deepest ``s``,
+    raises InputError naming it and both rows, and the subset for a sweep
+    export; rows at a shallower ``s`` may repeat.
+    """
+    with _csv_rows(path) as (header, rows):
+        header = [c.strip().lower() for c in header]
+        if set(_SWEEP_COLUMNS).issubset(header):
+            read = _read_sweep
+        elif set(_PLAIN_COLUMNS).issubset(header):
+            read = _read_plain
+        else:
+            raise InputError(f"{path}: expected (alternative, rank) columns or a sweep export")
+        return read(path, header, enumerate(rows, start=1))
 
 
 def _key_mismatch(records, fieldnames, start) -> ValueError:
@@ -490,23 +537,50 @@ def _csv_texts(values, lone: bool) -> list[str]:
     return texts
 
 
-def _render_column(cells: list, lone: bool) -> list[str]:
+class _TextCache:
+    """The texts of one column's exact ``str`` or exact ``int`` values, kept from block to block.
+
+    ``plain`` stays true while every text equals its value, a ``str`` that
+    needs no quoting; such a column is then its own text.
+    """
+
+    def __init__(self):
+        self.texts: dict = {}
+        self.plain = True
+
+    def render(self, cells: list, lone: bool) -> list[str]:
+        """The cells' texts, rendering the values not cached yet.
+
+        A cache that would outgrow ``_BLOCK_ROWS`` values starts afresh.
+        """
+        new = set(cells).difference(self.texts)
+        if new:
+            if len(self.texts) + len(new) > _BLOCK_ROWS:
+                self.texts.clear()
+                self.plain = True
+                new = set(cells)
+            new = list(new)
+            texts = _csv_texts(new, lone)
+            self.texts.update(zip(new, texts))
+            self.plain = self.plain and texts == new
+        return cells if self.plain else list(map(self.texts.__getitem__, cells))
+
+
+def _render_column(cells: list, lone: bool, cache: _TextCache) -> list[str]:
     """Each cell's text as ``csv.writer`` writes it in a row of the table.
 
-    A column of exact ``str``s, or of exact ``int``s, renders each distinct
-    value once, and a ``str`` column that needs no quoting is its own text.
-    A column of exact floats that are all distinct goes through
-    ``float.__repr__``, the text ``csv.writer`` writes for a float. Any
-    other column renders each distinct object once.
+    A column of exact ``str``s, or of exact ``int``s, is rendered by value
+    through the column's ``cache``, so a value seen in an earlier block is
+    not rendered again, and a ``str`` column that needs no quoting is its own
+    text. A column of exact floats that are all distinct goes through
+    ``float.__repr__``, the text ``csv.writer`` writes for a float. Any other
+    column renders each distinct object once.
     """
     kinds = set(map(type, cells))
     if kinds == {str} or kinds == {int}:
-        # equal exact strs, or equal exact ints, always have the same text
-        distinct = list(dict.fromkeys(cells))
-        texts = _csv_texts(distinct, lone)
-        if texts == distinct:
-            return cells
-        return list(map(dict(zip(distinct, texts)).__getitem__, cells))
+        # equal exact strs, or equal exact ints, always have the same text,
+        # and a str never equals an int, so one cache serves both
+        return cache.render(cells, lone)
     # Other distinct objects are found by id(), not by value, which would
     # merge 0.0 with -0.0, and 1 with 1.0 and True. An id names one object
     # only while that object lives: ``cells`` keeps every object alive until
@@ -530,11 +604,14 @@ def write_records_csv(fh, records: Iterable[dict], fieldnames: list[str]) -> Non
     ``fieldnames``: a missing or an extra key raises ValueError naming the
     record's index and the keys, after the blocks before it are written.
     Python floats are written by ``repr`` and every other cell exactly as
-    ``csv.writer`` writes it; the rows are built column by column, and each
-    distinct cell is rendered once per block.
+    ``csv.writer`` writes it; the rows are built column by column. Each
+    distinct exact ``str`` or ``int`` of a column is rendered once for the
+    whole call (until the column's cache outgrows ``_BLOCK_ROWS`` values and
+    starts afresh), and any other distinct cell once per block.
     """
     csv.writer(fh, lineterminator="\n").writerow(fieldnames)
     getters = [operator.itemgetter(name) for name in fieldnames]
+    caches = [_TextCache() for _ in fieldnames]
     width, lone = len(set(fieldnames)), len(fieldnames) == 1
     records, start = iter(records), 0
     while block := list(itertools.islice(records, _BLOCK_ROWS)):
@@ -542,7 +619,7 @@ def write_records_csv(fh, records: Iterable[dict], fieldnames: list[str]) -> Non
         if set(map(len, block)) - {width}:
             raise _key_mismatch(block, fieldnames, start)
         try:
-            columns = [_render_column(list(map(get, block)), lone) for get in getters]
+            columns = [_render_column(list(map(get, block)), lone, cache) for get, cache in zip(getters, caches)]
         except KeyError:
             raise _key_mismatch(block, fieldnames, start) from None
         rows = map(",".join, zip(*columns)) if columns else [""] * len(block)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from sspahp import CriteriaHierarchy, Dimension, PairwiseMatrix, SubDimension
+from sspahp import CriteriaHierarchy, DecisionMatrix, Dimension, PairwiseMatrix, SubDimension
 from sspahp.cli import main
 from sspahp.io import (
     load_decision_matrix,
@@ -732,11 +732,83 @@ class TestMalformedInputs:
         result = runner.invoke(main, ["corr", str(path), str(path)])
         self.assert_input_error(result, f"{path}: not UTF-8 text (cannot decode byte 0xf4)")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("alternative,rank\na,1\nb,nan\n", "rank cell 'nan' not finite at row 2, column 2"),
+            ("subset,s,alternative,rank\nG1,0,a1,1\nG1,1,a1,inf\n", "rank cell 'inf' not finite at row 2, column 4"),
+        ],
+        ids=["plain", "sweep-export"],
+    )
+    def test_a_rank_that_is_not_finite(self, runner, tmp_path, text, message):
+        path = tmp_path / "ranks.csv"
+        path.write_text(text)
+        result = runner.invoke(main, ["corr", str(path), str(path)])
+        self.assert_input_error(result, f"ranks.csv: {message}")
+
     def test_sweep_export_s_outside_the_unit_interval(self, runner, tmp_path):
         path = tmp_path / "sweep.csv"
         path.write_text("subset,s,alternative,rank\nG1,0,a1,1\nG2,-2,a1,1\n")
         result = runner.invoke(main, ["corr", str(path), str(path)])
         self.assert_input_error(result, "sweep.csv: s cell '-2' outside [0, 1] at row 2, column 2")
+
+
+@pytest.fixture
+def constant_column_files(tmp_path):
+    """The sample problem with criterion C3 set to one value for every alternative."""
+    h = sample_hierarchy()
+    sample = sample_matrix(hierarchy=h)
+    values = sample.values.copy()
+    values[:, sample.criterion_ids.index("C3")] = 4.0
+    matrix_path, hierarchy_path = tmp_path / "constant.csv", tmp_path / "hierarchy.json"
+    write_matrix_csv(DecisionMatrix(sample.alternative_ids, sample.criterion_ids, values, sample.objectives), matrix_path)
+    write_hierarchy_json(h, hierarchy_path)
+    # SPOTIS needs bounds for a constant column
+    bounds = [f"{c},{lo!r},{hi!r}" for c, lo, hi in zip(sample.criterion_ids, (values.min(axis=0) - 1).tolist(), (values.max(axis=0) + 1).tolist())]
+    (tmp_path / "bounds.csv").write_text("\n".join(["criterion_id,min,max", *bounds]) + "\n")
+    return ["--matrix", str(matrix_path), "--hierarchy", str(hierarchy_path)]
+
+
+CONSTANT_C3 = "warning: criterion 'C3' is constant; all cells set to 0.5\n"
+
+
+class TestConstantColumnWarnings:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval", "--weights-method", "critic"],
+            ["eval", "--weights-method", "entropy", "--s", "0.5", "--format", "csv"],
+            ["benchmarks", "--weights-method", "critic", "--bounds", "bounds.csv", "--format", "json"],
+            ["sweep", "--weights-method", "critic", "--step", "0.5", "--format", "csv"],
+            ["sweep", "--weights-method", "entropy", "--step", "0.5"],
+            ["weights", "--method", "critic"],
+            ["weights", "--method", "entropy", "--format", "csv"],
+        ],
+        ids=lambda args: "-".join(a.lstrip("-") for a in args),
+    )
+    def test_each_constant_criterion_is_named_once_on_stderr(self, runner, constant_column_files, tmp_path, args):
+        args = [str(tmp_path / a) if a == "bounds.csv" else a for a in args]
+        result = runner.invoke(main, args + constant_column_files)
+        assert result.exit_code == 0
+        assert result.stderr == CONSTANT_C3
+        # stdout holds what --out writes, and no warning
+        out = tmp_path / "out.txt"
+        to_file = runner.invoke(main, args + constant_column_files + ["--out", str(out)])
+        assert to_file.exit_code == 0 and to_file.stdout == ""
+        assert to_file.stderr == CONSTANT_C3
+        assert result.stdout == out.read_text(encoding="utf-8")
+        assert "warning" not in result.stdout
+
+    def test_a_matrix_without_constant_columns_prints_no_warning(self, runner, data_files):
+        matrix_path, hierarchy_path = data_files
+        result = runner.invoke(main, ["eval", "--matrix", matrix_path, "--hierarchy", hierarchy_path, "--weights-method", "critic"])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+
+    def test_weights_from_judgments_print_no_matrix_warning(self, runner, constant_column_files, judgments_file):
+        result = runner.invoke(main, ["weights", "--method", "ahp", "--pairwise", judgments_file] + constant_column_files)
+        assert result.exit_code == 0
+        assert result.stderr == ""
 
 
 class TestDeterminism:

@@ -1,8 +1,10 @@
 import csv
 import io
+import itertools
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,7 +29,7 @@ from sspahp.io import (
     write_matrix_csv,
 )
 from sspahp.sample import DATA_DIR, sample_hierarchy, sample_matrix, write_sample
-from sspahp.sensitivity import subset_label
+from sspahp.sensitivity import default_s_grid, subset_label
 from sspahp.weighting import critic_weights
 
 from conftest import CONSENSUS_JUDGMENTS
@@ -108,6 +110,16 @@ def to_records_oracle(result):
         for s, u_row, r_row in zip(grid, u_rows, r_rows)
         for alt, u, r in zip(result.alternative_ids, u_row, r_row)
     ]
+
+
+def traced_peak(read, path) -> int:
+    """The peak of the memory traced while ``read(path)`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        read(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_same_ranking(got, want):
@@ -682,6 +694,16 @@ class TestRecordsToCsv:
         assert text == records_to_csv_oracle(records, fieldnames)
         assert text.count("\n") == n + 1
 
+    def test_texts_cached_across_blocks_match_the_oracle(self):
+        # a str column that needs quoting only in a later block, an int column
+        # that turns str, and more distinct values than a block holds
+        label = ["a", "b", "a", "a", "c,d", "a", "c,d", "e", "f", "c,d", "", "g"]
+        count = [1, 2, 1, 1, 3, 4, 5, 6, "1", "2", "x", "1"]
+        records = [{"label": a, "count": c} for a, c in zip(label, count)]
+        for block_rows in (1, 2, 3, 5):
+            with mock.patch.object(sspahp_io, "_BLOCK_ROWS", block_rows):
+                assert records_to_csv(records, ["label", "count"]) == records_to_csv_oracle(records, ["label", "count"])
+
     def test_equal_values_of_distinct_objects_keep_their_own_text(self):
         column = [0.0, -0.0, 1, 1.0, True, 0, False, np.float64(0.5), None]
         records = [{"a": v, "b": v} for v in column]
@@ -848,6 +870,56 @@ class TestLoadRankingFile:
         path.write_text(text)
         with pytest.raises(InputError, match=message):
             load_ranking_file(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("alternative,rank\na,1\nb,nan\n", "rank cell 'nan' not finite at row 2, column 2"),
+            ("rank,alternative\n-inf,a\n", "rank cell '-inf' not finite at row 1, column 1"),
+            ("subset,s,alternative,rank\nG1,0,a1,1\nG1,1,a1,inf\n", "rank cell 'inf' not finite at row 2, column 4"),
+            # first seen on a late row, past blank rows that are not counted
+            ("subset,s,alternative,rank\nG1,0,a1,1\n\nG1,1,a1,2\n , \nG2,1,a1, NaN \nG2,1,a2,1\n", "rank cell ' NaN ' not finite at row 3, column 4"),
+        ],
+        ids=["plain", "plain-first-row", "sweep", "sweep-late-row"],
+    )
+    def test_a_rank_that_is_not_finite_names_the_row_and_column(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: {re.escape(message)}$"):
+            load_ranking_file(path)
+
+    def test_blank_rows_anywhere_are_skipped_and_not_counted(self, tmp_path):
+        blanks = ["", "   ", " , ,\t, ", ",,,,,", "\t"]
+        lines = ["subset,s,alternative,rank", "G1,0,a1,2", "G1,1,a1,1", "G1,1,a2,2"]
+        path = tmp_path / "sweep.csv"
+        # before the header, between rows and at the end
+        path.write_text("\n".join(blanks + [lines[0], blanks[2], *lines[1:3], blanks[3], lines[3], blanks[4]]) + "\n")
+        assert load_ranking_file(path) == ("sweep", {"G1": {"a1": 1.0, "a2": 2.0}})
+        path.write_text("\n".join(blanks + [lines[0], blanks[2], *lines[1:3], blanks[3], "G1,x,a2,2"]) + "\n")
+        with pytest.raises(InputError, match=r"non-numeric s cell 'x' at row 3, column 2$"):
+            load_ranking_file(path)
+
+    def test_peak_memory_does_not_grow_with_the_grid(self, tmp_path):
+        """Only each subset's pairs at its deepest s are kept, so a finer grid costs no memory.
+
+        The bound is about twice the peak of a reader that tests every row for
+        blankness with a join (114 KB traced at step 0.01, 90 KB at 0.05); a
+        reader that keeps every row, like the oracle, holds megabytes.
+        """
+        h = sample_hierarchy()
+        matrix = sample_matrix(m=16, seed=1, hierarchy=h)
+        weights = critic_weights(matrix)
+        peaks = {}
+        for step in (0.05, 0.01):
+            result = run_sweep(SweepSpec(matrix=matrix, hierarchy=h, weights=weights, s_grid=default_s_grid(step)))
+            path = tmp_path / f"sweep_{step}.csv"
+            with path.open("w", encoding="utf-8") as fh:
+                write_records_csv(fh, itertools.chain.from_iterable(result.record_blocks()), SWEEP_FIELDS)
+            assert path.read_text(encoding="utf-8").count("\n") == 1 + 32 * len(result.s_grid) * 16
+            peaks[step] = traced_peak(load_ranking_file, path)
+            assert traced_peak(load_ranking_file_oracle, path) > 1 << 20
+        assert max(peaks.values()) < 256 << 10
+        assert peaks[0.01] - peaks[0.05] < 64 << 10
 
     @pytest.mark.parametrize(
         "rows, row, cell",
