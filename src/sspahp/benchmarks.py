@@ -25,8 +25,8 @@ PROMETHEE2 = "promethee2"
 
 METHODS = (TOPSIS, MABAC, CODAS, SPOTIS, PROMETHEE2)
 
-#: CODAS compares this many rows with every alternative at a time
-_CODAS_ROWS = 64
+#: CODAS compares a block of rows with every alternative, this many differences at a time
+_CODAS_CELLS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,10 +107,11 @@ def codas(
     distances settle near-ties through comparisons with the rest of the
     set. Larger aggregate assessment is better.
 
-    The pairwise differences are built for blocks of rows, so memory is
-    O(block * m) rather than m x m. Each row's sum still runs over the same
-    m contiguous differences in the same order, so the scores do not depend
-    on the block size.
+    The pairwise differences are built for blocks of rows, about
+    ``_CODAS_CELLS`` differences at a time (at least one row), so each
+    temporary stays in cache and memory is O(m) rather than m x m. Each
+    row's sum still runs over the same m contiguous differences in the same
+    order, so the scores do not depend on the block size.
 
     tau defaults to 0.02; values in [0.01, 0.05] are the usual guidance.
     """
@@ -138,8 +139,9 @@ def codas(
     t = np.abs(v - anti).sum(axis=1)
 
     scores = np.empty(e.shape)
-    for i in range(0, e.shape[0], _CODAS_ROWS):
-        rows = slice(i, i + _CODAS_ROWS)
+    block = max(1, _CODAS_CELLS // e.shape[0])
+    for i in range(0, e.shape[0], block):
+        rows = slice(i, i + block)
         de = e[rows, None] - e
         dt = t[rows, None] - t
         de += np.where(np.abs(de) >= tau, dt, 0.0)

@@ -16,7 +16,6 @@ import functools
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
-from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -203,8 +202,9 @@ _output_options = [
 def weights_cmd(method, pairwise, matrix_path, hierarchy_path, weights_file, strict_cr, fmt, out):
     """Derive criterion weights and (for ahp) report judgment consistency."""
     hierarchy = sio.load_hierarchy(hierarchy_path) if hierarchy_path else None
-    matrix = sio.load_decision_matrix(matrix_path, hierarchy) if matrix_path and hierarchy else None
-    if matrix is not None and method in ("critic", "entropy"):
+    matrix = None
+    if method in ("critic", "entropy") and matrix_path and hierarchy:  # only they weigh the matrix
+        matrix = sio.load_decision_matrix(matrix_path, hierarchy)
         _warn_constant_columns(matrix)
     w, report, dim_weights = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
 
@@ -387,29 +387,18 @@ def sweep_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, stric
     )
     result = run_sweep(spec)
 
-    if fmt == "csv":
-        # one subset's rows at a time, so the rows of the whole sweep are never held
-        with _opened(out) as fh:
-            records = chain.from_iterable(result.record_blocks())
-            sio.write_records_csv(fh, records, ["subset", "s", "alternative", "utility", "rank"])
-        return
-    if fmt == "json":
-        text = sio.records_to_json(
-            {
-                "s_grid": result.s_grid.tolist(),
-                "subsets": [list(s) for s in result.subsets],
-                "records": result.to_records(),
-            }
-        )
-    else:
+    if fmt == "table":
         final = result.final_rankings()
         headers = ["subset", *result.alternative_ids]
         rows = [
             [subset_label(sub) or "(none)"] + [str(int(r)) for r in final[sub]]
             for sub in result.subsets
         ]
-        text = _table(headers, rows)
-    _emit(text, out)
+        _emit(_table(headers, rows), out)
+        return
+    # one subset's text at a time, so the whole export is never held
+    with _opened(out) as fh:
+        (result.write_csv if fmt == "csv" else result.write_json)(fh)
 
 
 @main.command("corr")

@@ -26,9 +26,9 @@ record to a text handle, a block of records at a time, and
 carry exactly those keys. Python floats are written by ``repr``, so they
 keep full precision; every other cell, a float subclass such as
 ``np.float64`` too, is written exactly as ``csv.writer`` writes it, with
-its quoting and the ``""`` of a lone empty field. The CLI streams a CSV
-sweep export through ``write_records_csv`` one subset at a time; a JSON
-export is still built as one text.
+its quoting and the ``""`` of a lone empty field. The CLI writes sweep
+exports with ``SweepResult.write_csv`` and ``write_json``, which give the
+same texts as these writers and build no records.
 """
 
 from __future__ import annotations

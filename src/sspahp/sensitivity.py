@@ -12,6 +12,9 @@ utility ``r.w`` of each alternative, the penalty of each (subset,
 alternative) and the grid, with int32 ``ranks`` shaped [subset, s,
 alternative]. Utilities are rebuilt from those factors by the same
 expression on each access, so serialized output is byte-stable across runs.
+``write_csv`` and ``write_json`` stream the long export straight from the
+factors, one subset's text at a time, with the bytes that the record
+writers of ``sspahp.io`` give for ``to_records``.
 
 The summaries work on whole arrays too: ``stability_report`` reduces the
 ranks of all alternatives at once, and ``compare_rankings`` stacks the
@@ -203,27 +206,91 @@ class SweepResult(_Ranked):
             raise InputError(f"subset {subset_label(subset) or '()'} not in sweep")
         return self.ranks[si, :, self._position(alternative_id)]
 
-    def record_blocks(self) -> Iterator[list[dict]]:
-        """The rows of ``to_records``, one list per subset, each built when it is reached.
+    def to_records(self) -> list[dict]:
+        """Long-format rows: subset, s, alternative, utility, rank.
 
         Utilities are rebuilt one subset at a time, by the expression of
         ``utilities``.
         """
         grid, column = self.s_grid.tolist(), self.s_grid[:, None]
-        for sub, p_row, r_rows in zip(self.subsets, self.penalty, self.ranks):
-            label = subset_label(sub)
-            yield [
-                {"subset": label, "s": s, "alternative": alt, "utility": u, "rank": r}
-                for s, u_row, r_row in zip(grid, (self.base - column * p_row).tolist(), r_rows.tolist())
-                for alt, u, r in zip(self.alternative_ids, u_row, r_row)
-            ]
+        return [
+            {"subset": label, "s": s, "alternative": alt, "utility": u, "rank": r}
+            for label, p_row, r_rows in zip(map(subset_label, self.subsets), self.penalty, self.ranks)
+            for s, u_row, r_row in zip(grid, (self.base - column * p_row).tolist(), r_rows.tolist())
+            for alt, u, r in zip(self.alternative_ids, u_row, r_row)
+        ]
 
-    def to_records(self) -> list[dict]:
-        """Long-format rows: subset, s, alternative, utility, rank."""
-        records = []
-        for block in self.record_blocks():
-            records += block
-        return records
+    def _cell_texts(self, label_text, s_texts, alternatives, ranks) -> Iterator[str]:
+        """The text of each subset's cells, one string a subset, each built when it is reached.
+
+        A cell's text joins ``label_text(label)`` of its subset, its grid
+        point's entry in ``s_texts``, its alternative's entry in
+        ``alternatives``, the ``repr`` of its utility, rebuilt by the
+        expression of ``utilities``, and ``ranks[rank]``.
+        """
+        m, column = len(self.alternative_ids), self.s_grid[:, None]
+        alternatives = list(alternatives) * len(s_texts)
+        parts = [None] * (4 * len(alternatives))
+        for label, p_row, r_rows in zip(map(subset_label, self.subsets), self.penalty, self.ranks):
+            label = label_text(label)
+            heads = [label + s for s in s_texts]
+            parts[0::4] = [head for head in heads for _ in range(m)]
+            parts[1::4] = alternatives
+            parts[2::4] = map(float.__repr__, (self.base - column * p_row).ravel().tolist())
+            parts[3::4] = map(ranks.__getitem__, r_rows.ravel().tolist())
+            yield "".join(parts)
+
+    def write_csv(self, fh) -> None:
+        """Write the text of ``records_to_csv(self.to_records(), FIELDS)`` to ``fh``, a subset at a time.
+
+        ``FIELDS`` is ``["subset", "s", "alternative", "utility", "rank"]``.
+        No record is built: each label, grid value, alternative and rank is
+        rendered once, as ``csv.writer`` writes it, and each utility by
+        ``float.__repr__``. Each subset's rows are written to the text
+        handle ``fh`` before the next subset's are built.
+        """
+        from .io import _csv_texts
+
+        fh.write("subset,s,alternative,utility,rank\n")
+        for text in self._cell_texts(
+            lambda label: _csv_texts([label], lone=False)[0],
+            [f",{s!r}," for s in self.s_grid.tolist()],
+            [alt + "," for alt in _csv_texts(self.alternative_ids, lone=False)],
+            [f",{r}\n" for r in range(len(self.alternative_ids) + 1)],
+        ):
+            fh.write(text)
+
+    def write_json(self, fh) -> None:
+        """Write the text of ``records_to_json`` of the grid, subsets and records to ``fh``, a subset at a time.
+
+        The payload is ``{"s_grid": ..., "subsets": ..., "records":
+        self.to_records()}``, written as ``json.dumps(payload, indent=2)``
+        and a newline. No record is built: each label, grid value,
+        alternative and rank is rendered once, and each utility by
+        ``float.__repr__``, json's text for a finite float. Each subset's
+        records are written to the text handle ``fh`` before the next
+        subset's are built.
+        """
+        import json
+
+        grid = self.s_grid.tolist()
+        text = json.dumps({"s_grid": grid, "subsets": [list(sub) for sub in self.subsets], "records": []}, indent=2)
+        blocks = self._cell_texts(
+            # every record starts with the comma that ends the one before; the first drops it
+            lambda label: f',\n    {{\n      "subset": {json.dumps(label)}',
+            [f',\n      "s": {s!r},\n      "alternative": ' for s in grid],
+            [f'{json.dumps(alt)},\n      "utility": ' for alt in self.alternative_ids],
+            [f',\n      "rank": {r}\n    }}' for r in range(len(self.alternative_ids) + 1)],
+        )
+        first = next(blocks, "")
+        if not first:  # no cells: json's empty list
+            fh.write(text + "\n")
+            return
+        fh.write(text[: -len("]\n}")])
+        fh.write(first[1:])
+        for block in blocks:
+            fh.write(block)
+        fh.write("\n  ]\n}\n")
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sspahp import CriteriaHierarchy, DecisionMatrix, Dimension, PairwiseMatrix, SubDimension
+from sspahp.io import records_to_csv, records_to_json
 from sspahp.sample import sample_hierarchy, sample_matrix
 
 # Five-dimension consensus judgment matrix with known eigenvector weights
@@ -20,6 +21,17 @@ EXPECTED_DIMENSION_WEIGHTS = np.array([0.3689, 0.3546, 0.1292, 0.1191, 0.0282])
 EXPECTED_CR = 0.08
 
 DIMENSION_IDS = ("G1", "G2", "G3", "G4", "G5")
+
+
+SWEEP_FIELDS = ["subset", "s", "alternative", "utility", "rank"]
+
+
+def record_based_export(result, fmt, records=None):
+    """A sweep's ``fmt`` export built from every record at once, by the record writers of ``sspahp.io``."""
+    records = result.to_records() if records is None else records
+    if fmt == "csv":
+        return records_to_csv(records, SWEEP_FIELDS)
+    return records_to_json({"s_grid": result.s_grid.tolist(), "subsets": [list(s) for s in result.subsets], "records": records})
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from sspahp import (
     spotis,
     topsis,
 )
-from sspahp.benchmarks import _CODAS_ROWS
 
 from conftest import make_matrix, random_matrix, random_weights
 
@@ -202,10 +201,10 @@ class TestCodas:
                 got = codas(m, w, tau=tau).values
                 assert np.array_equal(got, codas_gate_product(m, w, tau))
 
-    @pytest.mark.parametrize(
-        "m", [_CODAS_ROWS - 1, _CODAS_ROWS, _CODAS_ROWS + 1, 2 * _CODAS_ROWS + 1]
-    )
-    def test_row_blocks_keep_the_gate_product_bit_for_bit(self, m):
+    @pytest.mark.parametrize("m", [63, 64, 65, 129])
+    def test_row_blocks_keep_the_gate_product_bit_for_bit(self, m, monkeypatch):
+        # 320 cells give blocks of 5, 5, 4 and 2 rows, and each m ends in a partial block
+        monkeypatch.setattr("sspahp.benchmarks._CODAS_CELLS", 320)
         rng = np.random.default_rng(m)
         for tau in (0.01, 0.05):
             matrix = random_matrix(rng, m=m, max_n=8)

@@ -12,7 +12,6 @@ from sspahp.io import (
     load_hierarchy,
     load_pairwise,
     load_weights,
-    records_to_csv,
     write_hierarchy_json,
     write_matrix_csv,
 )
@@ -20,7 +19,7 @@ from sspahp.sample import sample_hierarchy, sample_matrix
 from sspahp.sensitivity import SweepSpec, compare_rankings, default_s_grid, run_sweep, subset_label
 from sspahp.weighting import ahp_weights, critic_weights, distribute_weights, entropy_weights
 
-from conftest import CONSENSUS_JUDGMENTS
+from conftest import CONSENSUS_JUDGMENTS, record_based_export
 
 
 @pytest.fixture
@@ -191,6 +190,25 @@ class TestWeightsCommand:
             assert doc["dimension_weights"] == dims.as_dict()
         else:
             assert "dimension_weights" not in doc and "consistency" not in doc
+
+    @pytest.mark.parametrize("method", ["ahp", "file"])
+    def test_methods_that_weigh_no_matrix_do_not_read_it(self, runner, data_files, judgments_file, tmp_path, method):
+        _, hierarchy_path = data_files
+        bad = tmp_path / "bad.csv"
+        bad.write_text("alternative,C1\na1,1\na2,2\n")  # misses 24 hierarchy criteria
+        wpath = tmp_path / "w.csv"
+        wpath.write_text("".join(f"C{j},0.04\n" for j in range(1, 26)))
+        source = ["--pairwise", judgments_file] if method == "ahp" else ["--weights-file", str(wpath)]
+        args = ["weights", "--method", method, "--hierarchy", hierarchy_path, *source, "--format", "json"]
+        without = runner.invoke(main, args)
+        with_bad = runner.invoke(main, args + ["--matrix", str(bad)])
+        assert without.exit_code == 0 and with_bad.exit_code == 0, with_bad.output
+        assert with_bad.stdout == without.stdout
+        assert with_bad.stderr == ""
+        # critic weighs the matrix, so it still reads and refuses it
+        critic = runner.invoke(main, ["weights", "--method", "critic", "--hierarchy", hierarchy_path, "--matrix", str(bad)])
+        assert critic.exit_code == 2
+        assert "hierarchy criteria missing from the file" in critic.stderr
 
 
 class TestEvalCommand:
@@ -391,35 +409,77 @@ def k_dimension_hierarchy(k):
     return CriteriaHierarchy(tuple(dims), objectives)
 
 
-#: traced bytes a streamed ``sweep --format csv --out`` may take at k = 6, m = 100
+#: traced bytes a streamed ``sweep --format csv|json --out`` may take at k = 6, m = 100
 STREAMED_EXPORT_BYTES = 16 * 2**20
+
+def assert_streamed_a_subset_at_a_time(runner, tmp_path, fmt):
+    """A k = 6, m = 100 export stays under ``STREAMED_EXPORT_BYTES``, which its records alone exceed."""
+    hierarchy = k_dimension_hierarchy(6)
+    matrix_path, hierarchy_path, out = tmp_path / "m.csv", tmp_path / "h.json", tmp_path / f"sweep.{fmt}"
+    write_matrix_csv(sample_matrix(m=100, seed=5, hierarchy=hierarchy), matrix_path)
+    write_hierarchy_json(hierarchy, hierarchy_path)
+    args = ["sweep", "--matrix", str(matrix_path), "--hierarchy", str(hierarchy_path),
+            "--weights-method", "critic", "--format", fmt, "--out", str(out)]
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, args)
+        streamed_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        matrix = load_decision_matrix(matrix_path, hierarchy)
+        sweep = run_sweep(SweepSpec(matrix, hierarchy, critic_weights(matrix)))
+        records = sweep.to_records()
+        records_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    whole = record_based_export(sweep, fmt, records)
+    assert out.read_bytes().decode("utf-8") == whole
+    # every record held at once goes over the bound (the record-based text more so); one subset's text stays under it
+    assert records_peak > STREAMED_EXPORT_BYTES
+    assert streamed_peak < STREAMED_EXPORT_BYTES, f"{streamed_peak:,} traced bytes"
+    return whole
+
+
+@pytest.fixture
+def awkward_files(tmp_path):
+    """The sample data with alternative ids that need CSV quoting and JSON escaping."""
+    h = sample_hierarchy()
+    sample = sample_matrix(hierarchy=h)
+    ids = ['a,b', 'say "hi"', "\u00e9t\u00e9", "c,\"d\"", *sample.alternative_ids[4:]]
+    matrix_path, hierarchy_path = tmp_path / "matrix.csv", tmp_path / "hierarchy.json"
+    write_matrix_csv(DecisionMatrix(ids, sample.criterion_ids, sample.values, sample.objectives), matrix_path)
+    write_hierarchy_json(h, hierarchy_path)
+    return str(matrix_path), str(hierarchy_path)
 
 
 class TestSweepCommand:
     def test_csv_out_is_streamed_a_subset_at_a_time(self, runner, tmp_path):
-        hierarchy = k_dimension_hierarchy(6)
-        matrix_path, hierarchy_path, out = tmp_path / "m.csv", tmp_path / "h.json", tmp_path / "sweep.csv"
-        write_matrix_csv(sample_matrix(m=100, seed=5, hierarchy=hierarchy), matrix_path)
-        write_hierarchy_json(hierarchy, hierarchy_path)
-        args = ["sweep", "--matrix", str(matrix_path), "--hierarchy", str(hierarchy_path),
-                "--weights-method", "critic", "--format", "csv", "--out", str(out)]
-        fields = ["subset", "s", "alternative", "utility", "rank"]
-        tracemalloc.start()
-        try:
-            result = runner.invoke(main, args)
-            streamed_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            matrix = load_decision_matrix(matrix_path, hierarchy)
-            whole = records_to_csv(run_sweep(SweepSpec(matrix, hierarchy, critic_weights(matrix))).to_records(), fields)
-            whole_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result.exit_code == 0, result.output
+        whole = assert_streamed_a_subset_at_a_time(runner, tmp_path, "csv")
         assert whole.count("\n") == 1 + 2**6 * 21 * 100
-        assert out.read_bytes().decode("utf-8") == whole
-        # every record and the whole text held at once go over the bound; one subset's rows stay under it
-        assert whole_peak > STREAMED_EXPORT_BYTES
-        assert streamed_peak < STREAMED_EXPORT_BYTES, f"{streamed_peak:,} traced bytes"
+
+    def test_json_out_is_streamed_a_subset_at_a_time(self, runner, tmp_path):
+        whole = assert_streamed_a_subset_at_a_time(runner, tmp_path, "json")
+        assert whole.count('"rank": ') == 2**6 * 21 * 100
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("groups", ["all", "G1,G4"])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_exports_equal_the_record_based_text(self, runner, awkward_files, tmp_path, fmt, groups, to_file):
+        matrix_path, hierarchy_path = awkward_files
+        out = tmp_path / f"sweep.{fmt}"
+        args = ["sweep", "--matrix", matrix_path, "--hierarchy", hierarchy_path,
+                "--weights-method", "critic", "--groups", groups, "--step", "0.25", "--format", fmt]
+        result = runner.invoke(main, args + (["--out", str(out)] if to_file else []))
+        assert result.exit_code == 0, result.output
+        hierarchy = load_hierarchy(hierarchy_path)
+        matrix = load_decision_matrix(matrix_path, hierarchy)
+        subsets = None if groups == "all" else (("G1", "G4"),)
+        spec = SweepSpec(matrix, hierarchy, critic_weights(matrix), default_s_grid(0.25), subsets)
+        expected = record_based_export(run_sweep(spec), fmt)
+        assert 'a,b' in matrix.alternative_ids and "\u00e9t\u00e9" in matrix.alternative_ids
+        written = out.read_bytes() if to_file else result.stdout_bytes
+        assert written.decode("utf-8") == expected
+        assert (result.stdout == "") == to_file
 
     def test_all_groups_row_count(self, runner, data_files):
         matrix_path, hierarchy_path = data_files

@@ -1,6 +1,5 @@
 import csv
 import io
-import itertools
 import json
 import math
 import re
@@ -914,7 +913,7 @@ class TestLoadRankingFile:
             result = run_sweep(SweepSpec(matrix=matrix, hierarchy=h, weights=weights, s_grid=default_s_grid(step)))
             path = tmp_path / f"sweep_{step}.csv"
             with path.open("w", encoding="utf-8") as fh:
-                write_records_csv(fh, itertools.chain.from_iterable(result.record_blocks()), SWEEP_FIELDS)
+                result.write_csv(fh)
             assert path.read_text(encoding="utf-8").count("\n") == 1 + 32 * len(result.s_grid) * 16
             peaks[step] = traced_peak(load_ranking_file, path)
             assert traced_peak(load_ranking_file_oracle, path) > 1 << 20

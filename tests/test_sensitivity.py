@@ -1,9 +1,10 @@
 import contextlib
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sspahp import (
@@ -34,7 +35,7 @@ from sspahp.io import records_to_csv
 from sspahp import benchmarks, core, correlation, sensitivity
 from sspahp.sensitivity import MAX_DIMENSIONS, MAX_GRID_POINTS, MAX_SWEEP_BYTES, subset_label
 
-from conftest import make_matrix, random_weights, two_level_hierarchy
+from conftest import make_matrix, random_weights, record_based_export, two_level_hierarchy
 
 from test_correlation import pearson_oracle, weighted_spearman_oracle
 
@@ -335,6 +336,57 @@ class TestRunSweep:
         )
         with pytest.raises(InputError, match=r"sweep cell \(subset=G9, s=0\)"):
             run_sweep(spec)
+
+
+def record_based_texts(result):
+    """The CSV and JSON exports built from every record at once: the oracle of the streamed writers."""
+    records = result.to_records()
+    return [record_based_export(result, fmt, records) for fmt in ("csv", "json")]
+
+
+def streamed_writes(result):
+    """The texts that ``write_csv`` and ``write_json`` hand to a handle, one list of writes each."""
+    writes = []
+    for write in (result.write_csv, result.write_json):
+        writes.append([])
+        write(SimpleNamespace(write=writes[-1].append))
+    return writes
+
+
+#: ids that need CSV quoting or JSON escaping, and a plain one
+AWKWARD_IDS = ["a,b", 'say "hi"', "\u00e9t\u00e9", "x\ny", "plain"]
+
+
+@given(
+    st.lists(st.text(min_size=1, max_size=4), min_size=2, max_size=5, unique=True),
+    st.lists(st.text(min_size=1, max_size=4), min_size=3, max_size=3, unique=True),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(AWKWARD_IDS, AWKWARD_IDS[:3], False, 0)
+@example(AWKWARD_IDS, ["G1", "", '"'], True, 1)
+@settings(max_examples=40, deadline=None)
+def test_streamed_exports_equal_the_record_based_text(alternative_ids, dimension_ids, one_subset, seed):
+    rng = np.random.default_rng(seed)
+    base = two_level_hierarchy()
+    h = CriteriaHierarchy(
+        tuple(dataclasses.replace(dim, id=did) for dim, did in zip(base.dimensions, dimension_ids)), base.objectives
+    )
+    values = rng.uniform(1.0, 9.0, size=(len(alternative_ids), 6))
+    matrix = DecisionMatrix(alternative_ids, tuple(f"C{j + 1}" for j in range(6)), values, ("max",) * 6)
+    subsets = ((dimension_ids[2], dimension_ids[0]),) if one_subset else None
+    result = run_sweep(SweepSpec(matrix, h, random_weights(rng, matrix), default_s_grid(0.25), subsets))
+    csv_writes, json_writes = streamed_writes(result)
+    assert ["".join(csv_writes), "".join(json_writes)] == record_based_texts(result)
+    # a header, then one write a subset; json adds its closing brackets
+    assert len(csv_writes) == 1 + len(result.subsets)
+    assert len(json_writes) == 2 + len(result.subsets)
+
+
+def test_a_sweep_without_cells_exports_the_empty_record_list():
+    result = SweepResult((), [(), ("G1",)], [0.0, 1.0], np.empty(0), np.empty((2, 0)), np.empty((2, 2, 0)))
+    assert ["".join(writes) for writes in streamed_writes(result)] == record_based_texts(result)
+    assert record_based_texts(result)[1].endswith('"records": []\n}\n')
 
 
 @st.composite
