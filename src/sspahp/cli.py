@@ -56,9 +56,16 @@ _STDOUT = SimpleNamespace(write=functools.partial(click.echo, nl=False))
 
 @contextmanager
 def _opened(out: str | None):
-    """A text handle on the ``--out`` file, or on stdout without one."""
+    """A text handle on the ``--out`` file, or on stdout without one.
+
+    An ``--out`` that cannot be opened for writing is an input error.
+    """
     if out:
-        with Path(out).open("w", encoding="utf-8") as fh:
+        try:
+            fh = Path(out).open("w", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc.strerror}") from None
+        with fh:
             yield fh
     else:
         yield _STDOUT

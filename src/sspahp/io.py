@@ -16,9 +16,10 @@ Formats:
   an alternative may not repeat in a plain file, nor within a subset at its
   deepest ``s``.
 
-Every CSV reader skips a blank row (every cell empty or whitespace) wherever
-it sits, the header is the first non-blank row, and data rows are counted
-from 1 without the blank ones.
+Every input is read as UTF-8, with a leading byte-order mark skipped. Every
+CSV reader skips a blank row (every cell empty or whitespace) wherever it
+sits, the header is the first non-blank row, and data rows are counted from
+1 without the blank ones.
 
 ``write_records_csv`` writes a header of ``fieldnames`` and one row per
 record to a text handle, a block of records at a time, and
@@ -73,13 +74,14 @@ def _is_blank(row) -> bool:
 def _csv_rows(path):
     """The first non-blank row of a UTF-8 CSV file, and a ``csv.reader`` on the rows after it.
 
-    A missing, empty, directory or undecodable file raises InputError.
+    A leading byte-order mark is skipped. A missing, empty, directory or
+    undecodable file raises InputError.
     """
     path = Path(path)
     if not path.exists():
         raise InputError(f"file not found: {path}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             rows = csv.reader(fh)
             header = next(itertools.filterfalse(_is_blank, rows), None)
             if header is None:
@@ -165,7 +167,7 @@ def load_hierarchy(path) -> CriteriaHierarchy:
     if not path.exists():
         raise InputError(f"file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     except (IsADirectoryError, UnicodeDecodeError) as exc:
@@ -391,87 +393,6 @@ def _bad_ranking_row(path, r, row, header, columns) -> InputError:
     raise AssertionError(f"{path}: row {r} has every column and valid cells")
 
 
-def _repeated_alternative(path, header, deepest_s=None) -> InputError:
-    """Name the first row that repeats an alternative of the ranking kept, and the row it repeats.
-
-    A plain file keeps every row. For a sweep export, ``deepest_s`` maps each
-    subset to its deepest ``s``; only rows at that ``s`` are kept, and the
-    subset is named too.
-    """
-    ai = header.index("alternative")
-    rows = _iter_rows(path)
-    next(rows)
-    first = {}  # (subset, alternative) -> its first row
-    for r, row in enumerate(rows, start=1):
-        subset = None
-        if deepest_s is not None:
-            subset = row[header.index("subset")]
-            if float(row[header.index("s")]) != deepest_s[subset]:
-                continue
-        key = (subset, row[ai])
-        if key in first:
-            where = "" if subset is None else f" in subset {subset or '()'}"
-            return InputError(f"{path}: alternative '{row[ai]}' repeated{where} at rows {first[key]} and {r}")
-        first[key] = r
-    raise AssertionError(f"{path}: no alternative repeats in the ranking kept")
-
-
-def _read_plain(path, header, numbered):
-    """The {alternative: rank} of a plain ranking file's numbered rows."""
-    ai, ri = header.index("alternative"), header.index("rank")
-    plain, blank, n = {}, 0, 0
-    for n, row in numbered:
-        try:
-            rank = float(row[ri])
-            if not math.isfinite(rank):
-                raise ValueError(rank)
-            plain[row[ai]] = rank
-        except (ValueError, IndexError):  # a blank row fails here too, and only here
-            if not _is_blank(row):
-                raise _bad_ranking_row(path, n - blank, row, header, _PLAIN_COLUMNS) from None
-            blank += 1
-    if len(plain) < n - blank:
-        raise _repeated_alternative(path, header)
-    return "simple", plain
-
-
-def _read_sweep(path, header, numbered):
-    """Each subset's {alternative: rank} at its deepest ``s``, from a sweep export's numbered rows."""
-    si, gi, ai, ri = (header.index(name) for name in _SWEEP_COLUMNS)
-    # subset -> (deepest s, the place of its first row there, [(alternative, rank), ...])
-    deepest: dict[str, tuple] = {}
-    s_of, rank_of = {}, {}  # each distinct text parsed, and range-checked, once
-    blank = 0
-    for n, row in numbered:
-        try:
-            s = s_of.get(row[gi])
-            if s is None:
-                s = float(row[gi])
-                if not 0.0 <= s <= 1.0:  # NaN fails too
-                    raise ValueError(s)
-                s_of[row[gi]] = s
-            rank = rank_of.get(row[ri])
-            if rank is None:
-                rank = float(row[ri])
-                if not math.isfinite(rank):
-                    raise ValueError(rank)
-                rank_of[row[ri]] = rank
-            entry = deepest.get(row[si])
-            if entry is not None and s == entry[0]:
-                entry[2].append((row[ai], rank))
-            elif entry is None or s > entry[0]:
-                deepest[row[si]] = (s, n, [(row[ai], rank)])
-        except (ValueError, IndexError):  # a blank row fails here too, and only here
-            if not _is_blank(row):
-                raise _bad_ranking_row(path, n - blank, row, header, _SWEEP_COLUMNS) from None
-            blank += 1
-    ordered = sorted(deepest.items(), key=lambda item: item[1][1])
-    final = {sub: dict(entry[2]) for sub, entry in ordered}
-    if any(len(final[sub]) < len(entry[2]) for sub, entry in ordered):
-        raise _repeated_alternative(path, header, {sub: entry[0] for sub, entry in ordered})
-    return "sweep", final
-
-
 def load_ranking_file(path):
     """Read a ranking CSV: plain (alternative, rank) or a sweep export.
 
@@ -480,25 +401,73 @@ def load_ranking_file(path):
     each subset's ranking is taken at its deepest grid point (its largest
     ``s``) and subsets appear in the order of their first row at that
     point; only (alternative, rank) pairs are kept, never whole rows. The
-    file is read in one pass. The header is the first non-blank row, and a
-    blank row (every cell empty or whitespace) is skipped wherever it sits.
-    A short row, a non-numeric ``s`` or ``rank`` cell, an ``s`` that is NaN
-    or outside [0, 1], or a ``rank`` that is NaN or infinite raises
-    InputError naming the row (data rows counted from 1, blank rows not
-    counted) and the column. An alternative repeated in the ranking kept,
-    the whole of a plain file or a subset's rows at its deepest ``s``,
-    raises InputError naming it and both rows, and the subset for a sweep
-    export; rows at a shallower ``s`` may repeat.
+    file is read in one pass, on every path: an error is named from what
+    that pass kept, so a pipe reads as a file does. The header is the
+    first non-blank row, and a blank row (every cell empty or whitespace)
+    is skipped wherever it sits. A short row, a non-numeric ``s`` or
+    ``rank`` cell, an ``s`` that is NaN or outside [0, 1], or a ``rank``
+    that is NaN or infinite raises InputError naming the row (data rows
+    counted from 1, blank rows not counted) and the column. An alternative
+    repeated in the ranking kept, the whole of a plain file or a subset's
+    rows at its deepest ``s``, raises InputError naming it and both rows,
+    and the subset for a sweep export; rows at a shallower ``s`` may
+    repeat.
     """
     with _csv_rows(path) as (header, rows):
         header = [c.strip().lower() for c in header]
         if set(_SWEEP_COLUMNS).issubset(header):
-            read = _read_sweep
+            columns, skip = _SWEEP_COLUMNS, 0
         elif set(_PLAIN_COLUMNS).issubset(header):
-            read = _read_plain
+            # a plain row reads as a row of the one subset "" at s = 1
+            columns, skip = _PLAIN_COLUMNS, 2
+            header = ["subset", "s", *header]
+            rows = (["", "1", *row] for row in rows)
         else:
             raise InputError(f"{path}: expected (alternative, rank) columns or a sweep export")
-        return read(path, header, enumerate(rows, start=1))
+        si, gi, ai, ri = (header.index(name) for name in _SWEEP_COLUMNS)
+        # subset -> (deepest s, [(alternative, rank, n), ...] at that s), n counting blank rows too
+        deepest: dict[str, tuple] = {}
+        s_of, rank_of = {}, {}  # each distinct text parsed, and range-checked, once
+        blanks = []  # the n of each blank row; an error names n less the blank rows before it
+        for n, row in enumerate(rows, start=1):
+            try:
+                s = s_of.get(row[gi])
+                if s is None:
+                    s = float(row[gi])
+                    if not 0.0 <= s <= 1.0:  # NaN fails too
+                        raise ValueError(s)
+                    s_of[row[gi]] = s
+                rank = rank_of.get(row[ri])
+                if rank is None:
+                    rank = float(row[ri])
+                    if not math.isfinite(rank):
+                        raise ValueError(rank)
+                    rank_of[row[ri]] = rank
+                entry = deepest.get(row[si])
+                if entry is not None and s == entry[0]:
+                    entry[1].append((row[ai], rank, n))
+                elif entry is None or s > entry[0]:
+                    deepest[row[si]] = (s, [(row[ai], rank, n)])
+            except (ValueError, IndexError):  # a blank row fails here too, and only here
+                if not _is_blank(row[skip:]):
+                    raise _bad_ranking_row(path, n - len(blanks), row[skip:], header[skip:], columns) from None
+                blanks.append(n)
+    kept = sorted(deepest.items(), key=lambda item: item[1][1][0][2])  # by the row of each subset's first pair
+    final = {subset: {alt: rank for alt, rank, _ in pairs} for subset, (_, pairs) in kept}
+    repeats = []  # (row, the row it repeats, subset, alternative) of each kept ranking's first repeat
+    for subset, (_, pairs) in kept:
+        if len(final[subset]) < len(pairs):
+            first = {}
+            for alt, _, r in pairs:
+                if first.setdefault(alt, r) != r:
+                    repeats.append((r, first[alt], subset, alt))
+                    break
+    if repeats:
+        r, r0, subset, alt = min(repeats)
+        r, r0 = (x - sum(b < x for b in blanks) for x in (r, r0))
+        where = f" in subset {subset or '()'}" if not skip else ""
+        raise InputError(f"{path}: alternative '{alt}' repeated{where} at rows {r0} and {r}")
+    return ("simple", final.get("", {})) if skip else ("sweep", final)
 
 
 def _key_mismatch(records, fieldnames, start) -> ValueError:

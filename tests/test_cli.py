@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -689,6 +691,22 @@ class TestMalformedInputs:
         path.write_text("G1,G1,G2\n1,1,2\n1,1,2\n1/2,1/2,1\n")
         result = runner.invoke(main, ["weights", "--method", "ahp", "--pairwise", str(path)])
         assert result.stderr == f"input error: {path}: pairwise label 'G1' repeated\n"
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "command, out, code",
+        [
+            (["eval"], "", errno.EISDIR),  # the directory itself
+            (["sweep", "--format", "csv"], "missing/x.csv", errno.ENOENT),  # streamed a subset at a time
+        ],
+        ids=["eval-directory", "sweep-csv-missing-directory"],
+    )
+    def test_an_unwritable_out_is_an_input_error(self, runner, data_files, tmp_path, command, out, code):
+        matrix_path, hierarchy_path = data_files
+        out = str(tmp_path / out)
+        args = [*command, "--matrix", matrix_path, "--hierarchy", hierarchy_path, "--weights-method", "critic"]
+        result = runner.invoke(main, [*args, "--out", out])
+        assert result.stderr == f"input error: cannot write {out}: {os.strerror(code)}\n"
         assert result.exit_code == 2
 
     def test_non_reciprocal_expert_file(self, runner, tmp_path):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import tracemalloc
 from unittest import mock
@@ -578,6 +579,43 @@ class TestShippedSampleData:
         assert (m.values > 0).all()
 
 
+class TestByteOrderMark:
+    """A file saved with a leading UTF-8 byte-order mark, as Excel's "CSV UTF-8" does, reads like the file without it."""
+
+    READ = {
+        "hierarchy.json": load_hierarchy,
+        "matrix.csv": lambda path: load_decision_matrix(path, sample_hierarchy()),
+        "pairwise.csv": load_pairwise,
+        "labelled_pairwise.csv": load_pairwise,
+        "weights.csv": lambda path: load_weights(path, sample_hierarchy()),
+        "plain_weights.csv": lambda path: load_weights(path, sample_hierarchy()),
+        "ranking.csv": load_ranking_file,
+        "sweep.csv": load_ranking_file,
+    }
+
+    @staticmethod
+    def write_inputs(tmp_path):
+        (tmp_path / "hierarchy.json").write_bytes((DATA_DIR / "sample_hierarchy.json").read_bytes())
+        (tmp_path / "matrix.csv").write_bytes((DATA_DIR / "sample_matrix.csv").read_bytes())
+        judgments = "\n".join(",".join(repr(float(v)) for v in row) for row in CONSENSUS_JUDGMENTS)
+        (tmp_path / "pairwise.csv").write_text(judgments + "\n", encoding="utf-8")
+        (tmp_path / "labelled_pairwise.csv").write_text("G1,G2,G3,G4,G5\n" + judgments + "\n", encoding="utf-8")
+        weights = critic_weights(sample_matrix())
+        rows = [f"{c},{w!r}" for c, w in zip(weights.criterion_ids, weights.weights.tolist())]
+        (tmp_path / "weights.csv").write_text("criterion_id,weight\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        (tmp_path / "plain_weights.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        (tmp_path / "ranking.csv").write_text("alternative,rank\na1,2\na2,1\n", encoding="utf-8")
+        with (tmp_path / "sweep.csv").open("w", encoding="utf-8") as fh:
+            small_export_sweep().write_csv(fh)
+
+    @pytest.mark.parametrize("name", list(READ))
+    def test_each_input_reads_like_its_copy_without_the_mark(self, tmp_path, name):
+        self.write_inputs(tmp_path)
+        path, marked = tmp_path / name, tmp_path / f"bom_{name}"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert self.READ[name](marked) == self.READ[name](path)
+
+
 SWEEP_FIELDS = ["subset", "s", "alternative", "utility", "rank"]
 
 csv_text = st.one_of(
@@ -967,6 +1005,28 @@ class TestLoadRankingFile:
         path.write_text("subset,s,alternative,rank\nG1,0,a1,1\nG1,0,a1,2\nG1,1,a1,1\nG1,0,a2,2\nG1,1,a1,2\n")
         with pytest.raises(InputError, match=r"sweep\.csv: alternative 'a1' repeated in subset G1 at rows 3 and 5$"):
             load_ranking_file(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("alternative,rank\na,1\nb,2\na,1\n", "alternative 'a' repeated at rows 1 and 3"),
+            (
+                "subset,s,alternative,rank\nG1,0,a1,1\nG1,0,a1,2\nG1,1,a1,1\nG1,0,a2,2\nG1,1,a1,2\n",
+                "alternative 'a1' repeated in subset G1 at rows 3 and 5",
+            ),
+        ],
+        ids=["plain", "sweep"],
+    )
+    def test_a_repeat_read_from_a_pipe_is_named(self, text, message):
+        """A pipe can be read once, so the repeat is named from the one pass over it."""
+        read, write = os.pipe()
+        with os.fdopen(read, "rb"):
+            with os.fdopen(write, "wb") as fh:
+                fh.write(text.encode())
+            path = f"/dev/fd/{read}"
+            with pytest.raises(InputError, match=f"^{re.escape(path)}: {re.escape(message)}$"):
+                load_ranking_file(path)
 
     def test_negative_zero_s_is_the_start_of_the_grid(self, tmp_path):
         path = tmp_path / "sweep.csv"
