@@ -434,7 +434,10 @@ def corr_cmd(file_a, file_b, fmt, out):
     rankings_a, rankings_b = {}, {}
     for label, ra in data_a.items():
         rb = data_b[label]
-        _require(set(ra) == set(rb), f"alternative ids differ{f' in subset {label}' if label else ''}")
+        only = set(ra).symmetric_difference(rb)
+        if only:
+            where = f" in subset {label or '()'}" if kind_a == "sweep" else ""
+            raise InputError(f"alternative ids differ{where}; in only one: {', '.join(sorted(only))}")
         subset = tuple(label.split("+")) if label else ()
         rankings_a[subset] = list(ra.values())
         rankings_b[subset] = [rb[alt] for alt in ra]

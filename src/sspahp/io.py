@@ -21,26 +21,23 @@ CSV reader skips a blank row (every cell empty or whitespace) wherever it
 sits, the header is the first non-blank row, and data rows are counted from
 1 without the blank ones.
 
-``write_records_csv`` writes a header of ``fieldnames`` and one row per
-record to a text handle, a block of records at a time, and
-``records_to_csv`` returns the same text as a string; every record must
-carry exactly those keys. Python floats are written by ``repr``, so they
-keep full precision; every other cell, a float subclass such as
-``np.float64`` too, is written exactly as ``csv.writer`` writes it, with
-its quoting and the ``""`` of a lone empty field. The CLI writes sweep
-exports with ``SweepResult.write_csv`` and ``write_json``, which give the
-same texts as these writers and build no records.
+``records_to_csv`` turns a list of records into one CSV text: a header of
+``fieldnames`` and one row per record, where every record must carry
+exactly those keys. Python floats are written by ``repr``, so they keep
+full precision; every other cell, a float subclass such as ``np.float64``
+too, is written exactly as ``csv.writer`` writes it, with its quoting and
+the ``""`` of a lone empty field. The CLI writes sweep exports with
+``SweepResult.write_csv`` and ``write_json``, which give the same texts as
+``records_to_csv`` and ``records_to_json`` and build no records.
 """
 
 from __future__ import annotations
 
 import csv
-import io as _io
 import itertools
 import json
 import math
 import operator
-from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -282,10 +279,11 @@ def write_matrix_csv(matrix: DecisionMatrix, path) -> None:
 def load_pairwise(path) -> PairwiseMatrix:
     """Read a square pairwise judgment matrix from CSV.
 
-    A non-numeric first row is treated as labels; a leading label column
-    matching the header is stripped. Fractions like ``1/5`` are accepted
-    alongside decimals. Every row must hold as many entries as there are
-    rows; the other checks are ``PairwiseMatrix``'s, reported with the path.
+    A non-numeric first row is treated as labels; a leading label column is
+    stripped, and a row's label must equal the header's label at the row's
+    position. Fractions like ``1/5`` are accepted alongside decimals. Every
+    row must hold as many entries as there are rows; the other checks are
+    ``PairwiseMatrix``'s, reported with the path.
     """
     from .weighting import PairwiseMatrix
 
@@ -310,9 +308,15 @@ def load_pairwise(path) -> PairwiseMatrix:
     n = len(rows)
     body = []
     for r, row in enumerate(rows, start=1):
-        cells = row if is_numeric(row[0]) else row[1:]  # leading label column
+        labelled = not is_numeric(row[0])
+        cells = row[1:] if labelled else row  # leading label column
         if len(cells) != n:
             raise InputError(f"{path}: row {r} has {len(cells)} entries; expected a square {n}x{n} matrix")
+        # a header of another length is PairwiseMatrix's error
+        if labelled and labels is not None and len(labels) == n and row[0].strip() != labels[r - 1]:
+            raise InputError(
+                f"{path}: row {r} is labelled '{row[0].strip()}', but the header's label at its position is '{labels[r - 1]}'"
+            )
         body.append(_parse_row(path, r, cells))
     try:
         return PairwiseMatrix(np.array(body, dtype=float), labels=labels)
@@ -470,10 +474,10 @@ def load_ranking_file(path):
     return ("simple", final.get("", {})) if skip else ("sweep", final)
 
 
-def _key_mismatch(records, fieldnames, start) -> ValueError:
-    """Name the first record with other keys than ``fieldnames``, counting ``records`` from ``start``."""
+def _key_mismatch(records, fieldnames) -> ValueError:
+    """Name the first record with other keys than ``fieldnames``, by its index."""
     expected = set(fieldnames)
-    i, keys = next((i, rec.keys()) for i, rec in enumerate(records, start) if rec.keys() != expected)
+    i, keys = next((i, rec.keys()) for i, rec in enumerate(records) if rec.keys() != expected)
     return ValueError(
         f"record {i} has keys {list(keys)}, expected {list(fieldnames)}: "
         f"missing {[k for k in fieldnames if k not in keys]}, "
@@ -481,7 +485,7 @@ def _key_mismatch(records, fieldnames, start) -> ValueError:
     )
 
 
-#: records rendered at a time; bounds the columns and the cell cache held at once
+#: records rendered at a time; bounds the columns held at once
 _BLOCK_ROWS = 2048
 
 
@@ -518,17 +522,9 @@ class _TextCache:
         self.plain = True
 
     def render(self, cells: list, lone: bool) -> list[str]:
-        """The cells' texts, rendering the values not cached yet.
-
-        A cache that would outgrow ``_BLOCK_ROWS`` values starts afresh.
-        """
-        new = set(cells).difference(self.texts)
+        """The cells' texts, rendering the values not cached yet."""
+        new = list(set(cells).difference(self.texts))
         if new:
-            if len(self.texts) + len(new) > _BLOCK_ROWS:
-                self.texts.clear()
-                self.plain = True
-                new = set(cells)
-            new = list(new)
             texts = _csv_texts(new, lone)
             self.texts.update(zip(new, texts))
             self.plain = self.plain and texts == new
@@ -563,48 +559,31 @@ def _render_column(cells: list, lone: bool, cache: _TextCache) -> list[str]:
     return list(map(text_of.__getitem__, keys))
 
 
-def write_records_csv(fh, records: Iterable[dict], fieldnames: list[str]) -> None:
-    """Write records as CSV to the text handle ``fh``, a block at a time.
+def records_to_csv(records: list[dict], fieldnames: list[str]) -> str:
+    """The CSV text of a list of records: a header of ``fieldnames``, then one row per record.
 
-    The header is ``fieldnames``; each record becomes one row in that
-    column order. ``records`` may be any iterable: it is read
-    ``_BLOCK_ROWS`` records at a time, and each block is written before the
-    next is read. Every record must carry exactly the keys in
-    ``fieldnames``: a missing or an extra key raises ValueError naming the
-    record's index and the keys, after the blocks before it are written.
-    Python floats are written by ``repr`` and every other cell exactly as
-    ``csv.writer`` writes it; the rows are built column by column. Each
-    distinct exact ``str`` or ``int`` of a column is rendered once for the
-    whole call (until the column's cache outgrows ``_BLOCK_ROWS`` values and
-    starts afresh), and any other distinct cell once per block.
+    A record with a missing or an extra key raises ValueError naming its
+    index and keys. The rows are built column by column, ``_BLOCK_ROWS``
+    records at a time: each distinct exact ``str`` or ``int`` of a column is
+    rendered once for the whole table, any other distinct cell once a block.
     """
-    csv.writer(fh, lineterminator="\n").writerow(fieldnames)
+    # with every field present, a record of the right size has no extra key
+    if set(map(len, records)) - {len(set(fieldnames))}:
+        raise _key_mismatch(records, fieldnames)
+    parts = _Lines()  # the header row, then each block's rows
+    csv.writer(parts, lineterminator="\n").writerow(fieldnames)
     getters = [operator.itemgetter(name) for name in fieldnames]
     caches = [_TextCache() for _ in fieldnames]
-    width, lone = len(set(fieldnames)), len(fieldnames) == 1
-    records, start = iter(records), 0
-    while block := list(itertools.islice(records, _BLOCK_ROWS)):
-        # with every field present, a record of the right size has no extra key
-        if set(map(len, block)) - {width}:
-            raise _key_mismatch(block, fieldnames, start)
+    lone = len(fieldnames) == 1
+    for start in range(0, len(records), _BLOCK_ROWS):
+        block = records[start:start + _BLOCK_ROWS]
         try:
             columns = [_render_column(list(map(get, block)), lone, cache) for get, cache in zip(getters, caches)]
         except KeyError:
-            raise _key_mismatch(block, fieldnames, start) from None
+            raise _key_mismatch(records, fieldnames) from None
         rows = map(",".join, zip(*columns)) if columns else [""] * len(block)
-        fh.write("\n".join(rows))
-        fh.write("\n")
-        start += len(block)
-
-
-def records_to_csv(records: list[dict], fieldnames: list[str]) -> str:
-    """Serialize records to CSV text; floats keep full precision.
-
-    The text is what :func:`write_records_csv` writes, with its checks.
-    """
-    buf = _io.StringIO()
-    write_records_csv(buf, records, fieldnames)
-    return buf.getvalue()
+        parts += ("\n".join(rows), "\n")
+    return "".join(parts)
 
 
 def records_to_json(payload) -> str:

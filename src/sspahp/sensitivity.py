@@ -343,7 +343,11 @@ def _subset_rankings(result):
     """Subsets and their rankings: a [subset, N] array for a sweep, a list otherwise."""
     if isinstance(result, SweepResult):
         return result.subsets, result.ranks[:, -1]
-    rankings = {tuple(k): np.asarray(v) for k, v in dict(result).items()}
+    mapping = dict(result)
+    key = next((k for k in mapping if isinstance(k, str)), None)
+    if key is not None:  # tuple() would split it into characters
+        raise InputError(f"subset key {key!r} is a string, not a tuple of dimension ids")
+    rankings = {tuple(k): np.asarray(v) for k, v in mapping.items()}
     return tuple(rankings), list(rankings.values())
 
 
@@ -366,7 +370,8 @@ def compare_rankings(result_a, result_b) -> dict[tuple[str, ...], tuple[float, f
     """Per-subset (weighted Spearman, Pearson) between two sweeps' rankings.
 
     Accepts SweepResult objects (their full-reduction rankings are compared)
-    or plain mappings of subset -> ranking vector. Subset lists must match.
+    or plain mappings of subset -> ranking vector, each subset a tuple of
+    dimension ids (a string key raises InputError). Subset lists must match.
     Two sweeps are paired by alternative id; ids found in only one raise
     InputError naming them. The rankings of each length are stacked and
     both coefficients computed row-wise; an invalid ranking raises with its

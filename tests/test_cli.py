@@ -656,6 +656,48 @@ class TestCorrCommand:
         result = runner.invoke(main, ["corr", str(a), str(b)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "text_a, text_b, message",
+        [
+            pytest.param(
+                "alternative,rank\na,1\nb,2\n",
+                "subset,s,alternative,rank\nG1,1,a,1\nG1,1,b,2\n",
+                "cannot mix a plain ranking file with a sweep export",
+                id="mixed-kinds",
+            ),
+            pytest.param(
+                "subset,s,alternative,rank\nG1,1,a,1\nG1,1,b,2\n",
+                "subset,s,alternative,rank\nG2,1,a,1\nG2,1,b,2\n",
+                "subset lists differ between the two sweep exports",
+                id="subset-lists",
+            ),
+            pytest.param(
+                "alternative,rank\na,1\nb,2\nc,3\n",
+                "alternative,rank\na,1\nd,2\ne,3\n",
+                "alternative ids differ; in only one: b, c, d, e",
+                id="plain-ids",
+            ),
+            pytest.param(
+                "subset,s,alternative,rank\n,1,a,1\n,1,b,2\n,1,c,3\nG1,1,a,1\nG1,1,b,2\n",
+                "subset,s,alternative,rank\n,1,a,1\n,1,b,2\nG1,1,a,1\nG1,1,b,2\n",
+                "alternative ids differ in subset (); in only one: c",
+                id="empty-subset-ids",
+            ),
+            pytest.param(
+                "subset,s,alternative,rank\n,1,a,1\n,1,b,2\nG1,1,a,1\nG1,1,b,2\n",
+                "subset,s,alternative,rank\n,1,a,1\n,1,b,2\nG1,1,a,1\nG1,1,c,2\n",
+                "alternative ids differ in subset G1; in only one: b, c",
+                id="subset-ids",
+            ),
+        ],
+    )
+    def test_mismatched_files_are_named(self, runner, tmp_path, text_a, text_b, message):
+        (tmp_path / "a.csv").write_text(text_a)
+        (tmp_path / "b.csv").write_text(text_b)
+        result = runner.invoke(main, ["corr", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")])
+        assert result.exit_code == 2
+        assert result.stderr == f"input error: {message}\n"
+
     def test_malformed_ranking_file_is_an_input_error(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("subset,s,alternative,rank\nG1,0,a1,1\nG1,1,a2,first\n")
@@ -679,6 +721,14 @@ class TestMalformedInputs:
         path.write_text("1,2,3\n0.5,1\n1/3,1,1\n")
         result = runner.invoke(main, ["weights", "--method", "ahp", "--pairwise", str(path)])
         self.assert_input_error(result, "ragged.csv: row 2 has 2 entries; expected a square 3x3 matrix")
+
+    def test_pairwise_rows_labelled_out_of_header_order(self, runner, tmp_path):
+        path = tmp_path / "mislabelled.csv"
+        path.write_text(",G1,G2,G3\nG3,1,3,5\nG2,1/3,1,3\nG1,1/5,1/3,1\n")
+        result = runner.invoke(main, ["weights", "--method", "ahp", "--pairwise", str(path)])
+        self.assert_input_error(
+            result, "mislabelled.csv: row 1 is labelled 'G3', but the header's label at its position is 'G1'"
+        )
 
     def test_repeated_pairwise_label_is_refused_before_the_eigen_solve(self, runner, tmp_path, monkeypatch):
         from sspahp import weighting

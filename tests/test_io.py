@@ -25,7 +25,6 @@ from sspahp.io import (
     load_weights,
     records_to_csv,
     write_hierarchy_json,
-    write_records_csv,
     write_matrix_csv,
 )
 from sspahp.sample import DATA_DIR, sample_hierarchy, sample_matrix, write_sample
@@ -425,6 +424,21 @@ class TestLoadPairwise:
         assert pm.labels == ("G1", "G2")
         assert np.allclose(pm.values, [[1, 5], [0.2, 1]])
 
+    def test_a_row_label_must_match_the_header_at_its_position(self, tmp_path):
+        # the rows in reverse order: read by its labels the diagonal is 5, 1, 5
+        path = tmp_path / "p.csv"
+        path.write_text(",G1,G2,G3\nG3,1,3,5\nG2,1/3,1,3\nG1,1/5,1/3,1\n")
+        message = r"p\.csv: row 1 is labelled 'G3', but the header's label at its position is 'G1'$"
+        with pytest.raises(InputError, match=message):
+            load_pairwise(path)
+
+    def test_unlabelled_rows_under_a_labelled_header_are_read_in_order(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(",G1,G2\nG1,1,5\n1/5,1\n")
+        pm = load_pairwise(path)
+        assert pm.labels == ("G1", "G2")
+        assert np.allclose(pm.values, [[1, 5], [0.2, 1]])
+
     def test_non_square_is_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("1,2,3\n0.5,1,2\n")
@@ -689,27 +703,18 @@ class TestRecordsToCsv:
         with mock.patch.object(sspahp_io, "_BLOCK_ROWS", block_rows):
             assert records_to_csv(records, fieldnames) == records_to_csv_oracle(records, fieldnames)
 
-    def test_an_iterable_is_written_a_block_at_a_time(self):
-        fh = io.StringIO()
-
-        def records():
-            for i in range(7):
-                # every full block before this record is already written
-                assert fh.getvalue().count("\n") == 1 + i // 2 * 2
-                yield {"a": f"a{i}", "b": i}
-
-        with mock.patch.object(sspahp_io, "_BLOCK_ROWS", 2):
-            write_records_csv(fh, records(), ["a", "b"])
-        expected = [{"a": f"a{i}", "b": i} for i in range(7)]
-        assert fh.getvalue() == records_to_csv_oracle(expected, ["a", "b"])
-
     def test_a_bad_record_in_a_later_block_is_named_by_its_index(self):
         records = [{"a": 1, "b": 2}] * 5 + [{"a": 1}]
-        fh = io.StringIO()
         with mock.patch.object(sspahp_io, "_BLOCK_ROWS", 2):
             with pytest.raises(ValueError, match=r"^record 5 has keys \['a'\]"):
-                write_records_csv(fh, iter(records), ["a", "b"])
-        assert fh.getvalue() == "a,b\n" + "1,2\n" * 4
+                records_to_csv(records, ["a", "b"])
+
+    def test_a_wrong_key_in_a_later_block_is_named_by_its_index(self):
+        # the right number of keys, so only rendering the later block finds it
+        records = [{"a": 1, "b": 2}] * 5 + [{"a": 1, "c": 2}]
+        with mock.patch.object(sspahp_io, "_BLOCK_ROWS", 2):
+            with pytest.raises(ValueError, match=r"^record 5 .*: missing \['b'\], extra \['c'\]"):
+                records_to_csv(records, ["a", "b"])
 
     @settings(max_examples=400, deadline=None)
     @given(csv_table(), st.sampled_from([1, 2, 3, sspahp_io._BLOCK_ROWS]))

@@ -539,6 +539,11 @@ class TestCompareRankingsErrors:
         with pytest.raises(InputError, match=r"subset G2: need at least 2 entries, got 1"):
             compare_rankings({("G1",): [1, 2], ("G2",): [1]}, {("G1",): [2, 1], ("G2",): [1]})
 
+    def test_a_string_subset_key_is_refused(self):
+        # tuple("G1") would compare subset ("G", "1")
+        with pytest.raises(InputError, match=r"^subset key 'G1' is a string, not a tuple of dimension ids$"):
+            compare_rankings({"G1": [1, 2, 3]}, {"G1": [3, 2, 1]})
+
     def test_lengths_that_differ_name_the_subset(self):
         with pytest.raises(InputError, match="ranking lengths differ for subset G2"):
             compare_rankings({("G1",): [1, 2], ("G2",): [1, 2]}, {("G1",): [2, 1], ("G2",): [1, 2, 3]})
