@@ -8,6 +8,8 @@ Formats:
   with string ids and names, objectives restricted to "max" and "min";
 * pairwise judgments: square numeric CSV (each row as wide as the matrix is
   tall), header row optional, entries as decimals or fractions like ``1/3``;
+  the header's first cell is a label column's corner cell only when the first
+  data row is labelled and the header is one cell wider than the matrix;
 * weights (criterion_id, weight) and bounds (criterion_id, min, max): CSV,
   header row optional; bounds need exactly one row per hierarchy criterion;
 * ranking: CSV with ``alternative`` and ``rank`` columns, or a sweep export
@@ -19,7 +21,10 @@ Formats:
 Every input is read as UTF-8, with a leading byte-order mark skipped. Every
 CSV reader skips a blank row (every cell empty or whitespace) wherever it
 sits, the header is the first non-blank row, and data rows are counted from
-1 without the blank ones.
+1 without the blank ones. The matrix, pairwise, weights and bounds readers
+check every row's shape before any cell, so a ragged row is named before a
+bad cell wherever the two sit; a bad cell's column counts the number columns
+after the label in a matrix or pairwise file, the file's columns otherwise.
 
 ``records_to_csv`` turns a list of records into one CSV text: a header of
 ``fieldnames`` and one row per record, where every record must carry
@@ -88,11 +93,10 @@ def _csv_rows(path):
         raise _unreadable(path, exc) from None
 
 
-def _iter_rows(path):
-    """Stream the non-blank CSV rows of a file, header first."""
+def _read_rows(path) -> list[list[str]]:
+    """The non-blank CSV rows of a file, header first."""
     with _csv_rows(path) as (header, rows):
-        yield header
-        yield from itertools.filterfalse(_is_blank, rows)
+        return [header, *itertools.filterfalse(_is_blank, rows)]
 
 
 def _parse_number(token: str, where: str) -> float:
@@ -105,12 +109,26 @@ def _parse_number(token: str, where: str) -> float:
         raise InputError(f"{where}: non-numeric cell '{token}'") from None
 
 
-def _parse_row(path, r, cells, start=1) -> list[float]:
-    """The numbers in data row ``r``; a bad cell raises InputError naming its file, row and column."""
+def _is_number(cell: str) -> bool:
+    """Whether a cell is a decimal or a simple fraction."""
     try:
-        return list(map(float, cells))
+        _parse_number(cell, "")
+    except InputError:
+        return False
+    return True
+
+
+def _numbers(path, rows, width, start=1) -> np.ndarray:
+    """A (rows x width) array; a bad cell raises InputError naming its file, row (from 1) and column (from ``start``)."""
+    try:
+        values = list(map(float, itertools.chain.from_iterable(rows)))
     except ValueError:  # fractions, or a cell to report
-        return [_parse_number(cell, f"{path}: row {r}, column {c}") for c, cell in enumerate(cells, start)]
+        values = [
+            _parse_number(cell, f"{path}: row {r}, column {c}")
+            for r, cells in enumerate(rows, start=1)
+            for c, cell in enumerate(cells, start)
+        ]
+    return np.array(values, dtype=float).reshape(len(rows), width)
 
 
 def _canonical_order(path, ids, canonical, kind) -> list[int]:
@@ -132,17 +150,14 @@ def _canonical_order(path, ids, canonical, kind) -> list[int]:
 
 def _read_criterion_table(path, columns) -> tuple[list[str], np.ndarray]:
     """Ids and an (ids x columns) array from a ``criterion_id,<columns>`` CSV, header optional."""
-    rows = list(_iter_rows(path))
+    rows = _read_rows(path)
     width = 1 + len(columns)
     if [c.strip().lower() for c in rows[0][:width]] == ["criterion_id", *columns]:
         rows = rows[1:]
-    ids, values = [], []
     for r, row in enumerate(rows, start=1):
         if len(row) < width:
             raise InputError(f"{path}: row {r} needs criterion_id, {', '.join(columns)}")
-        ids.append(row[0].strip())
-        values.append(_parse_row(path, r, row[1:width], start=2))
-    return ids, np.array(values, dtype=float).reshape(len(ids), len(columns))
+    return [row[0].strip() for row in rows], _numbers(path, [row[1:width] for row in rows], len(columns), start=2)
 
 
 def _field(entry, key, kind):
@@ -239,26 +254,19 @@ def load_decision_matrix(path, hierarchy: CriteriaHierarchy) -> DecisionMatrix:
     hierarchy. Ids unknown to the hierarchy, missing criteria, and
     malformed cells are ingestion errors naming the offending spot.
     """
-    rows = list(_iter_rows(path))
-    header = [cell.strip() for cell in rows[0]]
+    header, *rows = _read_rows(path)
+    header = [cell.strip() for cell in header]
     if header[0].lower() != "alternative":
         raise InputError(f"{path}: first header cell must be 'alternative', got '{header[0]}'")
     canonical = hierarchy.criterion_ids()
     order = _canonical_order(path, header[1:], canonical, "column")
 
-    alt_ids = []
-    data = []
-    for r, row in enumerate(rows[1:], start=1):
+    for r, row in enumerate(rows, start=1):
         if len(row) != len(header):
-            raise InputError(
-                f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
-            )
-        alt_ids.append(row[0].strip())
-        data.append(_parse_row(path, r, row[1:]))
-
-    values = np.array(data, dtype=float).reshape(len(alt_ids), len(header) - 1)
+            raise InputError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+    values = _numbers(path, [row[1:] for row in rows], len(header) - 1)
     matrix = DecisionMatrix(
-        alternative_ids=tuple(alt_ids),
+        alternative_ids=tuple(row[0].strip() for row in rows),
         criterion_ids=canonical,
         values=values[:, order],
         objectives=tuple(hierarchy.objective_for(c) for c in canonical),
@@ -281,34 +289,27 @@ def load_pairwise(path) -> PairwiseMatrix:
 
     A non-numeric first row is treated as labels; a leading label column is
     stripped, and a row's label must equal the header's label at the row's
-    position. Fractions like ``1/5`` are accepted alongside decimals. Every
-    row must hold as many entries as there are rows; the other checks are
+    position; the header's first cell is a corner cell only when the first
+    data row is labelled and the header is one cell wider than the matrix.
+    Fractions like ``1/5`` are accepted alongside decimals. Every row must
+    hold as many entries as there are rows; the other checks are
     ``PairwiseMatrix``'s, reported with the path.
     """
     from .weighting import PairwiseMatrix
 
-    rows = list(_iter_rows(path))
-
-    def is_numeric(cell: str) -> bool:
-        try:
-            _parse_number(cell, "")
-            return True
-        except InputError:
-            return False
-
+    rows = _read_rows(path)
     labels = None
-    if not all(is_numeric(c) for c in rows[0]):
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
+    if not all(map(_is_number, rows[0])):
+        header = [c.strip() for c in rows.pop(0)]
         if not rows:
             raise InputError(f"{path}: header without data")
-        # header may carry a corner cell for the label column
-        labels = tuple(header[1:]) if not is_numeric(rows[0][0]) else tuple(header)
+        corner = not _is_number(rows[0][0]) and len(header) == len(rows) + 1
+        labels = tuple(header[1:] if corner else header)
 
     n = len(rows)
     body = []
     for r, row in enumerate(rows, start=1):
-        labelled = not is_numeric(row[0])
+        labelled = not _is_number(row[0])
         cells = row[1:] if labelled else row  # leading label column
         if len(cells) != n:
             raise InputError(f"{path}: row {r} has {len(cells)} entries; expected a square {n}x{n} matrix")
@@ -317,9 +318,9 @@ def load_pairwise(path) -> PairwiseMatrix:
             raise InputError(
                 f"{path}: row {r} is labelled '{row[0].strip()}', but the header's label at its position is '{labels[r - 1]}'"
             )
-        body.append(_parse_row(path, r, cells))
+        body.append(cells)
     try:
-        return PairwiseMatrix(np.array(body, dtype=float), labels=labels)
+        return PairwiseMatrix(_numbers(path, body, n), labels=labels)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -510,47 +511,25 @@ def _csv_texts(values, lone: bool) -> list[str]:
     return texts
 
 
-class _TextCache:
-    """The texts of one column's exact ``str`` or exact ``int`` values, kept from block to block.
-
-    ``plain`` stays true while every text equals its value, a ``str`` that
-    needs no quoting; such a column is then its own text.
-    """
-
-    def __init__(self):
-        self.texts: dict = {}
-        self.plain = True
-
-    def render(self, cells: list, lone: bool) -> list[str]:
-        """The cells' texts, rendering the values not cached yet."""
-        new = list(set(cells).difference(self.texts))
-        if new:
-            texts = _csv_texts(new, lone)
-            self.texts.update(zip(new, texts))
-            self.plain = self.plain and texts == new
-        return cells if self.plain else list(map(self.texts.__getitem__, cells))
-
-
-def _render_column(cells: list, lone: bool, cache: _TextCache) -> list[str]:
+def _render_column(cells: list, lone: bool) -> list[str]:
     """Each cell's text as ``csv.writer`` writes it in a row of the table.
 
-    A column of exact ``str``s, or of exact ``int``s, is rendered by value
-    through the column's ``cache``, so a value seen in an earlier block is
-    not rendered again, and a ``str`` column that needs no quoting is its own
-    text. A column of exact floats that are all distinct goes through
+    A column of exact ``str``s, or of exact ``int``s, renders each distinct
+    value once, and a ``str`` column that needs no quoting is its own text.
+    A column of exact floats that are all distinct goes through
     ``float.__repr__``, the text ``csv.writer`` writes for a float. Any other
     column renders each distinct object once.
     """
     kinds = set(map(type, cells))
     if kinds == {str} or kinds == {int}:
-        # equal exact strs, or equal exact ints, always have the same text,
-        # and a str never equals an int, so one cache serves both
-        return cache.render(cells, lone)
+        # equal exact strs, or equal exact ints, always have the same text
+        values = list(set(cells))
+        texts = _csv_texts(values, lone)
+        return cells if texts == values else list(map(dict(zip(values, texts)).__getitem__, cells))
     # Other distinct objects are found by id(), not by value, which would
     # merge 0.0 with -0.0, and 1 with 1.0 and True. An id names one object
     # only while that object lives: ``cells`` keeps every object alive until
-    # the cache is dropped at the end of this call. A cache kept longer could
-    # find a new object at the id of a freed one and hand it the wrong text.
+    # the texts are dropped at the end of this call.
     keys = list(map(id, cells))
     distinct = dict(zip(keys, cells))
     if len(distinct) == len(cells) and kinds == {float}:
@@ -564,8 +543,8 @@ def records_to_csv(records: list[dict], fieldnames: list[str]) -> str:
 
     A record with a missing or an extra key raises ValueError naming its
     index and keys. The rows are built column by column, ``_BLOCK_ROWS``
-    records at a time: each distinct exact ``str`` or ``int`` of a column is
-    rendered once for the whole table, any other distinct cell once a block.
+    records at a time, and each block renders each distinct cell of a column
+    once; nothing is kept from one block to the next.
     """
     # with every field present, a record of the right size has no extra key
     if set(map(len, records)) - {len(set(fieldnames))}:
@@ -573,12 +552,11 @@ def records_to_csv(records: list[dict], fieldnames: list[str]) -> str:
     parts = _Lines()  # the header row, then each block's rows
     csv.writer(parts, lineterminator="\n").writerow(fieldnames)
     getters = [operator.itemgetter(name) for name in fieldnames]
-    caches = [_TextCache() for _ in fieldnames]
     lone = len(fieldnames) == 1
     for start in range(0, len(records), _BLOCK_ROWS):
         block = records[start:start + _BLOCK_ROWS]
         try:
-            columns = [_render_column(list(map(get, block)), lone, cache) for get, cache in zip(getters, caches)]
+            columns = [_render_column(list(map(get, block)), lone) for get in getters]
         except KeyError:
             raise _key_mismatch(records, fieldnames) from None
         rows = map(",".join, zip(*columns)) if columns else [""] * len(block)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sspahp.io as sspahp_io
-from sspahp import InputError, SweepSpec, run_sweep
+from sspahp import CriteriaHierarchy, DecisionMatrix, Dimension, InputError, SubDimension, SweepSpec, run_sweep
 from sspahp.io import (
     _parse_number,
     load_bounds,
@@ -353,6 +353,13 @@ class TestLoadDecisionMatrix:
         with pytest.raises(InputError, match=r"m\.csv: row 2 has 2 cells, expected 3$"):
             load_decision_matrix(path, h)
 
+    def test_a_ragged_row_is_named_before_a_bad_cell_above_it(self, tmp_path):
+        h = small_hierarchy_file(tmp_path)
+        path = tmp_path / "m.csv"
+        path.write_text("alternative,C1,C2\na1,x,2\na2,3\n")
+        with pytest.raises(InputError, match=r"m\.csv: row 2 has 2 cells, expected 3$"):
+            load_decision_matrix(path, h)
+
     @pytest.mark.parametrize("text", ["", "\n , \n\n"])
     def test_empty_file_is_named(self, tmp_path, text):
         h = small_hierarchy_file(tmp_path)
@@ -432,6 +439,15 @@ class TestLoadPairwise:
         with pytest.raises(InputError, match=message):
             load_pairwise(path)
 
+    def test_a_header_without_a_corner_cell_lists_every_label(self, tmp_path):
+        cornerless, corner = tmp_path / "p.csv", tmp_path / "corner.csv"
+        rows = "G1,1,3,5\nG2,1/3,1,3\nG3,1/5,1/3,1\n"
+        cornerless.write_text("G1,G2,G3\n" + rows)
+        corner.write_text(",G1,G2,G3\n" + rows)
+        pm = load_pairwise(cornerless)
+        assert pm.labels == ("G1", "G2", "G3")
+        assert pm == load_pairwise(corner)
+
     def test_unlabelled_rows_under_a_labelled_header_are_read_in_order(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text(",G1,G2\nG1,1,5\n1/5,1\n")
@@ -456,6 +472,9 @@ class TestLoadPairwise:
             ("2,1\n1,1\n", r"pairwise diagonal must be all ones"),
             ("1,0\n0,1\n", r"pairwise entries must be finite and positive"),
             ("G1,G2,G3\n1,2\n0.5,1\n", r"3 labels for a 2x2 matrix"),
+            # every row's shape is checked before any cell
+            ("1,2,3\n0.5,x,2\n1/3,1/2\n", r"row 3 has 2 entries; expected a square 3x3 matrix"),
+            (",G1,G2\nG1,1,x\nG2,1/5\n", r"row 2 has 1 entries; expected a square 2x2 matrix"),
         ],
     )
     def test_errors_name_the_file(self, tmp_path, text, message):
@@ -568,6 +587,7 @@ class TestLoadBounds:
             ("C1,1,5\nC2,0,10\nCX,0,1\n", r"criterion id\(s\) not in the hierarchy: CX"),
             ("C1,1,5\nC2,0\n", r"row 2 needs criterion_id, min, max"),
             ("C1,1,5\nC2,0,ten\n", r"row 2, column 3: non-numeric cell 'ten'"),
+            ("C1,1,x\nC2,0\n", r"row 2 needs criterion_id, min, max"),  # shapes before cells
         ],
     )
     def test_malformed_rows_name_the_file(self, tmp_path, text, message):
@@ -601,6 +621,8 @@ class TestByteOrderMark:
         "matrix.csv": lambda path: load_decision_matrix(path, sample_hierarchy()),
         "pairwise.csv": load_pairwise,
         "labelled_pairwise.csv": load_pairwise,
+        "cornerless_pairwise.csv": load_pairwise,
+        "bounds.csv": lambda path: load_bounds(path, sample_hierarchy()).tolist(),
         "weights.csv": lambda path: load_weights(path, sample_hierarchy()),
         "plain_weights.csv": lambda path: load_weights(path, sample_hierarchy()),
         "ranking.csv": load_ranking_file,
@@ -614,6 +636,11 @@ class TestByteOrderMark:
         judgments = "\n".join(",".join(repr(float(v)) for v in row) for row in CONSENSUS_JUDGMENTS)
         (tmp_path / "pairwise.csv").write_text(judgments + "\n", encoding="utf-8")
         (tmp_path / "labelled_pairwise.csv").write_text("G1,G2,G3,G4,G5\n" + judgments + "\n", encoding="utf-8")
+        cornerless = "G1,G2,G3\nG1,1,3,5\nG2,1/3,1,3\nG3,1/5,1/3,1\n"
+        (tmp_path / "cornerless_pairwise.csv").write_text(cornerless, encoding="utf-8")
+        values = sample_matrix().values
+        bounds = [f"{c},{lo!r},{hi!r}" for c, lo, hi in zip(sample_matrix().criterion_ids, values.min(0).tolist(), values.max(0).tolist())]
+        (tmp_path / "bounds.csv").write_text("criterion_id,min,max\n" + "\n".join(bounds) + "\n", encoding="utf-8")
         weights = critic_weights(sample_matrix())
         rows = [f"{c},{w!r}" for c, w in zip(weights.criterion_ids, weights.weights.tolist())]
         (tmp_path / "weights.csv").write_text("criterion_id,weight\n" + "\n".join(rows) + "\n", encoding="utf-8")
@@ -1069,3 +1096,70 @@ class TestMatrixRowParsing:
         h = sample_hierarchy()
         path = DATA_DIR / "sample_matrix.csv"
         assert np.array_equal(load_decision_matrix(path, h).values, load_matrix_cells_oracle(path, h))
+
+
+@st.composite
+def decision_matrix(draw):
+    """A hierarchy of one to four criteria and a matrix bound to it, with finite cells of any magnitude or sign."""
+    n = draw(st.integers(1, 4))
+    criteria = tuple(f"C{j + 1}" for j in range(n))
+    objectives = {c: draw(st.sampled_from(["max", "min"])) for c in criteria}
+    hierarchy = CriteriaHierarchy((Dimension("G1", "g", (SubDimension("sd", criteria),)),), objectives)
+    alternative = st.text(alphabet='ab ,"1-', min_size=1, max_size=4).filter(lambda a: a == a.strip())
+    ids = draw(st.lists(alternative, min_size=2, max_size=6, unique=True))
+    cell = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=len(ids), max_size=len(ids)))
+    return hierarchy, DecisionMatrix(ids, criteria, np.array(values), [objectives[c] for c in criteria])
+
+
+@st.composite
+def pairwise_file(draw):
+    """The rows of a pairwise CSV over a reciprocal matrix of 1..9 judgments, its values and its labels.
+
+    The header is absent, has a corner cell or lists only the labels; under
+    a header, a row carries its label or not, except that the first row is
+    labelled when the header has a corner cell.
+    """
+    n = draw(st.integers(1, 5))
+    texts, values = [["1"] * n for _ in range(n)], np.ones((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            judgment = draw(st.integers(1, 9))
+            a, b = (i, j) if draw(st.booleans()) else (j, i)
+            texts[a][b], texts[b][a] = str(judgment), f"1/{judgment}"
+            values[a, b], values[b, a] = judgment, 1 / judgment
+    header = draw(st.sampled_from(["none", "corner", "cornerless"]))
+    if header == "none":
+        return texts, values, None
+    labels = draw(st.lists(st.sampled_from(["G1", "G2", "Equity", "quality", "a,b", "x y"]), min_size=n, max_size=n, unique=True))
+    labelled = [header == "corner" or draw(st.booleans()), *(draw(st.booleans()) for _ in range(n - 1))]
+    rows = [[label, *row] if lab else row for label, row, lab in zip(labels, texts, labelled)]
+    head = [draw(st.sampled_from(["", "item"])), *labels] if header == "corner" else labels
+    return [head, *rows], values, tuple(labels)
+
+
+class TestRoundTrips:
+    @settings(max_examples=100, deadline=None)
+    @given(decision_matrix(), st.booleans(), st.lists(st.integers(0, 8), max_size=3))
+    def test_a_written_matrix_reads_back_bit_for_bit(self, tmp_path_factory, case, bom, blank_at):
+        hierarchy, matrix = case
+        path = tmp_path_factory.mktemp("matrix") / "m.csv"
+        write_matrix_csv(matrix, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for k, at in enumerate(sorted(blank_at, reverse=True)):
+            lines.insert(min(at, len(lines)), ["\n", "   \r\n", " , ,\t\n"][k % 3])
+        path.write_bytes(b"\xef\xbb\xbf" * bom + "".join(lines).encode("utf-8"))
+        back = load_decision_matrix(path, hierarchy)
+        assert back.alternative_ids == matrix.alternative_ids
+        assert back.values.tobytes() == matrix.values.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairwise_file())
+    def test_a_written_pairwise_file_reads_back_its_values_and_labels(self, tmp_path_factory, case):
+        rows, values, labels = case
+        path = tmp_path_factory.mktemp("pairwise") / "p.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        pm = load_pairwise(path)
+        assert pm.labels == labels
+        assert pm.values.tobytes() == values.tobytes()
