@@ -6,7 +6,6 @@ from dataclasses import KW_ONLY, InitVar, dataclass, field, fields
 
 import numpy as np
 
-from .correlation import _finite_key, _ordinal_ranks
 from .errors import InputError
 
 MAX = "max"
@@ -37,7 +36,10 @@ def _fields_equal(self, other) -> bool:
     """``==`` for frozen dataclasses holding arrays: same class, every field equal.
 
     Array fields compare with ``np.array_equal``, so the answer is one bool
-    rather than an elementwise array.
+    rather than an elementwise array. A class that sets ``__eq__`` to this is
+    declared with ``eq=False``: dataclasses then builds neither an ``__eq__``
+    the class replaces nor a ``__hash__``, and ``hash()`` of an instance
+    raises TypeError.
     """
     if other.__class__ is not self.__class__:
         return NotImplemented
@@ -80,6 +82,9 @@ class _Ranked:
         two scores are equal, ``-0.0`` and ``0.0`` among them. A NaN or
         infinite score raises InputError.
         """
+        # loaded at first use, so the loaders and the sample load no ranking code
+        from .correlation import _finite_key, _ordinal_ranks
+
         ranking, tied = _ordinal_ranks(_finite_key(scores, fields.get("higher_better", True)))
         if "has_ties" in cls.__dataclass_fields__:
             fields["has_ties"] = tied
@@ -94,7 +99,7 @@ class _Ranked:
             raise InputError(f"alternative '{alternative_id}' not in the result") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionMatrix:
     """Raw m x n performance table with a max/min objective per criterion.
 
@@ -197,7 +202,7 @@ def require_valid(matrix: DecisionMatrix) -> None:
     object.__setattr__(matrix, "_valid", True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizedMatrix:
     """Min-max scaled values in [0, 1], ids carried through from the source."""
 
@@ -261,7 +266,7 @@ def _normalized(matrix: DecisionMatrix) -> NormalizedMatrix:
     return norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Finite, non-negative per-criterion weights that sum to 1."""
 

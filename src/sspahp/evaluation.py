@@ -29,7 +29,7 @@ from .core import (
 from .errors import InputError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SustainabilityCoefficients:
     """Per-criterion compensation-reduction strengths, each in [0, 1]."""
 

@@ -3,13 +3,16 @@
 Formats:
 
 * decision matrix: UTF-8 CSV, first header ``alternative``, then one
-  column per hierarchy criterion id; numeric cells with a plain decimal point;
+  column per hierarchy criterion id; numeric cells as decimals or fractions
+  like ``1/4``;
 * criteria hierarchy: JSON lists of dimensions -> sub_dimensions -> criteria
   with string ids and names, objectives restricted to "max" and "min";
 * pairwise judgments: square numeric CSV (each row as wide as the matrix is
   tall), header row optional, entries as decimals or fractions like ``1/3``;
+  the first row is the header when a cell after its first is not a number;
   the header's first cell is a label column's corner cell only when the first
   data row is labelled and the header is one cell wider than the matrix;
+  without a header, rows that all carry a label are labelled by it;
 * weights (criterion_id, weight) and bounds (criterion_id, min, max): CSV,
   header row optional; bounds need exactly one row per hierarchy criterion;
 * ranking: CSV with ``alternative`` and ``rank`` columns, or a sweep export
@@ -276,30 +279,39 @@ def load_decision_matrix(path, hierarchy: CriteriaHierarchy) -> DecisionMatrix:
 
 
 def write_matrix_csv(matrix: DecisionMatrix, path) -> None:
-    """Write a matrix back out; values keep full precision for round-trips."""
+    """Write a matrix back out; values keep full precision for round-trips.
+
+    The text is what ``csv.writer`` writes for a header row of
+    ``alternative`` and the criterion ids, then a row per alternative of its
+    id and the ``repr`` of each value: ids quoted by the csv module's own
+    rule, each value written by ``float.__repr__`` (``nan``, ``inf`` and
+    ``-0.0`` included) and every row ended by ``\\r\\n``.
+    """
+    header = _csv_texts(["alternative", *matrix.criterion_ids], lone=False, terminator="\r\n")
+    ids = _csv_texts(matrix.alternative_ids, lone=matrix.n == 0, terminator="\r\n")
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alternative", *matrix.criterion_ids])
-        for i, alt in enumerate(matrix.alternative_ids):
-            writer.writerow([alt, *(repr(v) for v in matrix.values[i].tolist())])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join([alt, *map(float.__repr__, row)]) + "\r\n" for alt, row in zip(ids, matrix.values.tolist()))
 
 
 def load_pairwise(path) -> PairwiseMatrix:
     """Read a square pairwise judgment matrix from CSV.
 
-    A non-numeric first row is treated as labels; a leading label column is
-    stripped, and a row's label must equal the header's label at the row's
-    position; the header's first cell is a corner cell only when the first
-    data row is labelled and the header is one cell wider than the matrix.
-    Fractions like ``1/5`` are accepted alongside decimals. Every row must
-    hold as many entries as there are rows; the other checks are
-    ``PairwiseMatrix``'s, reported with the path.
+    The first row is a header of labels when a cell after its first, or its
+    only cell, is not a number; a data row may start with a label. A leading
+    label column is stripped, and a row's label must equal the header's
+    label at the row's position; the header's first cell is a corner cell
+    only when the first data row is labelled and the header is one cell
+    wider than the matrix. Without a header, rows that all carry a label
+    are labelled by it. Fractions like ``1/5`` are accepted alongside
+    decimals. Every row must hold as many entries as there are rows; the
+    other checks are ``PairwiseMatrix``'s, reported with the path.
     """
     from .weighting import PairwiseMatrix
 
     rows = _read_rows(path)
     labels = None
-    if not all(map(_is_number, rows[0])):
+    if not all(map(_is_number, rows[0][1:] or rows[0])):
         header = [c.strip() for c in rows.pop(0)]
         if not rows:
             raise InputError(f"{path}: header without data")
@@ -307,7 +319,7 @@ def load_pairwise(path) -> PairwiseMatrix:
         labels = tuple(header[1:] if corner else header)
 
     n = len(rows)
-    body = []
+    body, row_labels = [], []
     for r, row in enumerate(rows, start=1):
         labelled = not _is_number(row[0])
         cells = row[1:] if labelled else row  # leading label column
@@ -318,7 +330,11 @@ def load_pairwise(path) -> PairwiseMatrix:
             raise InputError(
                 f"{path}: row {r} is labelled '{row[0].strip()}', but the header's label at its position is '{labels[r - 1]}'"
             )
+        if labelled:
+            row_labels.append(row[0].strip())
         body.append(cells)
+    if labels is None and len(row_labels) == n:
+        labels = tuple(row_labels)
     try:
         return PairwiseMatrix(_numbers(path, body, n), labels=labels)
     except InputError as exc:
@@ -496,16 +512,17 @@ class _Lines(list):
     write = list.append
 
 
-def _csv_texts(values, lone: bool) -> list[str]:
+def _csv_texts(values, lone: bool, terminator: str = "\n") -> list[str]:
     """Each value's text as ``csv.writer`` writes it in a row of the table.
 
-    Each value is written alone in a one-field row, where it is quoted as in
-    any row. The one exception is an empty field: ``""`` when it is the
-    table's only field (``lone``), empty otherwise.
+    Each value is written alone in a one-field row ended by ``terminator``,
+    where it is quoted as in any row: the csv module quotes a field holding
+    a character of the row terminator. The one exception is an empty field:
+    ``""`` when it is the table's only field (``lone``), empty otherwise.
     """
     lines = _Lines()
-    csv.writer(lines, lineterminator="\n").writerows([value] for value in values)
-    texts = [line[:-1] for line in lines]
+    csv.writer(lines, lineterminator=terminator).writerows([value] for value in values)
+    texts = [line[: -len(terminator)] for line in lines]
     if not lone:
         texts = ["" if text == '""' else text for text in texts]
     return texts

@@ -111,7 +111,7 @@ def subset_label(subset) -> str:
     return "+".join(subset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSpec:
     """Everything a sweep needs: data bindings, grid, and subset list.
 

@@ -48,7 +48,7 @@ CR_THRESHOLD = 0.1
 _RECIPROCITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairwiseMatrix:
     """Positive reciprocal judgment matrix.
 

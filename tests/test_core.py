@@ -577,3 +577,6 @@ def test_equality_of_array_holders_is_one_bool(build, same, other):
     assert (first == changed) is False
     assert (first != changed) is True
     assert (first == "not a dataclass") is False
+    # unhashable by declaration, not through a hash of the array fields
+    with pytest.raises(TypeError, match=f"^unhashable type: '{type(first).__name__}'$"):
+        hash(first)

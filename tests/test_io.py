@@ -50,6 +50,15 @@ def records_to_csv_oracle(records, fieldnames):
     return buf.getvalue()
 
 
+def write_matrix_csv_oracle(matrix, path):
+    """Straightforward writer: one csv.writer row per alternative, each value as repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["alternative", *matrix.criterion_ids])
+        for i, alt in enumerate(matrix.alternative_ids):
+            writer.writerow([alt, *(repr(v) for v in matrix.values[i].tolist())])
+
+
 def load_ranking_file_oracle(path):
     """Straightforward reader: find each subset's deepest s, then a second pass.
 
@@ -438,6 +447,20 @@ class TestLoadPairwise:
         message = r"p\.csv: row 1 is labelled 'G3', but the header's label at its position is 'G1'$"
         with pytest.raises(InputError, match=message):
             load_pairwise(path)
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["G1,1,3\nG2,1/3,1\n", "G1,1,3,5\nG2,1/3,1,3\nG3,1/5,1/3,1\n"],
+        ids=["2x2", "3x3"],
+    )
+    def test_labelled_rows_without_a_header_read_as_under_one(self, tmp_path, rows):
+        headerless, headed = tmp_path / "p.csv", tmp_path / "headed.csv"
+        headerless.write_text(rows)
+        n = rows.count("\n")
+        headed.write_text("," + ",".join(f"G{i + 1}" for i in range(n)) + "\n" + rows)
+        pm = load_pairwise(headerless)
+        assert pm.labels == tuple(f"G{i + 1}" for i in range(n))
+        assert pm == load_pairwise(headed)
 
     def test_a_header_without_a_corner_cell_lists_every_label(self, tmp_path):
         cornerless, corner = tmp_path / "p.csv", tmp_path / "corner.csv"
@@ -1116,9 +1139,10 @@ def decision_matrix(draw):
 def pairwise_file(draw):
     """The rows of a pairwise CSV over a reciprocal matrix of 1..9 judgments, its values and its labels.
 
-    The header is absent, has a corner cell or lists only the labels; under
-    a header, a row carries its label or not, except that the first row is
-    labelled when the header has a corner cell.
+    The header is absent, has a corner cell or lists only the labels; a row
+    carries its label or not, except that the first row is labelled when the
+    header has a corner cell. Without a header, rows that all carry a label
+    are labelled by it.
     """
     n = draw(st.integers(1, 5))
     texts, values = [["1"] * n for _ in range(n)], np.ones((n, n))
@@ -1129,13 +1153,48 @@ def pairwise_file(draw):
             texts[a][b], texts[b][a] = str(judgment), f"1/{judgment}"
             values[a, b], values[b, a] = judgment, 1 / judgment
     header = draw(st.sampled_from(["none", "corner", "cornerless"]))
-    if header == "none":
-        return texts, values, None
     labels = draw(st.lists(st.sampled_from(["G1", "G2", "Equity", "quality", "a,b", "x y"]), min_size=n, max_size=n, unique=True))
     labelled = [header == "corner" or draw(st.booleans()), *(draw(st.booleans()) for _ in range(n - 1))]
     rows = [[label, *row] if lab else row for label, row, lab in zip(labels, texts, labelled)]
+    if header == "none":
+        return rows, values, tuple(labels) if all(labelled) else None
     head = [draw(st.sampled_from(["", "item"])), *labels] if header == "corner" else labels
     return [head, *rows], values, tuple(labels)
+
+
+#: ids that are empty or need quoting, and any float, with -0.0, +-inf, nan and subnormals drawn often
+_AWKWARD_IDS = st.text(alphabet='a ,"\r\n', max_size=3)
+_ANY_CELL = st.floats() | st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310])
+
+
+@st.composite
+def any_matrix(draw):
+    """A matrix of zero to five alternatives and zero to three criteria, valid or not."""
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 5))
+    criteria = draw(st.lists(_AWKWARD_IDS, min_size=n, max_size=n))
+    ids = draw(st.lists(_AWKWARD_IDS, min_size=m, max_size=m))
+    values = draw(st.lists(st.lists(_ANY_CELL, min_size=n, max_size=n), min_size=m, max_size=m))
+    return DecisionMatrix(ids, criteria, np.array(values, dtype=float).reshape(m, n), ["max"] * n)
+
+
+class TestWriteMatrixCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(any_matrix())
+    @example(
+        DecisionMatrix(
+            ["", 'a"b', "c,d", "e\nf", "g\rh"],
+            ["", "C,1"],
+            [[-0.0, 0.0], [math.inf, -math.inf], [math.nan, 5e-324], [1e-310, 0.1], [1e308, -2.5]],
+            ["max"] * 2,
+        )
+    )
+    @example(DecisionMatrix(["", "a", "b\r"], [], np.empty((3, 0)), []))
+    @example(DecisionMatrix([], ["C1"], np.empty((0, 1)), ["max"]))
+    def test_writes_the_bytes_of_one_csv_writer_row_per_alternative(self, tmp_path_factory, matrix):
+        directory = tmp_path_factory.mktemp("written")
+        write_matrix_csv(matrix, directory / "fast.csv")
+        write_matrix_csv_oracle(matrix, directory / "oracle.csv")
+        assert (directory / "fast.csv").read_bytes() == (directory / "oracle.csv").read_bytes()
 
 
 class TestRoundTrips:

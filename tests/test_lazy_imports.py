@@ -23,7 +23,7 @@ from conftest import CONSENSUS_JUDGMENTS
 SRC = Path(sspahp.__file__).resolve().parent.parent
 
 #: what ``import sspahp.cli`` loads: the command line, the loaders and what they need
-CLI_BASE = {"sspahp", "sspahp.cli", "sspahp.core", "sspahp.correlation", "sspahp.errors", "sspahp.io"}
+CLI_BASE = {"sspahp", "sspahp.cli", "sspahp.core", "sspahp.errors", "sspahp.io"}
 
 
 def loaded_after(code):
@@ -45,6 +45,16 @@ def test_import_sspahp_loads_only_the_exception_types():
 
 def test_import_cli_loads_no_pipeline():
     assert loaded_after("import sspahp.cli") == CLI_BASE
+
+
+def test_the_loaders_and_the_sample_load_no_ranking_code():
+    assert loaded_after("import sspahp.io, sspahp.sample") == {
+        "sspahp",
+        "sspahp.core",
+        "sspahp.errors",
+        "sspahp.io",
+        "sspahp.sample",
+    }
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +82,11 @@ DATA = "--matrix {matrix} --hierarchy {hierarchy}"
 #: the six runs of the benchmark's cli-demo workload, each with the modules it adds to CLI_BASE
 CLI_DEMO = {
     "weights": ("weights --method ahp --pairwise {experts} --hierarchy {hierarchy}", {"weighting"}),
-    "eval": (f"eval {DATA} --weights-method ahp --pairwise {{experts}} --s 0.5 --groups G1,G4", {"weighting", "evaluation"}),
-    "benchmarks": (f"benchmarks {DATA} --weights-method critic --corr", {"weighting", "evaluation", "benchmarks"}),
-    "sweep-critic": (f"sweep {DATA} --weights-method critic", {"weighting", "sensitivity"}),
-    "sweep-entropy": (f"sweep {DATA} --weights-method entropy", {"weighting", "sensitivity"}),
-    "corr": ("corr {critic} {entropy}", {"sensitivity"}),
+    "eval": (f"eval {DATA} --weights-method ahp --pairwise {{experts}} --s 0.5 --groups G1,G4", {"weighting", "evaluation", "correlation"}),
+    "benchmarks": (f"benchmarks {DATA} --weights-method critic --corr", {"weighting", "evaluation", "benchmarks", "correlation"}),
+    "sweep-critic": (f"sweep {DATA} --weights-method critic", {"weighting", "sensitivity", "correlation"}),
+    "sweep-entropy": (f"sweep {DATA} --weights-method entropy", {"weighting", "sensitivity", "correlation"}),
+    "corr": ("corr {critic} {entropy}", {"sensitivity", "correlation"}),
 }
 
 
