@@ -24,7 +24,7 @@ import click
 # weighting, evaluation, benchmarks and sensitivity are imported inside the
 # commands that run them, so each run loads only its own pipeline
 from . import io as sio
-from .core import DEFAULT_TAU, WeightVector, _normalized
+from .core import DEFAULT_TAU, _normalized
 from .errors import InconsistentJudgmentsError, InputError, NumericalError
 
 FORMATS = ("table", "csv", "json")
@@ -160,15 +160,6 @@ def _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_c
     return weigh(matrix), None, None
 
 
-def _weights_payload(weights: WeightVector, report, dim_weights=None) -> dict:
-    payload: dict = {"weights": weights.as_dict()}
-    if dim_weights is not None:
-        payload["dimension_weights"] = dim_weights.as_dict()
-    if report is not None:
-        payload["consistency"] = asdict(report)
-    return payload
-
-
 @click.group()
 @click.version_option(package_name="sspahp")
 def main():
@@ -216,7 +207,12 @@ def weights_cmd(method, pairwise, matrix_path, hierarchy_path, weights_file, str
     w, report, dim_weights = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
 
     if fmt == "json":
-        text = sio.records_to_json(_weights_payload(w, report, dim_weights))
+        payload: dict = {"weights": w.as_dict()}
+        if dim_weights is not None:
+            payload["dimension_weights"] = dim_weights.as_dict()
+        if report is not None:
+            payload["consistency"] = asdict(report)
+        text = sio.records_to_json(payload)
     elif fmt == "csv":
         recs = [{"criterion_id": c, "weight": float(v)} for c, v in w.as_dict().items()]
         text = sio.records_to_csv(recs, ["criterion_id", "weight"])

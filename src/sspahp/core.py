@@ -401,17 +401,28 @@ def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids=None) -> np
     One [subset, dimension] table is filled and then indexed by each
     criterion's dimension, so the hierarchy is read once for any number
     of subsets. Columns follow ``criterion_ids`` (default: the hierarchy's
-    canonical order). Unknown group ids are checked first: the error names
-    them and carries the first subset holding one as its ``subset``
-    attribute. Criteria absent from the hierarchy raise InputError next.
+    canonical order). Unknown group ids are checked first, then group ids
+    repeated within a subset: each error names them and carries the first
+    subset holding one as its ``subset`` attribute. Criteria absent from
+    the hierarchy raise InputError next.
     """
     column = {d: j for j, d in enumerate(hierarchy.dimension_ids())}
     cols = np.array([column.get(g, -1) for subset in subsets for g in subset], dtype=int)
-    rows = np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets])
+    lengths = [len(subset) for subset in subsets]
+    rows = np.repeat(np.arange(len(subsets)), lengths)
     unknown = rows[cols < 0]
     if unknown.size:
         subset = subsets[unknown[0]]
         error = InputError(f"unknown group id(s): {', '.join(g for g in subset if g not in column)}")
+        error.subset = subset
+        raise error
+    table = np.zeros((len(subsets), len(column)), dtype=bool)
+    table[rows, cols] = True
+    repeated = np.flatnonzero(table.sum(axis=1) < lengths)
+    if repeated.size:
+        subset = subsets[repeated[0]]
+        twice = dict.fromkeys(g for i, g in enumerate(subset) if g in subset[:i])
+        error = InputError(f"group id(s) repeated: {', '.join(twice)}")
         error.subset = subset
         raise error
     dim_of = hierarchy._dimension_of
@@ -420,6 +431,4 @@ def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids=None) -> np
     missing = [c for c in criterion_ids if c not in dim_of]
     if missing:
         raise InputError(f"criteria not present in the hierarchy: {', '.join(missing)}")
-    table = np.zeros((len(subsets), len(column)), dtype=bool)
-    table[rows, cols] = True
     return table[:, [column[dim_of[c]] for c in criterion_ids]]

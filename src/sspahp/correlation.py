@@ -10,7 +10,7 @@ INPUT_ORDER = "input-order"
 AVERAGE = "average"
 
 
-def _pair(x, y, minimum: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Two flat vectors as the single rows of two [1, N] tables."""
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
@@ -18,10 +18,10 @@ def _pair(x, y, minimum: int = 2) -> tuple[np.ndarray, np.ndarray]:
         raise InputError("expected flat vectors")
     if a.shape[0] != b.shape[0]:
         raise InputError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return _checked_rows(a[None], b[None], minimum)
+    return _checked_rows(a[None], b[None])
 
 
-def _checked_rows(a: np.ndarray, b: np.ndarray, minimum: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def _checked_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Check two equally shaped [row, N] tables of paired vectors, as floats.
 
     An error found in one row carries that row's index as its ``row``
@@ -31,8 +31,8 @@ def _checked_rows(a: np.ndarray, b: np.ndarray, minimum: int = 2) -> tuple[np.nd
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2:
         raise InputError("expected flat vectors")
-    if a.shape[1] < minimum:
-        raise InputError(f"need at least {minimum} entries, got {a.shape[1]}")
+    if a.shape[1] < 2:
+        raise InputError(f"need at least 2 entries, got {a.shape[1]}")
     _reject_rows(~(np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)), InputError("vectors must be finite"))
     return a, b
 

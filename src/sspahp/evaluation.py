@@ -83,18 +83,6 @@ class EvaluationResult(_Ranked):
         return int(self.ranking[self._position(alternative_id)])
 
 
-def _coeff_vector(s, n: int) -> np.ndarray:
-    if isinstance(s, SustainabilityCoefficients):
-        vec = s.s
-    elif np.isscalar(s):
-        vec = SustainabilityCoefficients.uniform(n, float(s)).s
-    else:
-        vec = SustainabilityCoefficients(np.asarray(s, dtype=float)).s
-    if vec.shape[0] != n:
-        raise InputError(f"{vec.shape[0]} coefficients for {n} criteria")
-    return vec
-
-
 def mad_transform(normalized: NormalizedMatrix, s) -> np.ndarray:
     """Subtract the scaled absolute deviation from the column mean.
 
@@ -102,7 +90,14 @@ def mad_transform(normalized: NormalizedMatrix, s) -> np.ndarray:
     alternatives. At s_j = 0 the column passes through unchanged.
     """
     r = normalized.values
-    vec = _coeff_vector(s, r.shape[1])
+    if isinstance(s, SustainabilityCoefficients):
+        vec = s.s
+    elif np.isscalar(s):
+        vec = SustainabilityCoefficients.uniform(r.shape[1], float(s)).s
+    else:
+        vec = SustainabilityCoefficients(np.asarray(s, dtype=float)).s
+    if vec.shape[0] != r.shape[1]:
+        raise InputError(f"{vec.shape[0]} coefficients for {r.shape[1]} criteria")
     col_mean = r.mean(axis=0)
     return r - np.abs(col_mean - r) * vec
 

@@ -33,10 +33,15 @@ after the label in a matrix or pairwise file, the file's columns otherwise.
 ``fieldnames`` and one row per record, where every record must carry
 exactly those keys. Python floats are written by ``repr``, so they keep
 full precision; every other cell, a float subclass such as ``np.float64``
-too, is written exactly as ``csv.writer`` writes it, with its quoting and
-the ``""`` of a lone empty field. The CLI writes sweep exports with
+too, is written exactly as ``csv.writer`` writes it, with the ``""`` of a
+lone empty field. The CLI writes sweep exports with
 ``SweepResult.write_csv`` and ``write_json``, which give the same texts as
 ``records_to_csv`` and ``records_to_json`` and build no records.
+
+Every CSV writer quotes by one rule, the one ``csv.writer`` follows in rows
+ended by ``\\r\\n``: a field holding a comma, a quote, ``\\r`` or ``\\n`` is
+quoted, whether its rows end in ``\\r\\n`` (``write_matrix_csv``) or in
+``\\n`` (``records_to_csv`` and ``SweepResult.write_csv``).
 """
 
 from __future__ import annotations
@@ -220,8 +225,8 @@ def load_hierarchy(path) -> CriteriaHierarchy:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def hierarchy_to_dict(h: CriteriaHierarchy) -> dict:
-    return {
+def write_hierarchy_json(h: CriteriaHierarchy, path) -> None:
+    doc = {
         "dimensions": [
             {
                 "id": dim.id,
@@ -240,12 +245,7 @@ def hierarchy_to_dict(h: CriteriaHierarchy) -> dict:
             for dim in h.dimensions
         ]
     }
-
-
-def write_hierarchy_json(h: CriteriaHierarchy, path) -> None:
-    Path(path).write_text(
-        json.dumps(hierarchy_to_dict(h), indent=2) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_decision_matrix(path, hierarchy: CriteriaHierarchy) -> DecisionMatrix:
@@ -287,8 +287,8 @@ def write_matrix_csv(matrix: DecisionMatrix, path) -> None:
     rule, each value written by ``float.__repr__`` (``nan``, ``inf`` and
     ``-0.0`` included) and every row ended by ``\\r\\n``.
     """
-    header = _csv_texts(["alternative", *matrix.criterion_ids], lone=False, terminator="\r\n")
-    ids = _csv_texts(matrix.alternative_ids, lone=matrix.n == 0, terminator="\r\n")
+    header = _csv_texts(["alternative", *matrix.criterion_ids], lone=False)
+    ids = _csv_texts(matrix.alternative_ids, lone=matrix.n == 0)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join([alt, *map(float.__repr__, row)]) + "\r\n" for alt, row in zip(ids, matrix.values.tolist()))
@@ -512,17 +512,19 @@ class _Lines(list):
     write = list.append
 
 
-def _csv_texts(values, lone: bool, terminator: str = "\n") -> list[str]:
+def _csv_texts(values, lone: bool) -> list[str]:
     """Each value's text as ``csv.writer`` writes it in a row of the table.
 
-    Each value is written alone in a one-field row ended by ``terminator``,
-    where it is quoted as in any row: the csv module quotes a field holding
-    a character of the row terminator. The one exception is an empty field:
-    ``""`` when it is the table's only field (``lone``), empty otherwise.
+    Each value is written alone in a one-field row ended by ``\\r\\n``, where
+    it is quoted as in any row: the csv module quotes a field holding a
+    character of the row terminator, so a field holding ``\\r`` or ``\\n`` is
+    quoted whatever ends the rows it is written into. The one exception is
+    an empty field: ``""`` when it is the table's only field (``lone``),
+    empty otherwise.
     """
     lines = _Lines()
-    csv.writer(lines, lineterminator=terminator).writerows([value] for value in values)
-    texts = [line[: -len(terminator)] for line in lines]
+    csv.writer(lines, lineterminator="\r\n").writerows([value] for value in values)
+    texts = [line[:-2] for line in lines]
     if not lone:
         texts = ["" if text == '""' else text for text in texts]
     return texts
@@ -558,18 +560,20 @@ def _render_column(cells: list, lone: bool) -> list[str]:
 def records_to_csv(records: list[dict], fieldnames: list[str]) -> str:
     """The CSV text of a list of records: a header of ``fieldnames``, then one row per record.
 
-    A record with a missing or an extra key raises ValueError naming its
-    index and keys. The rows are built column by column, ``_BLOCK_ROWS``
-    records at a time, and each block renders each distinct cell of a column
-    once; nothing is kept from one block to the next.
+    Each cell is quoted as ``csv.writer`` quotes it in rows ended by
+    ``\\r\\n``, so a cell holding ``\\r`` or ``\\n`` is quoted, and each row
+    is ended by ``\\n``. A record with a missing or an extra key raises
+    ValueError naming its index and keys. The rows are built column by
+    column, ``_BLOCK_ROWS`` records at a time, and each block renders each
+    distinct cell of a column once; nothing is kept from one block to the
+    next.
     """
     # with every field present, a record of the right size has no extra key
     if set(map(len, records)) - {len(set(fieldnames))}:
         raise _key_mismatch(records, fieldnames)
-    parts = _Lines()  # the header row, then each block's rows
-    csv.writer(parts, lineterminator="\n").writerow(fieldnames)
-    getters = [operator.itemgetter(name) for name in fieldnames]
     lone = len(fieldnames) == 1
+    parts = [",".join(_csv_texts(fieldnames, lone)), "\n"]  # the header row, then each block's rows
+    getters = [operator.itemgetter(name) for name in fieldnames]
     for start in range(0, len(records), _BLOCK_ROWS):
         block = records[start:start + _BLOCK_ROWS]
         try:

@@ -117,7 +117,8 @@ class SweepSpec:
 
     A sweep that would take more than ``MAX_SWEEP_BYTES`` for its ranks,
     penalties and ranking temporaries raises InputError before any subset
-    list or result array is built.
+    list or result array is built. Two subsets that name the same
+    dimensions, in any order, raise InputError.
     """
 
     matrix: DecisionMatrix
@@ -150,7 +151,7 @@ class SweepSpec:
         subsets = tuple(tuple(s) for s in subsets)
         if not subsets:
             raise InputError("need at least one group subset")
-        if len(set(subsets)) != len(subsets):
+        if len(set(map(frozenset, subsets))) != len(subsets):  # the same dimensions in any order
             raise InputError("group subsets must be unique")
         _check_sweep_size(len(subsets), grid.size, self.matrix.m)
         object.__setattr__(self, "group_subsets", subsets)

@@ -159,24 +159,16 @@ def _eigen_solve(
         w_next = y / y.sum()
         if np.abs(w_next - w).max() < tol:
             lam = float(np.mean((values @ w_next) / w_next))
-            return w_next, _consistency_from_lambda(lam, n, random_index)
+            if n <= 2:
+                # reciprocal 1x1 and 2x2 matrices are consistent by construction
+                return w_next, ConsistencyReport(lambda_max=lam, ci=0.0, cr=0.0, acceptable=True)
+            ci = (lam - n) / (n - 1)
+            cr = ci / random_index[n]
+            return w_next, ConsistencyReport(lambda_max=lam, ci=ci, cr=cr, acceptable=cr <= CR_THRESHOLD)
         w = w_next
     raise ConvergenceError(
         f"power iteration did not converge in {max_iter} iterations",
         last_iterate=w,
-    )
-
-
-def _consistency_from_lambda(
-    lambda_max: float, n: int, random_index: dict[int, float]
-) -> ConsistencyReport:
-    if n <= 2:
-        # reciprocal 1x1 and 2x2 matrices are consistent by construction
-        return ConsistencyReport(lambda_max=lambda_max, ci=0.0, cr=0.0, acceptable=True)
-    ci = (lambda_max - n) / (n - 1)
-    cr = ci / random_index[n]
-    return ConsistencyReport(
-        lambda_max=lambda_max, ci=ci, cr=cr, acceptable=cr <= CR_THRESHOLD
     )
 
 

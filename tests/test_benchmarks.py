@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -260,6 +261,13 @@ class TestSpotis:
         m = make_matrix([[3.0], [3.0]])
         with pytest.raises(InputError, match="min < max"):
             spotis(m, equal_weights(m))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2,), (4,)])
+    def test_bounds_of_another_shape_are_rejected(self, shape):
+        m = make_matrix([[1.0, 2.0], [3.0, 5.0]])
+        message = f"bounds must be shaped (2, 2), got {shape}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            spotis(m, equal_weights(m), bounds=np.zeros(shape))
 
     def test_non_finite_bounds_name_their_criteria(self):
         m = make_matrix([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]])

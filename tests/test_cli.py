@@ -282,6 +282,16 @@ class TestEvalCommand:
         assert result.exit_code == 2
         assert "unknown group" in result.output
 
+    def test_a_repeated_group_exits_2(self, runner, data_files):
+        matrix_path, hierarchy_path = data_files
+        result = runner.invoke(
+            main,
+            ["eval", "--matrix", matrix_path, "--hierarchy", hierarchy_path,
+             "--weights-method", "critic", "--s", "1", "--groups", "G1,G1"],
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "input error: group id(s) repeated: G1\n"
+
     def test_missing_matrix_file_exits_2(self, runner, data_files):
         _, hierarchy_path = data_files
         result = runner.invoke(
@@ -495,6 +505,16 @@ class TestSweepCommand:
         lines = result.output.splitlines()
         assert lines[0] == "subset,s,alternative,utility,rank"
         assert len(lines) == 1 + 32 * 21 * 16
+
+    def test_a_repeated_group_exits_2(self, runner, data_files):
+        matrix_path, hierarchy_path = data_files
+        result = runner.invoke(
+            main,
+            ["sweep", "--matrix", matrix_path, "--hierarchy", hierarchy_path,
+             "--weights-method", "critic", "--groups", "G1,G1"],
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "input error: sweep cell (subset=G1+G1, s=0): group id(s) repeated: G1\n"
 
     def test_json_carries_the_grid_subsets_and_records(self, runner, data_files):
         matrix_path, hierarchy_path = data_files

@@ -288,6 +288,43 @@ class TestWeightVector:
         assert "unknown C99" in str(info.value) and "missing C7" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda: DecisionMatrix(("a1", "a2"), ("c1",), [1.0, 2.0], ("max",)),
+            "expected a 2-D value table, got 1 dimension(s)",
+            id="1-D values",
+        ),
+        pytest.param(
+            lambda: core.require_valid(DecisionMatrix(("a1", "a2"), (), np.zeros((2, 0)), ())),
+            "invalid decision matrix: need at least 1 criterion",
+            id="no criterion",
+        ),
+        pytest.param(
+            lambda: core.require_valid(DecisionMatrix(("a1",), ("c1",), np.zeros((2, 1)), ("max",))),
+            "invalid decision matrix: alternative id arity: 1 ids for 2 rows",
+            id="alternative id arity",
+        ),
+        pytest.param(
+            lambda: core.require_valid(DecisionMatrix(("a1", "a2"), ("c1", "c2"), np.zeros((2, 1)), ("max",))),
+            "invalid decision matrix: criterion id arity: 2 ids for 1 columns",
+            id="criterion id arity",
+        ),
+        pytest.param(lambda: WeightVector(np.array([[1.0]]), ("c1",)), "weights must be a flat vector", id="nested weights"),
+        pytest.param(lambda: WeightVector(np.array([0.5, 0.5]), ("c1",)), "weight arity: 2 weights for 1 ids", id="weight arity"),
+        pytest.param(
+            lambda: two_level_hierarchy().objective_for("C9"),
+            "no objective declared for criterion 'C9'",
+            id="no objective",
+        ),
+    ],
+)
+def test_malformed_core_values_are_named(build, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 class TestFlattenHierarchy:
     def test_dimension_major_order_with_group_labels(self):
         h = CriteriaHierarchy(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from sspahp import InputError, NumericalError, pearson, rank_from_scores, weighted_spearman
 from sspahp.correlation import _tie_sums
+from sspahp.sensitivity import compare_rankings
 
 
 def weighted_spearman_oracle(x, y):
@@ -123,6 +126,20 @@ class TestPearson:
     def test_single_element_rejected(self):
         with pytest.raises(InputError, match="at least 2"):
             pearson([1.0], [2.0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: weighted_spearman([[1, 2], [2, 1]], [[2, 1], [1, 2]]), "expected flat vectors"),
+        (lambda: pearson([1, 2, 3], [[1], [2], [3]]), "expected flat vectors"),
+        (lambda: compare_rankings({("G1",): [[1, 2], [2, 1]]}, {("G1",): [[2, 1], [1, 2]]}), "subset G1: expected flat vectors"),
+    ],
+    ids=["weighted_spearman", "pearson", "compare_rankings"],
+)
+def test_nested_rankings_are_refused(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestRankFromScores:

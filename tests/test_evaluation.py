@@ -60,6 +60,18 @@ class TestSustainabilityCoefficients:
         with pytest.raises(InputError, match=r"\[0, 1\]"):
             SustainabilityCoefficients(np.array([-0.1]))
 
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            ([[0.5], [0.5]], "coefficients must form a flat vector"),
+            ([0.5, np.nan], "coefficients must be finite"),
+            ([np.inf], "coefficients must be finite"),
+        ],
+    )
+    def test_rejects_a_nested_or_non_finite_vector(self, s, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            SustainabilityCoefficients(np.array(s))
+
     def test_uniform_constructor(self):
         c = SustainabilityCoefficients.uniform(3, 0.4)
         assert np.allclose(c.s, [0.4, 0.4, 0.4])
@@ -264,6 +276,13 @@ class TestEvaluateWithGroupS:
         w = WeightVector(np.full(6, 1 / 6), m.criterion_ids)
         with pytest.raises(InputError, match="unknown group"):
             evaluate_with_group_s(m, w, h, ("G7",), 0.5)
+
+    def test_a_repeated_group_is_rejected(self):
+        h = two_level_hierarchy()
+        m = make_matrix(np.ones((2, 6)) * [[1], [2]], crit_prefix="C")
+        w = WeightVector(np.full(6, 1 / 6), m.criterion_ids)
+        with pytest.raises(InputError, match=r"^group id\(s\) repeated: G3, G1$"):
+            evaluate_with_group_s(m, w, h, ("G3", "G1", "G3", "G1", "G3"), 0.5)
 
     def test_out_of_range_strength_is_rejected(self):
         h = two_level_hierarchy()

@@ -38,16 +38,18 @@ def records_to_csv_oracle(records, fieldnames):
     """Straightforward writer: one DictWriter row per record, Python floats as repr.
 
     Any other cell, a float subclass such as np.float64 included, is left to
-    csv.writer, which writes its str().
+    csv.writer, which writes its str(). Each row is quoted as csv.writer
+    quotes it in rows ended by \\r\\n, so a cell holding \\r is quoted too,
+    and is ended by \\n.
     """
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for rec in records:
-        writer.writerow(
-            {k: (repr(v) if type(v) is float else v) for k, v in rec.items()}
-        )
-    return buf.getvalue()
+    rows = [dict(zip(fieldnames, fieldnames))]
+    rows += ({k: (repr(v) if type(v) is float else v) for k, v in rec.items()} for rec in records)
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def write_matrix_csv_oracle(matrix, path):
@@ -946,6 +948,26 @@ class TestLoadRankingFile:
             subset_label(sub): dict(zip(result.alternative_ids, ranks.astype(float).tolist()))
             for sub, ranks in result.final_rankings().items()
         }
+
+    def test_records_with_a_carriage_return_in_an_id_read_back(self, tmp_path):
+        records = [{"alternative": "x\ry", "rank": 1}, {"alternative": "b", "rank": 2}]
+        path = tmp_path / "plain.csv"
+        path.write_text(records_to_csv(records, ["alternative", "rank"]), encoding="utf-8", newline="")
+        assert load_ranking_file(path) == ("simple", {"x\ry": 1.0, "b": 2.0})
+
+    def test_a_sweep_with_a_carriage_return_in_an_id_reads_back(self, tmp_path):
+        h = sample_hierarchy()
+        sample = sample_matrix(m=5, seed=2, hierarchy=h)
+        ids = ("A\r01", *sample.alternative_ids[1:])
+        matrix = DecisionMatrix(ids, sample.criterion_ids, sample.values, sample.objectives)
+        result = run_sweep(SweepSpec(matrix=matrix, hierarchy=h, weights=critic_weights(matrix)))
+        path = tmp_path / "sweep.csv"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            result.write_csv(fh)
+        assert load_ranking_file(path) == ("sweep", {
+            subset_label(sub): dict(zip(ids, ranks.astype(float).tolist()))
+            for sub, ranks in result.final_rankings().items()
+        })
 
     @pytest.mark.parametrize(
         "text, message",

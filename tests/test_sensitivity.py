@@ -192,6 +192,14 @@ class TestSweepSpec:
             with pytest.raises(InputError, match=r"\[0, 1\]"):
                 SweepSpec(matrix=m, hierarchy=h, weights=w, s_grid=grid)
 
+    @pytest.mark.parametrize("grid", [[], [[0.0, 1.0]], 0.5], ids=["empty", "nested", "scalar"])
+    def test_rejects_a_grid_that_is_not_a_non_empty_vector(self, grid):
+        h = two_level_hierarchy()
+        m = make_matrix(np.ones((2, 6)) * [[1.0], [2.0]], crit_prefix="C")
+        w = WeightVector(np.full(6, 1 / 6), m.criterion_ids)
+        with pytest.raises(InputError, match="^s grid must be a non-empty vector$"):
+            SweepSpec(matrix=m, hierarchy=h, weights=w, s_grid=grid)
+
     def test_rejects_duplicate_subsets(self):
         h = two_level_hierarchy()
         m = make_matrix(np.ones((2, 6)) * [[1.0], [2.0]], crit_prefix="C")
@@ -203,6 +211,13 @@ class TestSweepSpec:
                 weights=w,
                 group_subsets=(("G1",), ("G1",)),
             )
+
+    def test_rejects_a_subset_that_repeats_another_in_another_order(self):
+        h = two_level_hierarchy()
+        m = make_matrix(np.ones((2, 6)) * [[1.0], [2.0]], crit_prefix="C")
+        w = WeightVector(np.full(6, 1 / 6), m.criterion_ids)
+        with pytest.raises(InputError, match="^group subsets must be unique$"):
+            SweepSpec(matrix=m, hierarchy=h, weights=w, group_subsets=(("G1", "G2"), ("G2", "G1")))
 
     def test_rejects_empty_subset_list(self):
         h = two_level_hierarchy()
