@@ -23,8 +23,9 @@ import click
 
 # weighting, evaluation, benchmarks and sensitivity are imported inside the
 # commands that run them, so each run loads only its own pipeline
+from . import __version__
 from . import io as sio
-from .core import DEFAULT_TAU, _normalized
+from .core import CR_THRESHOLD, DEFAULT_STEP, DEFAULT_TAU, _normalized
 from .errors import InconsistentJudgmentsError, InputError, NumericalError
 
 FORMATS = ("table", "csv", "json")
@@ -116,7 +117,7 @@ def _ahp_from_path(pairwise_path, hierarchy=None, strict_cr=False):
     matrix. When a hierarchy is supplied, unlabeled matrices adopt its
     dimension ids, or criterion ids when the matrix compares criteria directly.
     """
-    from .weighting import CR_THRESHOLD, aggregate_pairwise, ahp_weights
+    from .weighting import aggregate_pairwise, ahp_weights
 
     path = Path(pairwise_path)
     if path.is_dir():
@@ -161,12 +162,14 @@ def _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_c
 
 
 @click.group()
-@click.version_option(package_name="sspahp")
+@click.version_option(__version__)
 def main():
     """Multi-criteria evaluation with tunable criteria-compensation reduction."""
 
 
-def _with_options(options):
+def _with_options(*options):
+    """Apply click options so that ``--help`` lists them in the given order."""
+
     def deco(fn):
         for opt in reversed(options):
             fn = opt(fn)
@@ -175,29 +178,39 @@ def _with_options(options):
     return deco
 
 
-_output_options = [
+_output_options = (
     click.option("--format", "fmt", type=click.Choice(FORMATS), default="table", show_default=True),
     click.option("--out", type=click.Path(), help="Write output to a file instead of stdout."),
-]
+)
+
+
+def _input_options(required):
+    """The matrix, hierarchy and weight-source options, then ``--format`` and ``--out``.
+
+    ``required`` says whether ``--matrix`` and ``--hierarchy`` must be given.
+    """
+    return _with_options(
+        click.option("--matrix", "matrix_path", type=click.Path(), required=required, help="Decision matrix CSV."),
+        click.option("--hierarchy", "hierarchy_path", type=click.Path(), required=required, help="Criteria hierarchy JSON."),
+        click.option(
+            "--weights-method",
+            "--method",
+            "method",
+            type=click.Choice(["ahp", "entropy", "critic", "file"]),
+            required=True,
+            help="How to derive criterion weights.",
+        ),
+        click.option("--pairwise", type=click.Path(), help="Pairwise CSV or directory (ahp)."),
+        click.option("--weights-file", type=click.Path(), help="Weights CSV (file method)."),
+        click.option("--strict-cr", is_flag=True, help=f"Fail (exit 4) when CR exceeds {CR_THRESHOLD}."),
+        *_output_options,
+    )
 
 
 @main.command("weights")
-@click.option(
-    "--weights-method",
-    "--method",
-    "method",
-    type=click.Choice(["ahp", "entropy", "critic", "file"]),
-    required=True,
-    help="How to derive the weights.",
-)
-@click.option("--pairwise", type=click.Path(), help="Pairwise CSV or directory of expert CSVs (ahp).")
-@click.option("--matrix", "matrix_path", type=click.Path(), help="Decision matrix CSV (entropy/critic).")
-@click.option("--hierarchy", "hierarchy_path", type=click.Path(), help="Criteria hierarchy JSON.")
-@click.option("--weights-file", type=click.Path(), help="Weights CSV (file method).")
-@click.option("--strict-cr", is_flag=True, help="Fail (exit 4) when CR exceeds 0.1.")
-@_with_options(_output_options)
+@_input_options(required=False)
 @_handled
-def weights_cmd(method, pairwise, matrix_path, hierarchy_path, weights_file, strict_cr, fmt, out):
+def weights_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, strict_cr, fmt, out):
     """Derive criterion weights and (for ahp) report judgment consistency."""
     hierarchy = sio.load_hierarchy(hierarchy_path) if hierarchy_path else None
     matrix = None
@@ -217,45 +230,19 @@ def weights_cmd(method, pairwise, matrix_path, hierarchy_path, weights_file, str
         recs = [{"criterion_id": c, "weight": float(v)} for c, v in w.as_dict().items()]
         text = sio.records_to_csv(recs, ["criterion_id", "weight"])
     else:
-        sections = []
-        if dim_weights is not None:
-            sections.append(
-                _table(
-                    ["dimension", "weight"],
-                    [[c, _f4(v)] for c, v in dim_weights.as_dict().items()],
-                )
-            )
-        sections.append(
-            _table(
-                ["criterion", "weight"],
-                [[c, _f4(v)] for c, v in w.as_dict().items()],
-            )
-        )
+        sections = [
+            _table([level, "weight"], [[c, _f4(v)] for c, v in ws.as_dict().items()])
+            for level, ws in (("dimension", dim_weights), ("criterion", w))
+            if ws is not None
+        ]
         if report is not None:
             sections.append(f"CR = {report.cr:.2f}\n")
         text = "\n".join(sections)
     _emit(text, out)
 
 
-_shared_eval_options = [
-    click.option("--matrix", "matrix_path", type=click.Path(), required=True, help="Decision matrix CSV."),
-    click.option("--hierarchy", "hierarchy_path", type=click.Path(), required=True, help="Criteria hierarchy JSON."),
-    click.option(
-        "--weights-method",
-        "method",
-        type=click.Choice(["ahp", "entropy", "critic", "file"]),
-        required=True,
-        help="How to derive criterion weights.",
-    ),
-    click.option("--pairwise", type=click.Path(), help="Pairwise CSV or directory (ahp)."),
-    click.option("--weights-file", type=click.Path(), help="Weights CSV (file method)."),
-    click.option("--strict-cr", is_flag=True, help="Fail (exit 4) when CR exceeds 0.1."),
-    *_output_options,
-]
-
-
 @main.command("eval")
-@_with_options(_shared_eval_options)
+@_input_options(required=True)
 @click.option("--s", "s_value", type=float, default=0.0, show_default=True, help="Compensation-reduction coefficient in [0, 1].")
 @click.option("--groups", help="Comma-separated dimension ids the coefficient applies to (default: all criteria).")
 @_handled
@@ -288,7 +275,7 @@ def eval_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, strict
 
 
 @main.command("benchmarks")
-@_with_options(_shared_eval_options)
+@_input_options(required=True)
 @click.option("--tau", type=float, default=DEFAULT_TAU, show_default=True, help="CODAS threshold parameter.")
 @click.option("--bounds", "bounds_path", type=click.Path(), help="SPOTIS bounds CSV (criterion_id,min,max); defaults to column extremes.")
 @click.option("--corr", "with_corr", is_flag=True, help="Also report each method's rank correlation with the main evaluation (table/json formats).")
@@ -341,36 +328,22 @@ def benchmarks_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, 
         ]
         text = sio.records_to_csv(recs, ["method", "alternative", "value", "rank"])
     else:
-        headers = ["alternative"] + [name for name, _, _ in columns]
-        value_rows = [
-            [alt] + [_f4(vals[i]) for _, vals, _ in columns]
-            for i, alt in enumerate(matrix.alternative_ids)
+        names, values, rankings = zip(*columns)
+        blocks = [
+            (title, ["alternative", *names], [[a, *map(cell, row)] for a, row in zip(matrix.alternative_ids, zip(*arrays))])
+            for title, cell, arrays in (("values", _f4, values), ("rankings", lambda r: str(int(r)), rankings))
         ]
-        rank_rows = [
-            [alt] + [str(int(ranks[i])) for _, _, ranks in columns]
-            for i, alt in enumerate(matrix.alternative_ids)
-        ]
-        text = (
-            "values\n"
-            + _table(headers, value_rows)
-            + "\nrankings\n"
-            + _table(headers, rank_rows)
-        )
         if correlations is not None:
-            corr_rows = [
-                [name, _f4(rw), _f4(pr)]
-                for name, (rw, pr) in correlations.items()
-            ]
-            text += "\ncorrelation with sspahp\n" + _table(
-                ["method", "r_w", "pearson"], corr_rows
-            )
+            corr_rows = [[name, _f4(rw), _f4(pr)] for name, (rw, pr) in correlations.items()]
+            blocks.append(("correlation with sspahp", ["method", "r_w", "pearson"], corr_rows))
+        text = "\n".join(f"{title}\n{_table(headers, rows)}" for title, headers, rows in blocks)
     _emit(text, out)
 
 
 @main.command("sweep")
-@_with_options(_shared_eval_options)
+@_input_options(required=True)
 @click.option("--groups", default="all", show_default=True, help="'all' for every dimension subset, or a comma list naming one subset.")
-@click.option("--step", type=float, default=0.05, show_default=True, help="Grid step for the coefficient sweep.")
+@click.option("--step", type=float, default=DEFAULT_STEP, show_default=True, help="Grid step for the coefficient sweep.")
 @_handled
 def sweep_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, strict_cr, fmt, out, groups, step):
     """Trace rankings across compensation-reduction levels and group subsets."""
@@ -407,7 +380,7 @@ def sweep_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, stric
 @main.command("corr")
 @click.argument("file_a", type=click.Path())
 @click.argument("file_b", type=click.Path())
-@_with_options(_output_options)
+@_with_options(*_output_options)
 @_handled
 def corr_cmd(file_a, file_b, fmt, out):
     """Correlation (weighted Spearman, Pearson) between two ranking files.

@@ -15,8 +15,13 @@ OBJECTIVE_TOKENS = (MAX, MIN)
 #: absolute tolerance for numeric invariant checks
 TOL = 1e-9
 
-#: CODAS threshold default, kept here so the CLI can show it without loading the reference methods
+# defaults of the pipeline kept here, so the CLI can show them without loading it
+#: CODAS threshold
 DEFAULT_TAU = 0.02
+#: coefficient grid step of a sweep
+DEFAULT_STEP = 0.05
+#: judgments above this consistency ratio are conventionally rejected
+CR_THRESHOLD = 0.1
 
 
 def _as_2d(values) -> np.ndarray:

@@ -29,11 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _membership, _normalized, _Ranked
+from .core import DEFAULT_STEP, CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _membership, _normalized, _Ranked
 from .correlation import _BLOCK_BYTES, _checked_rows, _pearson_rows, _ranks_in_blocks, _weighted_spearman_rows
 from .errors import InputError, SspahpError
-
-DEFAULT_STEP = 0.05
 
 #: largest dimension count a subset enumeration accepts (2^20 subsets)
 MAX_DIMENSIONS = 20
@@ -188,9 +186,11 @@ class SweepResult(_Ranked):
         """Read-only utility of every cell, ``base - s * penalty``, shaped like ``ranks``.
 
         The array is rebuilt on every access and not cached, so read it
-        once outside a loop.
+        once outside a loop. It is built in place, so no second array of its
+        size is held on the way.
         """
-        utilities = self.base - self.s_grid[None, :, None] * self.penalty[:, None, :]
+        utilities = np.multiply(self.s_grid[None, :, None], self.penalty[:, None, :])
+        np.subtract(self.base, utilities, out=utilities)
         utilities.setflags(write=False)
         return utilities
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CR_THRESHOLD,
     CriteriaHierarchy,
     DecisionMatrix,
     WeightVector,
@@ -41,9 +42,6 @@ RANDOM_INDEX = {
     9: 1.45,
     10: 1.49,
 }
-
-#: judgments above this consistency ratio are conventionally rejected
-CR_THRESHOLD = 0.1
 
 _RECIPROCITY_TOL = 1e-9
 

@@ -1,14 +1,19 @@
 import errno
 import json
 import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from sspahp import CriteriaHierarchy, DecisionMatrix, Dimension, PairwiseMatrix, SubDimension
+import sspahp
+from sspahp import CriteriaHierarchy, DecisionMatrix, Dimension, PairwiseMatrix, SubDimension, sensitivity, weighting
 from sspahp.cli import main
+from sspahp.core import CR_THRESHOLD, DEFAULT_STEP
 from sspahp.io import (
     load_decision_matrix,
     load_hierarchy,
@@ -17,7 +22,7 @@ from sspahp.io import (
     write_hierarchy_json,
     write_matrix_csv,
 )
-from sspahp.sample import sample_hierarchy, sample_matrix
+from sspahp.sample import DATA_DIR, sample_hierarchy, sample_matrix
 from sspahp.sensitivity import SweepSpec, compare_rankings, default_s_grid, run_sweep, subset_label
 from sspahp.weighting import ahp_weights, critic_weights, distribute_weights, entropy_weights
 
@@ -990,3 +995,74 @@ class TestDeterminism:
             assert res.exit_code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestVersion:
+    def test_cli_runner_prints_the_package_version(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0, result.output
+        assert result.output == f"main, version {sspahp.__version__}\n"
+
+    def test_module_run_from_the_source_tree_prints_the_package_version(self, tmp_path):
+        src = Path(sspahp.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "sspahp", "--version"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"python -m sspahp, version {sspahp.__version__}\n"
+        assert done.stderr == ""
+
+
+#: the input options every weight-taking command declares, in ``--help`` order
+INPUT_OPTIONS = [
+    "--matrix",
+    "--hierarchy",
+    "--weights-method, --method",
+    "--pairwise",
+    "--weights-file",
+    "--strict-cr",
+    "--format",
+    "--out",
+]
+WEIGHT_COMMANDS = ["weights", "eval", "benchmarks", "sweep"]
+
+
+def help_options(runner, command):
+    """The option names of each option line of ``command --help``, in order."""
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    return [m.group(1) for m in re.finditer(r"^  (--?[\w-]+(?:, --?[\w-]+)*)", result.output, re.MULTILINE)]
+
+
+class TestSharedInputOptions:
+    @pytest.mark.parametrize("command", WEIGHT_COMMANDS)
+    def test_help_lists_the_input_options_first_and_in_order(self, runner, command):
+        options = help_options(runner, command)
+        assert options[: len(INPUT_OPTIONS)] == INPUT_OPTIONS
+        if command == "weights":
+            assert options == [*INPUT_OPTIONS, "--help"]
+
+    @pytest.mark.parametrize("command", WEIGHT_COMMANDS)
+    def test_method_alias_runs_on_the_sample(self, runner, command):
+        inputs = ["--matrix", str(DATA_DIR / "sample_matrix.csv"), "--hierarchy", str(DATA_DIR / "sample_hierarchy.json")]
+        aliased = runner.invoke(main, [command, *inputs, "--method", "critic", "--format", "csv"])
+        spelled = runner.invoke(main, [command, *inputs, "--weights-method", "critic", "--format", "csv"])
+        assert aliased.exit_code == 0, aliased.output
+        assert aliased.output == spelled.output
+
+    @pytest.mark.parametrize("command", ["eval", "benchmarks", "sweep"])
+    def test_matrix_and_hierarchy_are_required_beyond_weights(self, runner, command):
+        for given, missing in (([], "--matrix"), (["--matrix", str(DATA_DIR / "sample_matrix.csv")], "--hierarchy")):
+            result = runner.invoke(main, [command, *given, "--method", "critic"])
+            assert result.exit_code == 2
+            assert f"Missing option '{missing}'" in result.output
+
+    def test_step_and_cr_threshold_come_from_the_library(self):
+        step = next(p for p in main.commands["sweep"].params if p.name == "step")
+        assert step.default is DEFAULT_STEP and step.show_default
+        assert sensitivity.DEFAULT_STEP is DEFAULT_STEP and weighting.CR_THRESHOLD is CR_THRESHOLD
+        for command in WEIGHT_COMMANDS:
+            strict = next(p for p in main.commands[command].params if p.name == "strict_cr")
+            assert strict.help == f"Fail (exit 4) when CR exceeds {CR_THRESHOLD}."

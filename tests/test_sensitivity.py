@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -351,6 +352,40 @@ class TestRunSweep:
         )
         with pytest.raises(InputError, match=r"sweep cell \(subset=G9, s=0\)"):
             run_sweep(spec)
+
+
+def utilities_oracle(result):
+    """``base - s * penalty`` as two whole arrays: the product, then the difference."""
+    return result.base - result.s_grid[None, :, None] * result.penalty[:, None, :]
+
+
+class TestUtilities:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: small_sweep()[1], id="two-level"),
+            pytest.param(lambda: small_sweep(s_grid=[0.0, 0.3, 1.0 / 3.0, 1.0])[1], id="uneven-grid"),
+            pytest.param(lambda: run_sweep(flat_spec(8, 300)), id="k8-m300"),
+        ],
+    )
+    def test_bit_identical_to_the_oracle(self, make):
+        result = make()
+        utilities = result.utilities
+        assert utilities.shape == result.ranks.shape
+        assert utilities.dtype == np.float64
+        assert not utilities.flags.writeable
+        assert utilities.tobytes() == utilities_oracle(result).tobytes()
+
+    def test_traced_peak_is_one_array(self):
+        result = run_sweep(flat_spec(8, 300))
+        tracemalloc.start()
+        try:
+            utilities = result.utilities
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the oracle holds the product and the difference at once, twice the array
+        assert peak <= 1.1 * utilities.nbytes, f"{peak:,} traced bytes for a {utilities.nbytes:,}-byte array"
 
 
 def record_based_texts(result):
