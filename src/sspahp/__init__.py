@@ -69,6 +69,7 @@ _EXPORTS = {
         "critic_weights",
         "distribute_weights",
         "entropy_weights",
+        "judgment_weights",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

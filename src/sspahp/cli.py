@@ -109,53 +109,24 @@ def _load_inputs(matrix_path, hierarchy_path):
     return matrix, hierarchy
 
 
-def _ahp_from_path(pairwise_path, hierarchy=None, strict_cr=False):
-    """Weights from a pairwise CSV (or directory of expert CSVs).
-
-    Multiple matrices are aligned by label and combined by geometric mean
-    before the eigen solve, so the consistency gate applies to the consensus
-    matrix. When a hierarchy is supplied, unlabeled matrices adopt its
-    dimension ids, or criterion ids when the matrix compares criteria directly.
-    """
-    from .weighting import aggregate_pairwise, ahp_weights
-
-    path = Path(pairwise_path)
-    if path.is_dir():
-        matrices = sio.load_pairwise_batch(path)
-        try:
-            pm = aggregate_pairwise(matrices)
-        except InputError as exc:
-            raise InputError(f"{path}: {exc} (files counted in name order)") from exc
-    else:
-        pm = sio.load_pairwise(path)
-    if hierarchy is not None and pm.labels is None:
-        dims = hierarchy.dimension_ids()
-        crits = hierarchy.criterion_ids()
-        if pm.n == len(dims):
-            pm = type(pm)(pm.values, labels=dims)
-        elif pm.n == len(crits):
-            pm = type(pm)(pm.values, labels=crits)
-    weights, report = ahp_weights(pm)
-    if strict_cr and not report.acceptable:
-        raise InconsistentJudgmentsError(
-            f"consistency ratio {report.cr:.4f} exceeds {CR_THRESHOLD}"
-        )
-    return weights, report
-
-
 def _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr):
     """Criterion weights, plus the ahp consistency report and dimension weights or None."""
     if method == "file":
         _require(weights_file is not None, "--weights-method file requires --weights-file")
         return sio.load_weights(weights_file, hierarchy), None, None
-    from .weighting import critic_weights, distribute_weights, entropy_weights
+    from .weighting import aggregate_pairwise, critic_weights, entropy_weights, judgment_weights
 
     if method == "ahp":
         _require(pairwise is not None, "--weights-method ahp requires --pairwise")
-        w, report = _ahp_from_path(pairwise, hierarchy, strict_cr)
-        if hierarchy is not None and set(w.criterion_ids) == set(hierarchy.dimension_ids()):
-            return distribute_weights(w, hierarchy), report, w
-        return w, report, None
+        path = Path(pairwise)
+        if not path.is_dir():
+            return judgment_weights(sio.load_pairwise(path), hierarchy, strict_cr)
+        matrices = sio.load_pairwise_batch(path)  # aggregated even when one, as exp(log(x)) need not equal x
+        try:
+            consensus = aggregate_pairwise(matrices)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc} (files counted in name order)") from exc
+        return judgment_weights(consensus, hierarchy, strict_cr)
     _require(matrix is not None, f"--weights-method {method} requires --matrix and --hierarchy")
     weigh = entropy_weights if method == "entropy" else critic_weights
     return weigh(matrix), None, None

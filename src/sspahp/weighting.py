@@ -8,7 +8,8 @@ Three ways to obtain a weight vector:
 * CRITIC, combining column contrast with inter-criterion conflict (objective),
 
 plus geometric-mean aggregation of several judgment matrices and equal-split
-distribution of dimension weights down a criteria hierarchy.
+distribution of dimension weights down a criteria hierarchy; ``judgment_weights``
+chains the pairwise steps as ``sspahp weights --method ahp`` runs them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .core import (
     _normalized,
     require_valid,
 )
-from .errors import ConvergenceError, DegenerateWeightsError, InputError
+from .errors import ConvergenceError, DegenerateWeightsError, InconsistentJudgmentsError, InputError
 
 #: expected consistency index of random reciprocal matrices, by size
 RANDOM_INDEX = {
@@ -297,3 +298,29 @@ def distribute_weights(
                 weights.append(crit_share)
 
     return WeightVector(np.array(weights), tuple(ids))
+
+
+def judgment_weights(
+    matrix: PairwiseMatrix, hierarchy: CriteriaHierarchy | None = None, strict_cr: bool = False
+) -> tuple[WeightVector, ConsistencyReport, WeightVector | None]:
+    """Criterion weights, consistency report and dimension weights (or None) from judgments.
+
+    With a hierarchy, an unlabelled matrix takes the dimension ids, else the criterion ids if its
+    size fits; the weights must name every dimension, then spread by ``distribute_weights``, or
+    every criterion. ``strict_cr`` raises InconsistentJudgmentsError above ``CR_THRESHOLD``.
+    """
+    if hierarchy is not None and matrix.labels is None:
+        dims, crits = hierarchy.dimension_ids(), hierarchy.criterion_ids()
+        if matrix.n not in (len(dims), len(crits)):
+            raise InputError(f"a {matrix.n}x{matrix.n} pairwise matrix fits neither the {len(dims)} dimensions nor the {len(crits)} criteria")
+        matrix = PairwiseMatrix(matrix.values, dims if matrix.n == len(dims) else crits)
+    weights, report = ahp_weights(matrix)
+    if strict_cr and not report.acceptable:
+        raise InconsistentJudgmentsError(f"consistency ratio {report.cr:.4f} exceeds {CR_THRESHOLD}")
+    if hierarchy is None:
+        return weights, report, None
+    ids, dims = set(weights.criterion_ids), set(hierarchy.dimension_ids())
+    if ids == dims or ids & dims and ids != set(hierarchy.criterion_ids()):  # over dimensions: distribute_weights names a missing one
+        return distribute_weights(weights, hierarchy), report, weights
+    weights.aligned(hierarchy.criterion_ids())  # raises unless the weights name every criterion
+    return weights, report, None

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -18,13 +19,14 @@ from sspahp.io import (
     load_decision_matrix,
     load_hierarchy,
     load_pairwise,
+    load_pairwise_batch,
     load_weights,
     write_hierarchy_json,
     write_matrix_csv,
 )
 from sspahp.sample import DATA_DIR, sample_hierarchy, sample_matrix
 from sspahp.sensitivity import SweepSpec, compare_rankings, default_s_grid, run_sweep, subset_label
-from sspahp.weighting import ahp_weights, critic_weights, distribute_weights, entropy_weights
+from sspahp.weighting import aggregate_pairwise, ahp_weights, critic_weights, distribute_weights, entropy_weights, judgment_weights
 
 from conftest import CONSENSUS_JUDGMENTS, record_based_export
 
@@ -216,6 +218,56 @@ class TestWeightsCommand:
         critic = runner.invoke(main, ["weights", "--method", "critic", "--hierarchy", hierarchy_path, "--matrix", str(bad)])
         assert critic.exit_code == 2
         assert "hierarchy criteria missing from the file" in critic.stderr
+
+
+class TestAhpPipeline:
+    """``--weights-method ahp`` is ``judgment_weights``, after ``aggregate_pairwise`` for a directory."""
+
+    @pytest.mark.parametrize("source", ["file", "one-file directory"])
+    @pytest.mark.parametrize("with_hierarchy", [False, True])
+    def test_json_equals_judgment_weights(self, runner, judgments_file, data_files, tmp_path, source, with_hierarchy):
+        _, hierarchy_path = data_files
+        path = Path(judgments_file)
+        if source == "file":
+            judgments = load_pairwise(path)
+        else:
+            path = tmp_path / "experts"
+            path.mkdir()
+            (path / "expert1.csv").write_text(Path(judgments_file).read_text())
+            judgments = aggregate_pairwise(load_pairwise_batch(path))
+        hierarchy = load_hierarchy(hierarchy_path) if with_hierarchy else None
+        weights, report, dims = judgment_weights(judgments, hierarchy)
+        args = ["weights", "--method", "ahp", "--pairwise", str(path), "--format", "json"]
+        result = runner.invoke(main, args + (["--hierarchy", hierarchy_path] if with_hierarchy else []))
+        assert result.exit_code == 0, result.output
+        expected = {"weights": weights.as_dict(), "consistency": asdict(report)}
+        if dims is not None:
+            expected["dimension_weights"] = dims.as_dict()
+        assert json.loads(result.stdout) == expected
+        assert (dims is None) is not with_hierarchy
+
+    @pytest.mark.parametrize("command", ["weights", "eval"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("G1,G2,G3,G4\n1,2,3,4\n1/2,1,2,3\n1/3,1/2,1,2\n1/4,1/3,1/2,1\n", "weight ids do not match: missing G5"),
+            ("1,3\n1/3,1\n", "a 2x2 pairwise matrix fits neither the 5 dimensions nor the 25 criteria"),
+        ],
+        ids=["four-dimensions", "unlabelled-2x2"],
+    )
+    def test_judgments_that_fit_neither_level_exit_2(self, runner, data_files, tmp_path, command, text, message):
+        matrix_path, hierarchy_path = data_files
+        path = tmp_path / "judgments.csv"
+        path.write_text(text)
+        args = [command, "--method", "ahp", "--pairwise", str(path), "--hierarchy", hierarchy_path]
+        result = runner.invoke(main, args + (["--matrix", matrix_path] if command == "eval" else []))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"input error: {message}\n"
+        # without a hierarchy the same judgments are weighed as they stand
+        alone = runner.invoke(main, ["weights", "--method", "ahp", "--pairwise", str(path), "--format", "json"])
+        assert alone.exit_code == 0, alone.output
+        assert list(json.loads(alone.stdout)["weights"]) == (["G1", "G2", "G3", "G4"] if text[0] == "G" else ["c1", "c2"])
 
 
 class TestEvalCommand:

@@ -70,6 +70,8 @@ def cli_paths(tmp_path_factory):
     Path(paths["experts"]).mkdir()
     rows = ["G1,G2,G3,G4,G5", *(",".join(repr(float(v)) for v in row) for row in CONSENSUS_JUDGMENTS)]
     (root / "experts" / "expert1.csv").write_text("\n".join(rows) + "\n")
+    paths["weights"] = str(root / "weights.csv")
+    Path(paths["weights"]).write_text("".join(f"C{j},0.04\n" for j in range(1, 26)))
     for method in ("critic", "entropy"):
         paths[method] = str(root / f"{method}.csv")
         argv = ["sweep", "--matrix", paths["matrix"], "--hierarchy", paths["hierarchy"], "--weights-method", method]
@@ -95,6 +97,13 @@ def test_each_command_loads_only_its_own_pipeline(cli_paths, command, own):
     args = [token.format(**cli_paths) for token in f"{command} --format json --out {{out}}".split()]
     code = f"from sspahp.cli import main\nmain.main(args={args!r}, standalone_mode=False)"
     assert loaded_after(code) == CLI_BASE | {f"sspahp.{name}" for name in own}
+
+
+def test_eval_from_a_weights_file_loads_no_weighting(cli_paths):
+    command = f"eval {DATA} --weights-method file --weights-file {{weights}} --format json --out {{out}}"
+    args = [token.format(**cli_paths) for token in command.split()]
+    code = f"from sspahp.cli import main\nmain.main(args={args!r}, standalone_mode=False)"
+    assert loaded_after(code) == CLI_BASE | {"sspahp.evaluation", "sspahp.correlation"}
 
 
 def test_from_import_of_a_submodule_still_imports_it():

@@ -5,17 +5,23 @@ import pytest
 
 from sspahp import (
     ConvergenceError,
+    CriteriaHierarchy,
     DegenerateWeightsError,
+    Dimension,
+    InconsistentJudgmentsError,
     InputError,
     PairwiseMatrix,
     RANDOM_INDEX,
+    SubDimension,
     aggregate_pairwise,
     ahp_weights,
     consistency,
     critic_weights,
     distribute_weights,
     entropy_weights,
+    judgment_weights,
 )
+from sspahp.core import CR_THRESHOLD
 
 from conftest import (
     CONSENSUS_JUDGMENTS,
@@ -23,6 +29,7 @@ from conftest import (
     EXPECTED_CR,
     EXPECTED_DIMENSION_WEIGHTS,
     make_matrix,
+    two_level_hierarchy,
 )
 
 
@@ -416,3 +423,116 @@ class TestDistributeWeights:
             distribute_weights(reordered, hierarchy).as_dict()
             == distribute_weights(straight, hierarchy).as_dict()
         )
+
+
+def single_criterion_hierarchy(pairs):
+    """One dimension a (dimension id, criterion id) pair, each holding that one criterion."""
+    dims = [Dimension(d, d, (SubDimension("sd", (c,)),)) for d, c in pairs]
+    return CriteriaHierarchy(dims, {c: "max" for _, c in pairs})
+
+
+def same_weights(a, b):
+    return a.criterion_ids == b.criterion_ids and a.weights.tolist() == b.weights.tolist()
+
+
+#: inconsistent 3x3 judgments, CR far above the threshold
+WILD = np.array([[1, 9, 1 / 5], [1 / 9, 1, 9], [5, 1 / 9, 1]])
+
+
+class TestJudgmentWeights:
+    """``judgment_weights``: the pairwise steps of ``sspahp weights --method ahp`` as one call."""
+
+    def test_without_a_hierarchy_it_is_ahp_weights(self, consensus_pairwise):
+        for pm in (consensus_pairwise, PairwiseMatrix(CONSENSUS_JUDGMENTS)):
+            weights, report, dims = judgment_weights(pm)
+            expected, expected_report = ahp_weights(pm)
+            assert same_weights(weights, expected) and report == expected_report and dims is None
+        assert weights.criterion_ids == ("c1", "c2", "c3", "c4", "c5")
+
+    def test_an_unlabelled_matrix_adopts_the_dimension_ids(self, hierarchy):
+        weights, report, dims = judgment_weights(PairwiseMatrix(CONSENSUS_JUDGMENTS), hierarchy)
+        expected, expected_report = ahp_weights(PairwiseMatrix(CONSENSUS_JUDGMENTS, labels=hierarchy.dimension_ids()))
+        assert same_weights(dims, expected)
+        assert same_weights(weights, distribute_weights(expected, hierarchy))
+        assert report == expected_report
+
+    def test_an_unlabelled_matrix_adopts_the_criterion_ids_when_only_they_fit(self):
+        h = two_level_hierarchy()  # 3 dimensions, 6 criteria
+        pm = consistent_matrix([0.3, 0.2, 0.15, 0.15, 0.1, 0.1])
+        weights, report, dims = judgment_weights(pm, h)
+        expected, expected_report = ahp_weights(PairwiseMatrix(pm.values, labels=h.criterion_ids()))
+        assert same_weights(weights, expected) and report == expected_report
+        assert dims is None
+
+    def test_the_dimension_ids_win_a_size_tie(self):
+        h = single_criterion_hierarchy([("G1", "C1"), ("G2", "C2")])
+        weights, _, dims = judgment_weights(PairwiseMatrix(np.array([[1.0, 3.0], [1 / 3, 1.0]])), h)
+        assert dims.criterion_ids == ("G1", "G2")
+        assert weights.as_dict() == {"C1": 0.75, "C2": 0.25}
+        # labels that are both every dimension id and every criterion id count as dimensions too
+        same = single_criterion_hierarchy([("A", "A"), ("B", "B")])
+        _, _, dims = judgment_weights(PairwiseMatrix(np.array([[1.0, 3.0], [1 / 3, 1.0]]), labels=("A", "B")), same)
+        assert dims.criterion_ids == ("A", "B")
+
+    def test_criterion_labels_keep_their_order_and_give_no_dimension_weights(self):
+        h = two_level_hierarchy()
+        labels = ("C6", "C1", "C5", "C2", "C4", "C3")
+        pm = PairwiseMatrix(consistent_matrix([0.3, 0.2, 0.15, 0.15, 0.1, 0.1]).values, labels=labels)
+        weights, report, dims = judgment_weights(pm, h)
+        assert same_weights(weights, ahp_weights(pm)[0]) and report == ahp_weights(pm)[1]
+        assert weights.criterion_ids == labels and dims is None
+
+    def test_criterion_labels_that_share_a_dimension_id_are_not_distributed(self):
+        h = CriteriaHierarchy(
+            (Dimension("A", "a", (SubDimension("sd", ("A",)),)), Dimension("B", "b", (SubDimension("sd", ("b1", "b2")),))),
+            {"A": "max", "b1": "max", "b2": "min"},
+        )
+        values = consistent_matrix([0.5, 0.3, 0.2]).values
+        weights, _, dims = judgment_weights(PairwiseMatrix(values, labels=("A", "b1", "b2")), h)
+        assert weights.criterion_ids == ("A", "b1", "b2") and dims is None
+        weights, _, dims = judgment_weights(PairwiseMatrix(values[:2, :2], labels=("A", "B")), h)
+        assert dims.criterion_ids == ("A", "B") and weights.criterion_ids == ("A", "b1", "b2")
+
+    def test_labelled_dimension_judgments_are_distributed(self, consensus_pairwise, hierarchy):
+        weights, report, dims = judgment_weights(consensus_pairwise, hierarchy)
+        expected, expected_report = ahp_weights(consensus_pairwise)
+        assert same_weights(dims, expected) and report == expected_report
+        assert same_weights(weights, distribute_weights(expected, hierarchy))
+
+    @pytest.mark.parametrize("with_hierarchy", [False, True])
+    def test_strict_cr_raises_with_the_command_line_message(self, with_hierarchy):
+        h = two_level_hierarchy() if with_hierarchy else None
+        pm = PairwiseMatrix(WILD)
+        _, report, _ = judgment_weights(pm, h)
+        assert report.cr > CR_THRESHOLD
+        with pytest.raises(InconsistentJudgmentsError) as exc:
+            judgment_weights(pm, h, strict_cr=True)
+        assert str(exc.value) == f"consistency ratio {report.cr:.4f} exceeds {CR_THRESHOLD}"
+
+    def test_strict_cr_passes_acceptable_judgments(self, consensus_pairwise, hierarchy):
+        weights, report, dims = judgment_weights(consensus_pairwise, hierarchy, strict_cr=True)
+        lenient_weights, lenient_report, lenient_dims = judgment_weights(consensus_pairwise, hierarchy)
+        assert same_weights(weights, lenient_weights) and same_weights(dims, lenient_dims)
+        assert report == lenient_report and report.acceptable
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (("G1", "G2", "G3", "G4"), "weight ids do not match: missing G5"),
+            (("G1", "G2", "G3", "GX"), "weight ids do not match: unknown GX; missing G4, G5"),
+            (("C1", "C2", "C3", "C4"), "weight ids do not match: missing " + ", ".join(f"C{j}" for j in range(5, 26))),
+            (("C1", "C2", "C3", "X"), "weight ids do not match: unknown X; missing " + ", ".join(f"C{j}" for j in range(4, 26))),
+        ],
+    )
+    def test_weights_that_name_neither_every_dimension_nor_every_criterion_are_refused(self, hierarchy, labels, message):
+        pm = PairwiseMatrix(np.ones((4, 4)), labels=labels)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            judgment_weights(pm, hierarchy)
+        assert judgment_weights(pm)[0].criterion_ids == labels  # without a hierarchy any labels stand
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_an_unlabelled_matrix_that_fits_neither_size_is_refused(self, hierarchy, n):
+        pm = PairwiseMatrix(np.ones((n, n)))
+        with pytest.raises(InputError, match=f"^a {n}x{n} pairwise matrix fits neither the 5 dimensions nor the 25 criteria$"):
+            judgment_weights(pm, hierarchy)
+        assert judgment_weights(pm)[0].criterion_ids == tuple(f"c{i + 1}" for i in range(n))
