@@ -4,7 +4,8 @@ Formats:
 
 * decision matrix: UTF-8 CSV, first header ``alternative``, then one
   column per hierarchy criterion id; numeric cells as decimals or fractions
-  like ``1/4``;
+  like ``1/4``; a NaN or infinite cell is refused, named by its row and its
+  column in the file, as a non-numeric cell is;
 * criteria hierarchy: JSON lists of dimensions -> sub_dimensions -> criteria
   with string ids and names, objectives restricted to "max" and "min";
 * pairwise judgments: square numeric CSV (each row as wide as the matrix is
@@ -268,6 +269,10 @@ def load_decision_matrix(path, hierarchy: CriteriaHierarchy) -> DecisionMatrix:
         if len(row) != len(header):
             raise InputError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
     values = _numbers(path, [row[1:] for row in rows], len(header) - 1)
+    bad = np.argwhere(~np.isfinite(values))  # in file order, before the columns are reordered
+    if bad.size:
+        r, c = bad[0]
+        raise InputError(f"{path}: row {r + 1}, column {c + 1}: non-finite cell '{rows[r][c + 1].strip()}'")
     matrix = DecisionMatrix(
         alternative_ids=tuple(row[0].strip() for row in rows),
         criterion_ids=canonical,

@@ -116,7 +116,8 @@ class SweepSpec:
     A sweep that would take more than ``MAX_SWEEP_BYTES`` for its ranks,
     penalties and ranking temporaries raises InputError before any subset
     list or result array is built. Two subsets that name the same
-    dimensions, in any order, raise InputError.
+    dimensions, in any order, raise InputError, as does a subset given as
+    a string rather than a tuple of dimension ids.
     """
 
     matrix: DecisionMatrix
@@ -146,6 +147,10 @@ class SweepSpec:
             if len(dimension_ids) <= MAX_DIMENSIONS:  # past it the enumeration names the cap
                 _check_sweep_size(2 ** len(dimension_ids), grid.size, self.matrix.m)
             subsets = enumerate_group_subsets(dimension_ids)
+        subsets = tuple(subsets)  # any iterable, read once
+        key = next((s for s in subsets if isinstance(s, str)), None)
+        if key is not None:  # tuple() would split it into characters
+            raise InputError(f"group subset {key!r} is a string, not a tuple of dimension ids")
         subsets = tuple(tuple(s) for s in subsets)
         if not subsets:
             raise InputError("need at least one group subset")
@@ -199,11 +204,10 @@ class SweepResult(_Ranked):
         return {sub: self.ranks[i, -1] for i, sub in enumerate(self.subsets)}
 
     def rank_trajectory(self, alternative_id: str, subset) -> np.ndarray:
-        """Rank of one alternative along the grid for one subset."""
+        """Rank of one alternative along the grid for one subset, its dimensions named in any order."""
         subset = tuple(subset)
-        try:
-            si = self.subsets.index(subset)
-        except ValueError:
+        si = next((i for i, s in enumerate(self.subsets) if set(s) == set(subset)), None)  # in any order
+        if si is None:
             raise InputError(f"subset {subset_label(subset) or '()'} not in sweep")
         return self.ranks[si, :, self._position(alternative_id)]
 

@@ -45,6 +45,8 @@ RANDOM_INDEX = {
 }
 
 _RECIPROCITY_TOL = 1e-9
+_EIGEN_TOL = 1e-10
+_MAX_ITER = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,75 +134,60 @@ def aggregate_pairwise(matrices: list[PairwiseMatrix]) -> PairwiseMatrix:
     return PairwiseMatrix(consensus, labels=labels)
 
 
-def _eigen_solve(
-    matrix: PairwiseMatrix,
-    random_index: dict[int, float],
-    tol: float = 1e-10,
-    max_iter: int = 1000,
-) -> tuple[np.ndarray, ConsistencyReport]:
+def _eigen_solve(matrix: PairwiseMatrix) -> tuple[np.ndarray, ConsistencyReport]:
     """Principal eigenvector (sum 1) and the consistency of its eigenvalue.
 
     Power iteration from the uniform vector, renormalized to sum 1.
-    Converges when successive iterates differ by less than ``tol`` in
+    Converges when successive iterates differ by less than ``_EIGEN_TOL`` in
     max-norm; the dominant eigenvalue is estimated as the mean of the
     component-wise ratios (X w) / w at the converged vector.
     """
     n = matrix.n
-    if n > max(random_index):
+    if n > max(RANDOM_INDEX):
         raise InputError(
             f"no random index for n = {n}; matrices up to "
-            f"{max(random_index)} criteria are supported"
+            f"{max(RANDOM_INDEX)} criteria are supported"
         )
     values = matrix.values
     w = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         y = values @ w
         w_next = y / y.sum()
-        if np.abs(w_next - w).max() < tol:
+        if np.abs(w_next - w).max() < _EIGEN_TOL:
             lam = float(np.mean((values @ w_next) / w_next))
             if n <= 2:
                 # reciprocal 1x1 and 2x2 matrices are consistent by construction
                 return w_next, ConsistencyReport(lambda_max=lam, ci=0.0, cr=0.0, acceptable=True)
             ci = (lam - n) / (n - 1)
-            cr = ci / random_index[n]
+            cr = ci / RANDOM_INDEX[n]
             return w_next, ConsistencyReport(lambda_max=lam, ci=ci, cr=cr, acceptable=cr <= CR_THRESHOLD)
         w = w_next
     raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations",
+        f"power iteration did not converge in {_MAX_ITER} iterations",
         last_iterate=w,
     )
 
 
-def consistency(
-    matrix: PairwiseMatrix, random_index: dict[int, float] | None = None
-) -> ConsistencyReport:
-    """Consistency ratio of a judgment matrix.
+def consistency(matrix: PairwiseMatrix) -> ConsistencyReport:
+    """Consistency ratio of a judgment matrix: the report ``ahp_weights`` returns.
 
-    cr = ci / ri where ci = (lambda_max - n) / (n - 1) and ri is the random
-    index for the matrix size. Sizes 1 and 2 are consistent by definition
-    (cr = 0); a 1x1 matrix goes through the same eigen solve as any other
-    and gives lambda_max = 1. Sizes above 10 are rejected because the
-    random-index table ends there.
+    cr = ci / ri where ci = (lambda_max - n) / (n - 1) and ri is Saaty's
+    ``RANDOM_INDEX`` for the matrix size. Sizes 1 and 2 are consistent by
+    definition (cr = 0); a 1x1 matrix goes through the same eigen solve as
+    any other and gives lambda_max = 1. Sizes above 10 are rejected because
+    the random-index table ends there.
     """
-    ri = RANDOM_INDEX if random_index is None else dict(random_index)
-    if set(ri) - set(RANDOM_INDEX):
-        raise InputError(
-            f"random index keys must lie in 1..{max(RANDOM_INDEX)}, "
-            f"got {sorted(set(ri) - set(RANDOM_INDEX))}"
-        )
-    return _eigen_solve(matrix, ri)[1]
+    return _eigen_solve(matrix)[1]
 
 
-def ahp_weights(
-    matrix: PairwiseMatrix, tol: float = 1e-10, max_iter: int = 1000
-) -> tuple[WeightVector, ConsistencyReport]:
+def ahp_weights(matrix: PairwiseMatrix) -> tuple[WeightVector, ConsistencyReport]:
     """Priority weights from a judgment matrix via the principal eigenvector.
 
     Returns the eigenvector normalized to sum 1 together with the
     consistency report computed from the same eigen solve. A 1x1 matrix
     takes the general path and gives weight 1 with cr = 0.
     """
-    w, report = _eigen_solve(matrix, RANDOM_INDEX, tol, max_iter)
+    w, report = _eigen_solve(matrix)
     labels = matrix.labels or tuple(f"c{i + 1}" for i in range(matrix.n))
     return WeightVector(w, labels), report
 

@@ -86,6 +86,10 @@ class TestSustainabilityCoefficients:
         with pytest.raises(InputError, match="unknown group"):
             SustainabilityCoefficients.for_groups(h, ("G9",), 0.5)
 
+    def test_group_constructor_rejects_a_string(self):
+        with pytest.raises(InputError, match=r"^groups 'G1' is a string, not a tuple of dimension ids$"):
+            SustainabilityCoefficients.for_groups(two_level_hierarchy(), "G1", 0.5)
+
 
 class TestMadTransform:
     def test_full_reduction_on_spread_column(self):
@@ -276,6 +280,13 @@ class TestEvaluateWithGroupS:
         w = WeightVector(np.full(6, 1 / 6), m.criterion_ids)
         with pytest.raises(InputError, match="unknown group"):
             evaluate_with_group_s(m, w, h, ("G7",), 0.5)
+
+    def test_groups_given_as_a_string_are_rejected(self):
+        h = two_level_hierarchy()
+        m = make_matrix(np.ones((2, 6)) * [[1], [2]], crit_prefix="C")
+        w = WeightVector(np.full(6, 1 / 6), m.criterion_ids)
+        with pytest.raises(InputError, match=r"^groups 'G1' is a string, not a tuple of dimension ids$"):
+            evaluate_with_group_s(m, w, h, "G1", 0.5)
 
     def test_a_repeated_group_is_rejected(self):
         h = two_level_hierarchy()

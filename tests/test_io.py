@@ -321,6 +321,15 @@ class TestLoadDecisionMatrix:
         with pytest.raises(InputError, match="row 2, column 3"):
             load_decision_matrix(path, h)
 
+    @pytest.mark.parametrize("cell", ["nan", " inf", "-Infinity", "1e400", "inf/2"])
+    def test_non_finite_cell_names_its_file_row_and_column_in_file_order(self, tmp_path, cell):
+        h = small_hierarchy_file(tmp_path)
+        path = tmp_path / "m.csv"
+        path.write_text(f"alternative,C2,C1\na,2,1\nb,{cell},1\n")
+        message = f"{path}: row 2, column 1: non-finite cell '{cell.strip()}'"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_decision_matrix(path, h)
+
     def test_unknown_header_id_is_binding_error(self, tmp_path):
         h = small_hierarchy_file(tmp_path)
         path = tmp_path / "m.csv"

@@ -220,6 +220,15 @@ class TestSweepSpec:
         with pytest.raises(InputError, match="^group subsets must be unique$"):
             SweepSpec(matrix=m, hierarchy=h, weights=w, group_subsets=(("G1", "G2"), ("G2", "G1")))
 
+    def test_rejects_a_subset_given_as_a_string(self):
+        h = two_level_hierarchy()
+        m = make_matrix(np.ones((2, 6)) * [[1.0], [2.0]], crit_prefix="C")
+        w = WeightVector(np.full(6, 1 / 6), m.criterion_ids)
+        with pytest.raises(InputError, match=r"^group subset 'G1' is a string, not a tuple of dimension ids$"):
+            SweepSpec(matrix=m, hierarchy=h, weights=w, group_subsets=["G1"])
+        spec = SweepSpec(matrix=m, hierarchy=h, weights=w, group_subsets=(s for s in [("G1",), ["G2", "G3"]]))
+        assert spec.group_subsets == (("G1",), ("G2", "G3"))
+
     def test_rejects_empty_subset_list(self):
         h = two_level_hierarchy()
         m = make_matrix(np.ones((2, 6)) * [[1.0], [2.0]], crit_prefix="C")
@@ -318,6 +327,14 @@ class TestRunSweep:
         _, result = small_sweep()
         with pytest.raises(InputError, match="not in sweep"):
             result.rank_trajectory("a1", ("G9",))
+
+    def test_trajectory_finds_a_subset_named_in_another_order(self):
+        h = two_level_hierarchy()
+        m = make_matrix(np.random.default_rng(104).uniform(1.0, 9.0, size=(4, 6)), crit_prefix="C")
+        result = run_sweep(SweepSpec(m, h, random_weights(np.random.default_rng(105), m), group_subsets=[("G2", "G1")]))
+        assert result.rank_trajectory("a2", ("G1", "G2")).tolist() == result.ranks[0, :, 1].tolist()
+        with pytest.raises(InputError, match=r"^subset G1\+G3 not in sweep$"):
+            result.rank_trajectory("a2", ("G1", "G3"))
 
     def test_list_grid_and_subsets_are_frozen_like_the_arrays(self):
         grid = [0.0, 1.0]

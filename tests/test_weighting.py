@@ -21,6 +21,7 @@ from sspahp import (
     entropy_weights,
     judgment_weights,
 )
+from sspahp import weighting
 from sspahp.core import CR_THRESHOLD
 
 from conftest import (
@@ -182,10 +183,17 @@ class TestConsistency:
         with pytest.raises(InputError, match="n = 11"):
             consistency(random_reciprocal(rng, 11))
 
-    def test_bad_random_index_keys_are_rejected(self):
-        two = PairwiseMatrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
-        with pytest.raises(InputError, match="keys"):
-            consistency(two, random_index={12: 1.5})
+    def test_size_above_table_is_unsupported_by_ahp_weights_too(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(InputError, match="n = 11"):
+            ahp_weights(random_reciprocal(rng, 11))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_is_the_report_ahp_weights_returns_bit_for_bit(self, n):
+        pm = random_reciprocal(np.random.default_rng(300 + n), n)
+        weights, report = ahp_weights(pm)
+        assert repr(consistency(pm)) == repr(report)  # repr tells every float apart, -0.0 from 0.0 too
+        assert weights.weights.tobytes() == weighting._eigen_solve(pm)[0].tobytes()
 
 
 class TestAhpWeights:
@@ -223,9 +231,10 @@ class TestAhpWeights:
         assert weights.weights.tolist() == [1.0]
         assert report.cr == 0.0
 
-    def test_iteration_cap_carries_last_iterate(self, consensus_pairwise):
+    def test_iteration_cap_carries_last_iterate(self, consensus_pairwise, monkeypatch):
+        monkeypatch.setattr(weighting, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as exc:
-            ahp_weights(consensus_pairwise, max_iter=1)
+            ahp_weights(consensus_pairwise)
         assert exc.value.last_iterate is not None
         assert len(exc.value.last_iterate) == 5
 
