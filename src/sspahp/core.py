@@ -400,6 +400,13 @@ def flatten_hierarchy(h: CriteriaHierarchy) -> list[tuple[str, str]]:
     return list(h._dimension_of.items())
 
 
+def _subset(value, what) -> tuple[str, ...]:
+    """A subset of dimension ids as a tuple; a string, which tuple() would split into characters, raises InputError."""
+    if isinstance(value, str):
+        raise InputError(f"{what} {value!r} is a string, not a tuple of dimension ids")
+    return tuple(value)
+
+
 def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids=None) -> np.ndarray:
     """Boolean [subset, criterion] table: is the criterion's dimension in the subset?
 

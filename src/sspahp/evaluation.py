@@ -25,6 +25,7 @@ from .core import (
     _membership,
     _normalized,
     _Ranked,
+    _subset,
 )
 from .errors import InputError
 
@@ -64,9 +65,7 @@ class SustainabilityCoefficients:
         ``criterion_ids`` fixes the vector order; defaults to the hierarchy's
         canonical order.
         """
-        if isinstance(groups, str):  # tuple() would split it into characters
-            raise InputError(f"groups {groups!r} is a string, not a tuple of dimension ids")
-        selected = _membership(hierarchy, (tuple(groups),), criterion_ids)[0]
+        selected = _membership(hierarchy, (_subset(groups, "groups"),), criterion_ids)[0]
         return cls(np.where(selected, float(s_value), 0.0))
 
 

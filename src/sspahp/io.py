@@ -4,8 +4,7 @@ Formats:
 
 * decision matrix: UTF-8 CSV, first header ``alternative``, then one
   column per hierarchy criterion id; numeric cells as decimals or fractions
-  like ``1/4``; a NaN or infinite cell is refused, named by its row and its
-  column in the file, as a non-numeric cell is;
+  like ``1/4``;
 * criteria hierarchy: JSON lists of dimensions -> sub_dimensions -> criteria
   with string ids and names, objectives restricted to "max" and "min";
 * pairwise judgments: square numeric CSV (each row as wide as the matrix is
@@ -26,9 +25,9 @@ Every input is read as UTF-8, with a leading byte-order mark skipped. Every
 CSV reader skips a blank row (every cell empty or whitespace) wherever it
 sits, the header is the first non-blank row, and data rows are counted from
 1 without the blank ones. The matrix, pairwise, weights and bounds readers
-check every row's shape before any cell, so a ragged row is named before a
-bad cell wherever the two sit; a bad cell's column counts the number columns
-after the label in a matrix or pairwise file, the file's columns otherwise.
+check every row's shape before any cell, then name a non-numeric, NaN or
+infinite cell by its row and column: the number columns after the label in
+a matrix or pairwise file, the file's columns otherwise.
 
 ``records_to_csv`` turns a list of records into one CSV text: a header of
 ``fieldnames`` and one row per record, where every record must carry
@@ -128,7 +127,7 @@ def _is_number(cell: str) -> bool:
 
 
 def _numbers(path, rows, width, start=1) -> np.ndarray:
-    """A (rows x width) array; a bad cell raises InputError naming its file, row (from 1) and column (from ``start``)."""
+    """A (rows x width) array; a non-numeric or non-finite cell raises InputError naming its file, row (from 1) and column (from ``start``)."""
     try:
         values = list(map(float, itertools.chain.from_iterable(rows)))
     except ValueError:  # fractions, or a cell to report
@@ -137,7 +136,12 @@ def _numbers(path, rows, width, start=1) -> np.ndarray:
             for r, cells in enumerate(rows, start=1)
             for c, cell in enumerate(cells, start)
         ]
-    return np.array(values, dtype=float).reshape(len(rows), width)
+    values = np.array(values, dtype=float).reshape(len(rows), width)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise InputError(f"{path}: row {r + 1}, column {c + start}: non-finite cell '{rows[r][c].strip()}'")
+    return values
 
 
 def _canonical_order(path, ids, canonical, kind) -> list[int]:
@@ -269,10 +273,6 @@ def load_decision_matrix(path, hierarchy: CriteriaHierarchy) -> DecisionMatrix:
         if len(row) != len(header):
             raise InputError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
     values = _numbers(path, [row[1:] for row in rows], len(header) - 1)
-    bad = np.argwhere(~np.isfinite(values))  # in file order, before the columns are reordered
-    if bad.size:
-        r, c = bad[0]
-        raise InputError(f"{path}: row {r + 1}, column {c + 1}: non-finite cell '{rows[r][c + 1].strip()}'")
     matrix = DecisionMatrix(
         alternative_ids=tuple(row[0].strip() for row in rows),
         criterion_ids=canonical,

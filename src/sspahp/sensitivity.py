@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_STEP, CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _membership, _normalized, _Ranked
+from .core import DEFAULT_STEP, CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _membership, _normalized, _Ranked, _subset
 from .correlation import _BLOCK_BYTES, _checked_rows, _pearson_rows, _ranks_in_blocks, _weighted_spearman_rows
 from .errors import InputError, SspahpError
 
@@ -79,9 +79,9 @@ def enumerate_group_subsets(dimension_ids) -> tuple[tuple[str, ...], ...]:
     the order runs (), (G5,), (G4,), (G4, G5), (G3,), ... up to the full
     set. Members of each subset keep the hierarchy order. More than
     ``MAX_DIMENSIONS`` dimensions raise InputError, since the subset count
-    doubles with each one.
+    doubles with each one. A string of ids raises InputError.
     """
-    ids = tuple(dimension_ids)
+    ids = _subset(dimension_ids, "dimension ids")
     if len(ids) > MAX_DIMENSIONS:
         raise InputError(
             f"{len(ids)} dimensions give {2 ** len(ids):,} subsets; "
@@ -147,11 +147,7 @@ class SweepSpec:
             if len(dimension_ids) <= MAX_DIMENSIONS:  # past it the enumeration names the cap
                 _check_sweep_size(2 ** len(dimension_ids), grid.size, self.matrix.m)
             subsets = enumerate_group_subsets(dimension_ids)
-        subsets = tuple(subsets)  # any iterable, read once
-        key = next((s for s in subsets if isinstance(s, str)), None)
-        if key is not None:  # tuple() would split it into characters
-            raise InputError(f"group subset {key!r} is a string, not a tuple of dimension ids")
-        subsets = tuple(tuple(s) for s in subsets)
+        subsets = tuple(_subset(s, "group subset") for s in subsets)  # any iterable, read once
         if not subsets:
             raise InputError("need at least one group subset")
         if len(set(map(frozenset, subsets))) != len(subsets):  # the same dimensions in any order
@@ -183,7 +179,7 @@ class SweepResult(_Ranked):
     _ARRAYS = {"s_grid": float, "base": float, "penalty": float, "ranks": np.int32}
 
     def __post_init__(self, _owned):
-        object.__setattr__(self, "subsets", tuple(map(tuple, self.subsets)))
+        object.__setattr__(self, "subsets", tuple(_subset(s, "subset") for s in self.subsets))
         super().__post_init__(_owned)
 
     @property
@@ -205,7 +201,7 @@ class SweepResult(_Ranked):
 
     def rank_trajectory(self, alternative_id: str, subset) -> np.ndarray:
         """Rank of one alternative along the grid for one subset, its dimensions named in any order."""
-        subset = tuple(subset)
+        subset = _subset(subset, "subset")
         si = next((i for i, s in enumerate(self.subsets) if set(s) == set(subset)), None)  # in any order
         if si is None:
             raise InputError(f"subset {subset_label(subset) or '()'} not in sweep")
@@ -348,11 +344,7 @@ def _subset_rankings(result):
     """Subsets and their rankings: a [subset, N] array for a sweep, a list otherwise."""
     if isinstance(result, SweepResult):
         return result.subsets, result.ranks[:, -1]
-    mapping = dict(result)
-    key = next((k for k in mapping if isinstance(k, str)), None)
-    if key is not None:  # tuple() would split it into characters
-        raise InputError(f"subset key {key!r} is a string, not a tuple of dimension ids")
-    rankings = {tuple(k): np.asarray(v) for k, v in mapping.items()}
+    rankings = {_subset(k, "subset key"): np.asarray(v) for k, v in dict(result).items()}
     return tuple(rankings), list(rankings.values())
 
 
@@ -376,7 +368,9 @@ def compare_rankings(result_a, result_b) -> dict[tuple[str, ...], tuple[float, f
 
     Accepts SweepResult objects (their full-reduction rankings are compared)
     or plain mappings of subset -> ranking vector, each subset a tuple of
-    dimension ids (a string key raises InputError). Subset lists must match.
+    dimension ids (a string key raises InputError). Subset lists must match
+    by position, each subset's dimensions in any order; the result is keyed
+    by the first argument's subsets.
     Two sweeps are paired by alternative id; ids found in only one raise
     InputError naming them. The rankings of each length are stacked and
     both coefficients computed row-wise; an invalid ranking raises with its
@@ -384,7 +378,7 @@ def compare_rankings(result_a, result_b) -> dict[tuple[str, ...], tuple[float, f
     """
     subsets, a = _subset_rankings(result_a)
     others, b = _subset_rankings(result_b)
-    if subsets != others:
+    if list(map(frozenset, subsets)) != list(map(frozenset, others)):
         raise InputError("subset lists differ between the two results")
     swept = isinstance(result_a, SweepResult) and isinstance(result_b, SweepResult)
     if swept and result_a.alternative_ids != result_b.alternative_ids:

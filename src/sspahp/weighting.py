@@ -232,19 +232,17 @@ def entropy_weights(matrix: DecisionMatrix) -> WeightVector:
     return WeightVector(info / total, matrix.criterion_ids)
 
 
-def critic_weights(matrix: DecisionMatrix, sample_std: bool = True) -> WeightVector:
+def critic_weights(matrix: DecisionMatrix) -> WeightVector:
     """Objective weights from contrast and conflict of the scaled columns.
 
     The matrix is min-max scaled (direction-aware, so cost criteria are
     flipped first), then each criterion gets c_j = sigma_j * sum_k(1 - rho_jk)
-    where sigma is the column standard deviation and rho the Pearson
-    correlation between scaled columns; weights are c_j / sum(c).
-
-    ``sample_std`` selects the m-1 divisor (default); pass False for the
-    population form. Constant columns have sigma = 0 and receive weight 0.
+    where sigma is the column sample standard deviation (m - 1 divisor) and
+    rho the Pearson correlation between scaled columns; weights are
+    c_j / sum(c). Constant columns have sigma = 0 and receive weight 0.
     """
     r = _normalized(matrix).values
-    sigma = r.std(axis=0, ddof=1 if sample_std else 0)
+    sigma = r.std(axis=0, ddof=1)
     centered = r - r.mean(axis=0)
     ss = (centered**2).sum(axis=0)
     denom = np.sqrt(np.outer(ss, ss))

@@ -900,13 +900,13 @@ class TestMalformedInputs:
             ["benchmarks", "--matrix", matrix_path, "--hierarchy", hierarchy_path,
              "--weights-method", "critic", "--bounds", str(path)],
         )
-        self.assert_input_error(result, "bounds must be finite; offending criteria: C3\n")
+        self.assert_input_error(result, "bounds.csv: row 3, column 2: non-finite cell 'nan'\n")
 
     def test_non_finite_weight(self, runner, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("criterion_id,weight\nC1,nan\nC2,1\n")
         result = runner.invoke(main, ["weights", "--method", "file", "--weights-file", str(path)])
-        self.assert_input_error(result, "w.csv: non-finite weight nan for criterion 'C1'")
+        self.assert_input_error(result, "w.csv: row 1, column 2: non-finite cell 'nan'\n")
         assert result.stdout == ""
 
     @pytest.mark.parametrize("which", ["--matrix", "--hierarchy"])

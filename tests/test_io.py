@@ -505,6 +505,9 @@ class TestLoadPairwise:
             ("1,4\n0.5,1\n", r"reciprocity violated at \(1, 2\): 4 \* 0\.5 != 1"),
             ("2,1\n1,1\n", r"pairwise diagonal must be all ones"),
             ("1,0\n0,1\n", r"pairwise entries must be finite and positive"),
+            ("1,nan\n1,1\n", r"row 1, column 2: non-finite cell 'nan'"),
+            # a labelled row's columns are counted after its label
+            (",G1,G2\nG1,1,1\nG2,inf,1\n", r"row 2, column 1: non-finite cell 'inf'"),
             ("G1,G2,G3\n1,2\n0.5,1\n", r"3 labels for a 2x2 matrix"),
             # every row's shape is checked before any cell
             ("1,2,3\n0.5,x,2\n1/3,1/2\n", r"row 3 has 2 entries; expected a square 3x3 matrix"),
@@ -588,7 +591,7 @@ class TestLoadWeights:
     def test_non_finite_weight_names_the_file_and_criterion(self, tmp_path, text):
         path = tmp_path / "w.csv"
         path.write_text(text)
-        with pytest.raises(InputError, match=r"w\.csv: non-finite weight nan for criterion 'C1'$"):
+        with pytest.raises(InputError, match=r"w\.csv: row 1, column 2: non-finite cell 'nan'$"):
             load_weights(path)
 
     def test_id_mismatch_with_hierarchy_is_rejected(self, tmp_path):

@@ -107,6 +107,20 @@ class TestSubsetEnumeration:
         with pytest.raises(InputError, match=message):
             enumerate_group_subsets(ids)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: enumerate_group_subsets("AB"), "dimension ids 'AB'"),
+            (lambda: small_sweep()[1].rank_trajectory("a1", "G1"), "subset 'G1'"),
+            (lambda: SweepResult(("a", "b"), ["G1"], [0.0], [1.0, 2.0], [[0.0, 0.0]], [[[1, 2]]]), "subset 'G1'"),
+        ],
+        ids=["enumerate_group_subsets", "rank_trajectory", "SweepResult"],
+    )
+    def test_a_string_in_place_of_a_subset_is_refused(self, call, message):
+        # tuple() would split the string into characters
+        with pytest.raises(InputError, match=f"^{message} is a string, not a tuple of dimension ids$"):
+            call()
+
     def test_subset_label(self):
         assert subset_label(()) == ""
         assert subset_label(("G1", "G4")) == "G1+G4"
@@ -517,6 +531,23 @@ class TestCompareRankings:
         b = {("G2",): np.array([1, 2])}
         with pytest.raises(InputError, match="subset lists differ"):
             compare_rankings(a, b)
+
+    def test_subsets_are_paired_by_position_in_any_order_keyed_by_the_first_argument(self):
+        h = two_level_hierarchy()
+        m = make_matrix(np.random.default_rng(106).uniform(1.0, 9.0, size=(5, 6)), crit_prefix="C")
+        w = random_weights(np.random.default_rng(107), m)
+        a = run_sweep(SweepSpec(m, h, w, group_subsets=[("G2", "G1"), ("G3",)]))
+        b = run_sweep(SweepSpec(m, h, w, group_subsets=[("G1", "G2"), ("G3",)]))
+        assert list(compare_rankings(a, b)) == [("G2", "G1"), ("G3",)]
+        assert list(compare_rankings(b, a)) == [("G1", "G2"), ("G3",)]
+        assert list(compare_rankings(a, b).values()) == list(compare_rankings(a, a).values())
+        x = {("G2", "G1"): [1, 2, 3], ("G3",): [2, 1, 3]}
+        y = {("G1", "G2"): [3, 2, 1], ("G3",): [2, 3, 1]}
+        assert compare_rankings(x, y) == compare_rankings(x, dict(zip(x, y.values())))
+        assert list(compare_rankings(y, x)) == [("G1", "G2"), ("G3",)]
+        # the same subsets at other positions are another list
+        with pytest.raises(InputError, match="^subset lists differ between the two results$"):
+            compare_rankings(x, dict(reversed(y.items())))
 
     def test_sweeps_are_paired_by_alternative_not_position(self):
         spec, result = small_sweep()

@@ -336,10 +336,9 @@ class TestCriticWeights:
         with pytest.raises(DegenerateWeightsError):
             critic_weights(make_matrix([[5.0, 2.0], [5.0, 2.0]]))
 
-    @pytest.mark.parametrize("sample_std", [True, False])
-    def test_one_alternative_is_refused(self, sample_std):
+    def test_one_alternative_is_refused(self):
         with pytest.raises(InputError, match="need at least 2 alternatives, got 1"):
-            critic_weights(make_matrix([[1.0, 2.0]]), sample_std=sample_std)
+            critic_weights(make_matrix([[1.0, 2.0]]))
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(21)
@@ -358,15 +357,6 @@ class TestCriticWeights:
         base = critic_weights(make_matrix(values)).weights
         rescaled = critic_weights(make_matrix(values * 4.0 + 17.0)).weights
         assert np.max(np.abs(rescaled - base)) < 1e-9
-
-    def test_population_std_flag_leaves_weights_unchanged(self):
-        rng = np.random.default_rng(14)
-        m = make_matrix(rng.uniform(0.0, 4.0, size=(6, 3)))
-        assert np.allclose(
-            critic_weights(m, sample_std=True).weights,
-            critic_weights(m, sample_std=False).weights,
-            atol=1e-12,
-        )
 
 
 class TestDistributeWeights:
