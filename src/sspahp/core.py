@@ -401,22 +401,22 @@ def flatten_hierarchy(h: CriteriaHierarchy) -> list[tuple[str, str]]:
 
 
 def _subset(value, what) -> tuple[str, ...]:
-    """A subset of dimension ids as a tuple; a string, which tuple() would split into characters, raises InputError."""
+    """A subset of dimension ids as a tuple; a string, which tuple() would split into characters, or a non-iterable raises InputError."""
     if isinstance(value, str):
         raise InputError(f"{what} {value!r} is a string, not a tuple of dimension ids")
-    return tuple(value)
+    try:
+        items = iter(value)
+    except TypeError:
+        raise InputError(f"{what} {value!r} is not a tuple of dimension ids") from None
+    return tuple(items)
 
 
-def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids=None) -> np.ndarray:
-    """Boolean [subset, criterion] table: is the criterion's dimension in the subset?
+def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean [subset, dimension] table, in hierarchy order, and each criterion's column in it.
 
-    One [subset, dimension] table is filled and then indexed by each
-    criterion's dimension, so the hierarchy is read once for any number
-    of subsets. Columns follow ``criterion_ids`` (default: the hierarchy's
-    canonical order). Unknown group ids are checked first, then group ids
-    repeated within a subset: each error names them and carries the first
-    subset holding one as its ``subset`` attribute. Criteria absent from
-    the hierarchy raise InputError next.
+    Unknown group ids raise InputError first, then ids repeated within a
+    subset; each error names them and carries the first such subset as its
+    ``subset`` attribute. Criteria absent from the hierarchy raise next.
     """
     column = {d: j for j, d in enumerate(hierarchy.dimension_ids())}
     cols = np.array([column.get(g, -1) for subset in subsets for g in subset], dtype=int)
@@ -438,9 +438,25 @@ def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids=None) -> np
         error.subset = subset
         raise error
     dim_of = hierarchy._dimension_of
-    if criterion_ids is None:
-        criterion_ids = tuple(dim_of)
     missing = [c for c in criterion_ids if c not in dim_of]
     if missing:
         raise InputError(f"criteria not present in the hierarchy: {', '.join(missing)}")
-    return table[:, [column[dim_of[c]] for c in criterion_ids]]
+    return table, np.array([column[dim_of[c]] for c in criterion_ids], dtype=int)
+
+
+def _penalties(matrix: DecisionMatrix, weights: WeightVector, hierarchy: CriteriaHierarchy, subsets):
+    """Base utilities r.w and [subset, alternative] penalties P: the one formula U[S, s] = r.w - s * P[S].
+
+    Q[d] sums dimension d's weighted deviations |mean(r) - r| * w once, in
+    matrix order. P[S] adds the Q of S's dimensions to zeros, the last
+    dimension first, so no P[S] depends on the other subsets.
+    """
+    w = weights.aligned(matrix.criterion_ids)
+    r = _normalized(matrix).values
+    table, column = _membership(hierarchy, subsets, matrix.criterion_ids)
+    per_dimension = np.zeros((table.shape[1], matrix.m))
+    np.add.at(per_dimension, column, (np.abs(r.mean(axis=0) - r) * w).T)
+    penalty = np.zeros((len(subsets), matrix.m))
+    for d in reversed(range(table.shape[1])):
+        np.add(penalty, per_dimension[d], out=penalty, where=table[:, d, None])
+    return r @ w, penalty

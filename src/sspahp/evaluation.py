@@ -6,7 +6,8 @@ normalized cell is penalized by its absolute deviation from the column
 mean, scaled with a per-criterion coefficient in [0, 1]. Above-mean
 advantages shrink and below-mean deficits deepen, so uneven profiles lose
 utility relative to balanced ones. At coefficient 0 the plain weighted sum
-is recovered; at 1 the penalty applies in full.
+is recovered; at 1 the penalty applies in full. ``evaluate_with_group_s``
+applies it inside chosen dimensions by the formula of a sweep cell.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .core import (
     WeightVector,
     _fields_equal,
     _frozen_array,
-    _membership,
     _normalized,
+    _penalties,
     _Ranked,
     _subset,
 )
@@ -51,22 +52,6 @@ class SustainabilityCoefficients:
     @classmethod
     def uniform(cls, n: int, value: float) -> "SustainabilityCoefficients":
         return cls(np.full(n, float(value)))
-
-    @classmethod
-    def for_groups(
-        cls,
-        hierarchy: CriteriaHierarchy,
-        groups,
-        s_value: float,
-        criterion_ids=None,
-    ) -> "SustainabilityCoefficients":
-        """Coefficient ``s_value`` for criteria in the given dimensions, 0 elsewhere.
-
-        ``criterion_ids`` fixes the vector order; defaults to the hierarchy's
-        canonical order.
-        """
-        selected = _membership(hierarchy, (_subset(groups, "groups"),), criterion_ids)[0]
-        return cls(np.where(selected, float(s_value), 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +111,10 @@ def evaluate_with_group_s(
 ) -> EvaluationResult:
     """Evaluate with compensation reduced only inside the chosen dimensions.
 
-    Criteria belonging to a dimension in ``groups`` get coefficient
-    ``s_value``; all other criteria get 0.
+    The result is the sweep's cell for ``groups`` at ``s_value`` bit for
+    bit, ranks included: the utilities are ``r.w - s_value * P[groups]``.
     """
     if not 0.0 <= float(s_value) <= 1.0:
         raise InputError(f"s must lie in [0, 1], got {s_value}")
-    coeffs = SustainabilityCoefficients.for_groups(
-        hierarchy, groups, s_value, criterion_ids=matrix.criterion_ids
-    )
-    return evaluate(matrix, weights, coeffs)
+    base, penalty = _penalties(matrix, weights, hierarchy, (_subset(groups, "groups"),))
+    return EvaluationResult._from_scores(base - float(s_value) * penalty[0], matrix.alternative_ids)

@@ -3,17 +3,14 @@
 A sweep evaluates the decision problem for every combination of (dimension
 subset, coefficient value) on a grid, tracking how each alternative's rank
 evolves as compensation is progressively reduced inside the selected
-groups. The matrix is normalized once; because each utility is affine in
-the coefficient, the whole sweep follows from one penalty per (subset,
-alternative). The hierarchy is flattened once into a boolean
-[subset, criterion] membership table, so all penalties come from one
-matrix product. A result keeps what the sweep is made of: the base
-utility ``r.w`` of each alternative, the penalty of each (subset,
-alternative) and the grid, with int32 ``ranks`` shaped [subset, s,
-alternative]. Utilities are rebuilt from those factors by the same
-expression on each access, so serialized output is byte-stable across runs.
-``write_csv`` and ``write_json`` stream the long export straight from the
-factors, one subset's text at a time, with the bytes that the record
+groups. Each utility is affine in the coefficient, so the whole sweep
+follows from the base utility ``r.w`` of each alternative and one penalty
+per (subset, alternative), by the formula ``evaluate_with_group_s`` shares.
+A result keeps those factors and the grid, with int32 ``ranks`` shaped
+[subset, s, alternative]. Utilities are rebuilt from the factors by the
+same expression on each access, so serialized output is byte-stable across
+runs. ``write_csv`` and ``write_json`` stream the long export straight from
+the factors, one subset's text at a time, with the bytes that the record
 writers of ``sspahp.io`` give for ``to_records``.
 
 The summaries work on whole arrays too: ``stability_report`` reduces the
@@ -29,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_STEP, CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _membership, _normalized, _Ranked, _subset
+from .core import DEFAULT_STEP, CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _penalties, _Ranked, _subset
 from .correlation import _BLOCK_BYTES, _checked_rows, _pearson_rows, _ranks_in_blocks, _weighted_spearman_rows
 from .errors import InputError, SspahpError
 
@@ -297,29 +294,23 @@ class SweepResult(_Ranked):
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every (subset, s) cell of the spec.
 
-    For a fixed subset S every utility is affine in s:
-    U[S, s] = r.w - s * P[S], where r is the normalized matrix and P[S]
-    sums the weighted deviations |mean(r) - r| * w over the criteria of the
-    dimensions in S. One boolean [subset, criterion] membership table gives
-    every P[S] in a single product. The cells are ranked in blocks of rows,
-    each from the key s * P[S] - r.w: the negated utility, which sorts the
-    same way, ties included. Only the factors and the int32 ranks are kept.
-    Matrix and weight errors name the first cell; an unknown group id names
-    its own subset.
+    For a fixed subset S every utility is affine in s: U[S, s] =
+    r.w - s * P[S], with the base r.w and the penalties P of the formula
+    ``evaluate_with_group_s`` shares, so each cell equals its result bit
+    for bit. The cells are ranked in blocks of rows, each from the key
+    s * P[S] - r.w: the negated utility, which sorts the same way, ties
+    included. Only the factors and the int32 ranks are kept. Matrix and
+    weight errors name the first cell; an unknown group id names its own
+    subset.
     """
     matrix, grid, subsets = spec.matrix, spec.s_grid, spec.group_subsets
     try:
-        w = spec.weights.aligned(matrix.criterion_ids)
-        r = _normalized(matrix).values
-        membership = _membership(spec.hierarchy, subsets, matrix.criterion_ids)
+        base, penalty = _penalties(matrix, spec.weights, spec.hierarchy, subsets)
     except SspahpError as exc:
         subset = getattr(exc, "subset", subsets[0])
         raise type(exc)(
             f"sweep cell (subset={subset_label(subset) or '()'}, s={grid[0]:g}): {exc}"
         ) from exc
-
-    base = r @ w
-    penalty = membership.astype(float) @ (np.abs(r.mean(axis=0) - r) * w).T  # [subset, alternative]
 
     def key_rows(lo, hi):
         """s * P - base for the flat (subset, s) rows lo..hi, in one buffer."""

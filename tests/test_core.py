@@ -22,6 +22,7 @@ from sspahp import (
     WeightVector,
     critic_weights,
     evaluate,
+    evaluate_with_group_s,
     flatten_hierarchy,
     normalize_minmax,
     run_all,
@@ -344,8 +345,11 @@ class TestFlattenHierarchy:
         assert flatten_hierarchy(h) == [("C1", "G1")]
 
     def test_membership_names_criteria_absent_from_the_hierarchy(self):
+        matrix = make_matrix([[1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0]])
+        matrix = dataclasses.replace(matrix, criterion_ids=("C1", "C9", "C2", "X1"))
+        weights = WeightVector(np.full(4, 0.25), matrix.criterion_ids)
         with pytest.raises(InputError, match=r"^criteria not present in the hierarchy: C9, X1$"):
-            SustainabilityCoefficients.for_groups(two_level_hierarchy(), ("G1",), 0.5, ("C1", "C9", "C2", "X1"))
+            evaluate_with_group_s(matrix, weights, two_level_hierarchy(), ("G1",), 0.5)
 
     def test_duplicate_criterion_membership_is_structural_error(self):
         with pytest.raises(

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from sspahp import (
     InputError,
     SustainabilityCoefficients,
+    SweepSpec,
     WeightVector,
     evaluate,
     evaluate_with_group_s,
     mad_transform,
     normalize_minmax,
     rank_from_scores,
+    run_sweep,
 )
 
 from conftest import make_matrix, random_matrix, random_weights, two_level_hierarchy
@@ -75,20 +77,6 @@ class TestSustainabilityCoefficients:
     def test_uniform_constructor(self):
         c = SustainabilityCoefficients.uniform(3, 0.4)
         assert np.allclose(c.s, [0.4, 0.4, 0.4])
-
-    def test_group_constructor_targets_selected_dimensions(self):
-        h = two_level_hierarchy()
-        c = SustainabilityCoefficients.for_groups(h, ("G1", "G3"), 0.8)
-        assert np.allclose(c.s, [0.8, 0.8, 0.0, 0.8, 0.8, 0.8])
-
-    def test_group_constructor_rejects_unknown_dimension(self):
-        h = two_level_hierarchy()
-        with pytest.raises(InputError, match="unknown group"):
-            SustainabilityCoefficients.for_groups(h, ("G9",), 0.5)
-
-    def test_group_constructor_rejects_a_string(self):
-        with pytest.raises(InputError, match=r"^groups 'G1' is a string, not a tuple of dimension ids$"):
-            SustainabilityCoefficients.for_groups(two_level_hierarchy(), "G1", 0.5)
 
 
 class TestMadTransform:
@@ -271,8 +259,11 @@ class TestEvaluateWithGroupS:
         m = make_matrix(rng.uniform(1, 9, size=(5, 6)), crit_prefix="C")
         w = WeightVector(np.full(6, 1 / 6), m.criterion_ids)
         selected = evaluate_with_group_s(m, w, h, ("G3",), 0.7)
+        cell = run_sweep(SweepSpec(matrix=m, hierarchy=h, weights=w, s_grid=[0.7], group_subsets=[("G3",)]))
+        assert np.array_equal(selected.utilities, cell.utilities[0, 0])
+        assert np.array_equal(selected.ranking, cell.ranks[0, 0])
         manual = evaluate(m, w, np.array([0, 0, 0, 0.7, 0.7, 0.7]))
-        assert np.array_equal(selected.utilities, manual.utilities)
+        assert np.abs(selected.utilities - manual.utilities).max() <= 1e-12
 
     def test_unknown_group_is_rejected(self):
         h = two_level_hierarchy()

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,6 @@ from sspahp import (
     InputError,
     NumericalError,
     SubDimension,
-    SustainabilityCoefficients,
     SweepResult,
     SweepSpec,
     WeightVector,
@@ -119,6 +119,21 @@ class TestSubsetEnumeration:
     def test_a_string_in_place_of_a_subset_is_refused(self, call, message):
         # tuple() would split the string into characters
         with pytest.raises(InputError, match=f"^{message} is a string, not a tuple of dimension ids$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: enumerate_group_subsets(5), "dimension ids 5"),
+            (lambda: small_sweep()[1].rank_trajectory("a1", 5), "subset 5"),
+            (lambda: SweepResult(("a", "b"), [5], [0.0], [1.0, 2.0], [[0.0, 0.0]], [[[1, 2]]]), "subset 5"),
+            (lambda: dataclasses.replace(small_sweep()[0], group_subsets=[("G1",), 5]), "group subset 5"),
+            (lambda: compare_rankings({5: [1, 2]}, {5: [1, 2]}), "subset key 5"),
+        ],
+        ids=["enumerate_group_subsets", "rank_trajectory", "SweepResult", "SweepSpec", "compare_rankings"],
+    )
+    def test_a_non_iterable_in_place_of_a_subset_is_refused(self, call, message):
+        with pytest.raises(InputError, match=f"^{message} is not a tuple of dimension ids$"):
             call()
 
     def test_subset_label(self):
@@ -497,14 +512,76 @@ def test_sweep_matches_cell_by_cell_evaluation(case):
     h = two_level_hierarchy()
     spec = SweepSpec(matrix=matrix, hierarchy=h, weights=weights)
     result = run_sweep(spec)
+    utilities = result.utilities
     for si, subset in enumerate(spec.group_subsets):
         for gi, s in enumerate(spec.s_grid):
             cell = evaluate_with_group_s(matrix, weights, h, subset, float(s))
-            utilities = result.utilities[si, gi]
-            assert np.abs(utilities - cell.utilities).max() <= 1e-12
-            assert np.array_equal(result.ranks[si, gi], rank_from_scores(utilities))
-            if (np.diff(np.sort(cell.utilities)) > 1e-12).all():
-                assert np.array_equal(result.ranks[si, gi], cell.ranking)
+            assert np.array_equal(utilities[si, gi], cell.utilities)
+            assert np.array_equal(result.ranks[si, gi], rank_from_scores(utilities[si, gi]))
+            assert np.array_equal(result.ranks[si, gi], cell.ranking)
+
+
+@st.composite
+def integer_problem(draw):
+    """k = 1..4 dimensions over n = 1, 2, 4 or 8 criteria weighted 1/n, integer cells 1..5, m <= 12, s in eighths."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.sampled_from([n for n in (1, 2, 4, 8) if n >= k]))
+    owner = list(range(k)) + draw(st.lists(st.integers(min_value=0, max_value=k - 1), min_size=n - k, max_size=n - k))
+    ids = [f"C{j + 1}" for j in range(n)]
+    dims = tuple(
+        Dimension(f"G{d + 1}", f"g{d + 1}", (SubDimension("sd", tuple(c for c, o in zip(ids, owner) if o == d)),))
+        for d in range(k)
+    )
+    objectives = draw(st.lists(st.sampled_from(["max", "min"]), min_size=n, max_size=n))
+    h = CriteriaHierarchy(dimensions=dims, objectives=dict(zip(ids, objectives)))
+    order = tuple(draw(st.permutations(ids)))
+    m = draw(st.integers(min_value=2, max_value=12))
+    cells = st.lists(st.lists(st.integers(min_value=1, max_value=5), min_size=n, max_size=n), min_size=m, max_size=m)
+    matrix = DecisionMatrix(
+        tuple(f"a{i + 1}" for i in range(m)), order, np.array(draw(cells), dtype=float), tuple(h.objectives[c] for c in order)
+    )
+    return SweepSpec(matrix=matrix, hierarchy=h, weights=WeightVector(np.full(n, 1 / n), ids), s_grid=np.arange(9) / 8)
+
+
+def exact_utilities(spec):
+    """Every cell's utility in rational arithmetic on the float inputs, as [subset][s][alternative] Fractions."""
+    matrix, m = spec.matrix, spec.matrix.m
+    r = []
+    for column, objective in zip(matrix.values.T.tolist(), matrix.objectives):
+        x = [Fraction(v) for v in column]
+        lo, hi = min(x), max(x)
+        r.append([Fraction(1, 2) if lo == hi else (v - lo if objective == "max" else hi - v) / (hi - lo) for v in x])
+    w = [Fraction(v) for v in spec.weights.aligned(matrix.criterion_ids).tolist()]
+    base = [sum(wj * rj[i] for wj, rj in zip(w, r)) for i in range(m)]
+    dev = [[wj * abs(sum(rj) / m - rj[i]) for i in range(m)] for wj, rj in zip(w, r)]
+    dim_of = dict(flatten_hierarchy(spec.hierarchy))
+    cells = []
+    for subset in spec.group_subsets:
+        chosen = [j for j, c in enumerate(matrix.criterion_ids) if dim_of[c] in subset]
+        penalty = [sum(dev[j][i] for j in chosen) for i in range(m)]
+        cells.append([[b - Fraction(s) * p for b, p in zip(base, penalty)] for s in spec.s_grid.tolist()])
+    return cells
+
+
+@given(integer_problem())
+@settings(max_examples=40, deadline=None)
+def test_eval_and_sweep_keep_every_strict_exact_order(spec):
+    """Where two exact utilities differ, both paths rank the larger first; exact ties may fall either way.
+
+    Every input is a binary fraction, so two unequal utilities differ by at
+    least 1/9216, far above float rounding. On the paper's 0.05 grid s is
+    not k/20 in binary, and unequal utilities can differ by less than
+    1e-17, which no float formula resolves.
+    """
+    result = run_sweep(spec)
+    exact = exact_utilities(spec)
+    for si, subset in enumerate(spec.group_subsets):
+        for gi, s in enumerate(spec.s_grid.tolist()):
+            cell = evaluate_with_group_s(spec.matrix, spec.weights, spec.hierarchy, subset, s)
+            for ranks in (result.ranks[si, gi], cell.ranking):
+                # keeping every strict order means the exact utility never rises from one rank to the next
+                by_rank = [exact[si][gi][i] for i in np.argsort(ranks).tolist()]
+                assert all(a >= b for a, b in zip(by_rank, by_rank[1:]))
 
 
 class TestCompareRankings:
@@ -676,14 +753,38 @@ def ordinal_ranks_oracle(scores):
     return ranks
 
 
-def sweep_oracle(spec):
-    """Utilities and ranks of every cell from the per-subset membership loop."""
-    matrix = spec.matrix
+def penalty_oracle(spec):
+    """Base utilities and each subset's penalty by plain loops, in the order the library states.
+
+    Q[d] adds dimension d's weighted deviations to zeros in matrix order;
+    each subset's penalty adds its dimensions' Q to zeros, the hierarchy's
+    last dimension first.
+    """
+    matrix, dimensions = spec.matrix, spec.hierarchy.dimension_ids()
     w = spec.weights.aligned(matrix.criterion_ids)
     r = normalize_minmax(matrix).values
-    membership = membership_oracle(spec.hierarchy, spec.group_subsets, matrix.criterion_ids)
-    penalty = membership @ (np.abs(r.mean(axis=0) - r) * w).T
-    utilities = (r @ w) - spec.s_grid[None, :, None] * penalty[:, None, :]
+    dev = np.abs(r.mean(axis=0) - r) * w
+    dim_of = dict(flatten_hierarchy(spec.hierarchy))
+    per_dimension = {}
+    for d in dimensions:
+        per_dimension[d] = np.zeros(matrix.m)
+        for j, c in enumerate(matrix.criterion_ids):
+            if dim_of[c] == d:
+                per_dimension[d] = per_dimension[d] + dev[:, j]
+    penalties = []
+    for subset in spec.group_subsets:
+        penalty = np.zeros(matrix.m)
+        for d in reversed(dimensions):
+            if d in subset:
+                penalty = penalty + per_dimension[d]
+        penalties.append(penalty)
+    return r @ w, np.array(penalties)
+
+
+def sweep_oracle(spec):
+    """Utilities and ranks of every cell from the per-subset penalty loop."""
+    base, penalty = penalty_oracle(spec)
+    utilities = base - spec.s_grid[None, :, None] * penalty[:, None, :]
     return utilities, ordinal_ranks_oracle(utilities).astype(int)
 
 
@@ -763,10 +864,11 @@ def test_sweep_equals_the_per_subset_oracle(spec):
     assert np.array_equal(result.utilities, utilities)
     assert result.ranks.dtype.kind == "i"
     assert np.array_equal(result.ranks, ranks)
-    membership = membership_oracle(spec.hierarchy, spec.group_subsets, spec.matrix.criterion_ids)
-    for subset, row in zip(spec.group_subsets, membership):
-        coeffs = SustainabilityCoefficients.for_groups(spec.hierarchy, subset, 0.5, spec.matrix.criterion_ids)
-        assert np.array_equal(coeffs.s, row * 0.5)
+    # the [subset, criterion] membership product sums in another order, so it agrees within rounding
+    r = normalize_minmax(spec.matrix).values
+    dev = np.abs(r.mean(axis=0) - r) * spec.weights.aligned(spec.matrix.criterion_ids)
+    product = membership_oracle(spec.hierarchy, spec.group_subsets, spec.matrix.criterion_ids) @ dev.T
+    assert np.abs(result.penalty - product).max() <= 1e-12
 
 
 @given(grouped_sweep(), st.data())
