@@ -49,7 +49,7 @@ _EXPORTS = {
         "NumericalError",
         "SspahpError",
     ),
-    "evaluation": ("EvaluationResult", "SustainabilityCoefficients", "evaluate", "evaluate_with_group_s", "mad_transform"),
+    "evaluation": ("EvaluationResult", "SustainabilityCoefficients", "evaluate", "evaluate_with_group_s"),
     "sensitivity": (
         "SweepResult",
         "SweepSpec",

@@ -411,8 +411,8 @@ def _subset(value, what) -> tuple[str, ...]:
     return tuple(items)
 
 
-def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean [subset, dimension] table, in hierarchy order, and each criterion's column in it.
+def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids) -> np.ndarray:
+    """Boolean [subset, criterion] table: whether each criterion's dimension is in each subset.
 
     Unknown group ids raise InputError first, then ids repeated within a
     subset; each error names them and carries the first such subset as its
@@ -441,22 +441,20 @@ def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids) -> tuple[n
     missing = [c for c in criterion_ids if c not in dim_of]
     if missing:
         raise InputError(f"criteria not present in the hierarchy: {', '.join(missing)}")
-    return table, np.array([column[dim_of[c]] for c in criterion_ids], dtype=int)
+    return table[:, [column[dim_of[c]] for c in criterion_ids]]
 
 
-def _penalties(matrix: DecisionMatrix, weights: WeightVector, hierarchy: CriteriaHierarchy, subsets):
-    """Base utilities r.w and [subset, alternative] penalties P: the one formula U[S, s] = r.w - s * P[S].
+def _penalties(matrix: DecisionMatrix, weights: WeightVector, mask):
+    """Base utilities r.w and [row, alternative] penalties P: the one formula U = r.w - s * P.
 
-    Q[d] sums dimension d's weighted deviations |mean(r) - r| * w once, in
-    matrix order. P[S] adds the Q of S's dimensions to zeros, the last
-    dimension first, so no P[S] depends on the other subsets.
+    ``mask`` is a boolean [row, criterion] table. P[row] adds that row's
+    weighted deviations |mean(r) - r| * w to zeros, one criterion at a time
+    in matrix column order, so no row depends on the others.
     """
     w = weights.aligned(matrix.criterion_ids)
     r = _normalized(matrix).values
-    table, column = _membership(hierarchy, subsets, matrix.criterion_ids)
-    per_dimension = np.zeros((table.shape[1], matrix.m))
-    np.add.at(per_dimension, column, (np.abs(r.mean(axis=0) - r) * w).T)
-    penalty = np.zeros((len(subsets), matrix.m))
-    for d in reversed(range(table.shape[1])):
-        np.add(penalty, per_dimension[d], out=penalty, where=table[:, d, None])
+    deviation = np.abs(r.mean(axis=0) - r).T * w[:, None]  # [criterion, alternative]
+    penalty = np.zeros((len(mask), matrix.m))
+    for j in range(matrix.n):
+        np.add(penalty, deviation[j], out=penalty, where=mask[:, j, None])
     return r @ w, penalty

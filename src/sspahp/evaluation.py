@@ -6,8 +6,9 @@ normalized cell is penalized by its absolute deviation from the column
 mean, scaled with a per-criterion coefficient in [0, 1]. Above-mean
 advantages shrink and below-mean deficits deepen, so uneven profiles lose
 utility relative to balanced ones. At coefficient 0 the plain weighted sum
-is recovered; at 1 the penalty applies in full. ``evaluate_with_group_s``
-applies it inside chosen dimensions by the formula of a sweep cell.
+is recovered; at 1 the penalty applies in full. Both ``evaluate`` and
+``evaluate_with_group_s`` take their penalties from ``core._penalties``,
+the code a sweep takes its cells from.
 """
 
 from __future__ import annotations
@@ -16,18 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CriteriaHierarchy,
-    DecisionMatrix,
-    NormalizedMatrix,
-    WeightVector,
-    _fields_equal,
-    _frozen_array,
-    _normalized,
-    _penalties,
-    _Ranked,
-    _subset,
-)
+from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _membership, _penalties, _Ranked, _subset
 from .errors import InputError
 
 
@@ -40,7 +30,7 @@ class SustainabilityCoefficients:
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        arr = np.asarray(self.s, dtype=float)
+        arr = _real(self.s)
         if arr.ndim != 1:
             raise InputError("coefficients must form a flat vector")
         if not np.isfinite(arr).all():
@@ -51,7 +41,7 @@ class SustainabilityCoefficients:
 
     @classmethod
     def uniform(cls, n: int, value: float) -> "SustainabilityCoefficients":
-        return cls(np.full(n, float(value)))
+        return cls(np.full(n, _real(value)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,37 +59,33 @@ class EvaluationResult(_Ranked):
         return int(self.ranking[self._position(alternative_id)])
 
 
-def mad_transform(normalized: NormalizedMatrix, s) -> np.ndarray:
-    """Subtract the scaled absolute deviation from the column mean.
-
-    b_ij = r_ij - |mean_i(r_ij) - r_ij| * s_j, with the mean taken over
-    alternatives. At s_j = 0 the column passes through unchanged.
-    """
-    r = normalized.values
-    if isinstance(s, SustainabilityCoefficients):
-        vec = s.s
-    elif np.isscalar(s):
-        vec = SustainabilityCoefficients.uniform(r.shape[1], float(s)).s
-    else:
-        vec = SustainabilityCoefficients(np.asarray(s, dtype=float)).s
-    if vec.shape[0] != r.shape[1]:
-        raise InputError(f"{vec.shape[0]} coefficients for {r.shape[1]} criteria")
-    col_mean = r.mean(axis=0)
-    return r - np.abs(col_mean - r) * vec
+def _real(value) -> np.ndarray:
+    """``value`` as floats; a string, None, a complex number or another non-real value raises InputError naming it."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise InputError(f"coefficients must be real numbers, got {value!r}")
+    return arr.astype(float)
 
 
 def evaluate(matrix: DecisionMatrix, weights: WeightVector, s=0.0) -> EvaluationResult:
     """Score and rank alternatives under compensation reduction ``s``.
 
     ``s`` may be a scalar applied to every criterion, a vector, or a
-    SustainabilityCoefficients instance. Utilities are the weighted sums of
-    the transformed normalized matrix; ranks sort utilities descending with
-    ties broken by input order (tie presence is flagged on the result).
+    SustainabilityCoefficients instance; a value that is not a real number
+    raises InputError naming it. Each distinct positive coefficient c takes
+    one penalty P_c from ``core._penalties`` over the criteria that carry
+    it, and the utilities are r.w - sum_c c * P_c: a scalar ``s`` gives
+    r.w - s * P, the sweep's every-dimension cell, bit for bit. Ranks sort
+    utilities descending with ties broken by input order (tie presence is
+    flagged on the result).
     """
-    w = weights.aligned(matrix.criterion_ids)
-    norm = _normalized(matrix)
-    b = mad_transform(norm, s)
-    return EvaluationResult._from_scores(b @ w, matrix.alternative_ids)
+    if not isinstance(s, SustainabilityCoefficients):
+        s = SustainabilityCoefficients.uniform(matrix.n, s) if np.ndim(s) == 0 else SustainabilityCoefficients(s)
+    if s.s.shape[0] != matrix.n:
+        raise InputError(f"{s.s.shape[0]} coefficients for {matrix.n} criteria")
+    levels = np.array(sorted(set(s.s.tolist()) - {0.0}))
+    base, penalty = _penalties(matrix, weights, s.s == levels[:, None])
+    return EvaluationResult._from_scores(base - levels @ penalty, matrix.alternative_ids)
 
 
 def evaluate_with_group_s(
@@ -111,10 +97,12 @@ def evaluate_with_group_s(
 ) -> EvaluationResult:
     """Evaluate with compensation reduced only inside the chosen dimensions.
 
-    The result is the sweep's cell for ``groups`` at ``s_value`` bit for
+    This is ``evaluate`` with ``s_value`` on the criteria of ``groups`` and
+    0 elsewhere, and the sweep's cell for ``groups`` at ``s_value`` bit for
     bit, ranks included: the utilities are ``r.w - s_value * P[groups]``.
     """
-    if not 0.0 <= float(s_value) <= 1.0:
+    s = _real(s_value)
+    if s.ndim or not 0.0 <= s <= 1.0:
         raise InputError(f"s must lie in [0, 1], got {s_value}")
-    base, penalty = _penalties(matrix, weights, hierarchy, (_subset(groups, "groups"),))
-    return EvaluationResult._from_scores(base - float(s_value) * penalty[0], matrix.alternative_ids)
+    mask = _membership(hierarchy, (_subset(groups, "groups"),), matrix.criterion_ids)[0]
+    return evaluate(matrix, weights, s * mask)

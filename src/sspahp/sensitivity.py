@@ -5,7 +5,7 @@ subset, coefficient value) on a grid, tracking how each alternative's rank
 evolves as compensation is progressively reduced inside the selected
 groups. Each utility is affine in the coefficient, so the whole sweep
 follows from the base utility ``r.w`` of each alternative and one penalty
-per (subset, alternative), by the formula ``evaluate_with_group_s`` shares.
+per (subset, alternative), both from ``core._penalties``, as in ``evaluate``.
 A result keeps those factors and the grid, with int32 ``ranks`` shaped
 [subset, s, alternative]. Utilities are rebuilt from the factors by the
 same expression on each access, so serialized output is byte-stable across
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_STEP, CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _penalties, _Ranked, _subset
+from .core import DEFAULT_STEP, CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _membership, _penalties, _Ranked, _subset
 from .correlation import _BLOCK_BYTES, _checked_rows, _pearson_rows, _ranks_in_blocks, _weighted_spearman_rows
 from .errors import InputError, SspahpError
 
@@ -295,8 +295,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every (subset, s) cell of the spec.
 
     For a fixed subset S every utility is affine in s: U[S, s] =
-    r.w - s * P[S], with the base r.w and the penalties P of the formula
-    ``evaluate_with_group_s`` shares, so each cell equals its result bit
+    r.w - s * P[S], with r.w and P from ``core._penalties`` given each
+    subset's criteria, so each cell equals ``evaluate_with_group_s`` bit
     for bit. The cells are ranked in blocks of rows, each from the key
     s * P[S] - r.w: the negated utility, which sorts the same way, ties
     included. Only the factors and the int32 ranks are kept. Matrix and
@@ -305,7 +305,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     matrix, grid, subsets = spec.matrix, spec.s_grid, spec.group_subsets
     try:
-        base, penalty = _penalties(matrix, spec.weights, spec.hierarchy, subsets)
+        base, penalty = _penalties(matrix, spec.weights, _membership(spec.hierarchy, subsets, matrix.criterion_ids))
     except SspahpError as exc:
         subset = getattr(exc, "subset", subsets[0])
         raise type(exc)(

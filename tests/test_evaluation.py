@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -6,13 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sspahp import (
+    CriteriaHierarchy,
+    DecisionMatrix,
+    Dimension,
     InputError,
+    SubDimension,
     SustainabilityCoefficients,
     SweepSpec,
     WeightVector,
+    default_s_grid,
+    enumerate_group_subsets,
     evaluate,
     evaluate_with_group_s,
-    mad_transform,
+    flatten_hierarchy,
     normalize_minmax,
     rank_from_scores,
     run_sweep,
@@ -25,12 +32,13 @@ def weighted_sums(utilities):
     """Have ``evaluate`` take ``utilities`` as its weighted sums.
 
     A matrix product adds its terms to +0.0, so it cannot give -0.0: the
-    transformed matrix is replaced by a stand-in whose product with the
-    weights is the given vector.
+    penalty step is replaced by a stand-in that returns the given vector
+    as the base utilities and zero penalties.
     """
-    transformed = mock.MagicMock()
-    transformed.__matmul__.return_value = np.array(utilities)
-    return mock.patch("sspahp.evaluation.mad_transform", return_value=transformed)
+    return mock.patch(
+        "sspahp.evaluation._penalties",
+        side_effect=lambda matrix, weights, mask: (np.array(utilities), np.zeros((len(mask), len(utilities)))),
+    )
 
 
 def brute_force_utilities(values, objectives, weights, s):
@@ -79,25 +87,28 @@ class TestSustainabilityCoefficients:
         assert np.allclose(c.s, [0.4, 0.4, 0.4])
 
 
-class TestMadTransform:
+class TestEvaluateReduction:
     def test_full_reduction_on_spread_column(self):
-        norm = normalize_minmax(make_matrix([[2.0], [4.0], [6.0]]))
-        b = mad_transform(norm, 1.0)
-        assert np.allclose(b[:, 0], [-0.5, 0.5, 0.5])
+        m = make_matrix([[2.0], [4.0], [6.0]])
+        w = WeightVector(np.array([1.0]), m.criterion_ids)
+        assert np.allclose(evaluate(m, w, 1.0).utilities, [-0.5, 0.5, 0.5])
 
     def test_zero_coefficient_passes_through(self):
-        norm = normalize_minmax(make_matrix([[2.0, 9.0], [4.0, 3.0], [6.0, 1.0]]))
-        assert np.array_equal(mad_transform(norm, 0.0), norm.values)
+        m = make_matrix([[2.0, 9.0], [4.0, 3.0], [6.0, 1.0]])
+        w = WeightVector(np.array([0.3, 0.7]), m.criterion_ids)
+        assert np.array_equal(evaluate(m, w, 0.0).utilities, normalize_minmax(m).values @ w.weights)
 
     def test_constant_column_is_untouched_at_any_strength(self):
-        norm = normalize_minmax(make_matrix([[3.0], [3.0], [3.0]]))
+        m = make_matrix([[3.0], [3.0], [3.0]])
+        w = WeightVector(np.array([1.0]), m.criterion_ids)
         for s in (0.0, 0.3, 1.0):
-            assert np.array_equal(mad_transform(norm, s), norm.values)
+            assert np.array_equal(evaluate(m, w, s).utilities, normalize_minmax(m).values[:, 0])
 
     def test_coefficient_arity_checked(self):
-        norm = normalize_minmax(make_matrix([[1.0, 2.0], [3.0, 4.0]]))
-        with pytest.raises(InputError, match="coefficients for"):
-            mad_transform(norm, np.array([0.1, 0.2, 0.3]))
+        m = make_matrix([[1.0, 2.0], [3.0, 4.0]])
+        w = WeightVector(np.array([0.5, 0.5]), m.criterion_ids)
+        with pytest.raises(InputError, match="^3 coefficients for 2 criteria$"):
+            evaluate(m, w, np.array([0.1, 0.2, 0.3]))
 
 
 class TestEvaluate:
@@ -263,7 +274,8 @@ class TestEvaluateWithGroupS:
         assert np.array_equal(selected.utilities, cell.utilities[0, 0])
         assert np.array_equal(selected.ranking, cell.ranks[0, 0])
         manual = evaluate(m, w, np.array([0, 0, 0, 0.7, 0.7, 0.7]))
-        assert np.abs(selected.utilities - manual.utilities).max() <= 1e-12
+        assert np.array_equal(selected.utilities, manual.utilities)
+        assert np.array_equal(selected.ranking, manual.ranking)
 
     def test_unknown_group_is_rejected(self):
         h = two_level_hierarchy()
@@ -292,3 +304,62 @@ class TestEvaluateWithGroupS:
         w = WeightVector(np.full(6, 1 / 6), m.criterion_ids)
         with pytest.raises(InputError, match=r"\[0, 1\]"):
             evaluate_with_group_s(m, w, h, ("G1",), 1.4)
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [(entry, value) for entry in ("evaluate", "evaluate_with_group_s") for value in ("abc", "0.5", None, 0.5j)]
+    + [("evaluate_with_group_s", [0.5])],
+)
+def test_a_coefficient_that_is_not_a_real_number_is_refused_by_name(entry, value):
+    h = two_level_hierarchy()
+    m = make_matrix(np.ones((2, 6)) * [[1], [2]], crit_prefix="C")
+    w = WeightVector(np.full(6, 1 / 6), m.criterion_ids)
+    with pytest.raises(InputError, match=re.escape(repr(value))):
+        if entry == "evaluate":
+            evaluate(m, w, value)
+        else:
+            evaluate_with_group_s(m, w, h, ("G1",), value)
+
+
+@st.composite
+def grouped_problem(draw):
+    """Integer cells 1..5 under k = 1..4 dimensions, the criteria in a column order that is not dimension-major."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    per_dim = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=k, max_size=k))
+    n = sum(per_dim)
+    names = ["C1", "C2", "C9", "C10", "X1", "X2", "B7", "A3", "Z5", "C12", "D4", "E8"]
+    ids = draw(st.lists(st.sampled_from(names), min_size=n, max_size=n, unique=True))
+    dims, start = [], 0
+    for d, count in enumerate(per_dim):
+        dims.append(Dimension(f"G{d + 1}", f"g{d + 1}", (SubDimension("sd", tuple(ids[start : start + count])),)))
+        start += count
+    objectives = draw(st.lists(st.sampled_from(["max", "min"]), min_size=n, max_size=n))
+    h = CriteriaHierarchy(tuple(dims), dict(zip(ids, objectives)))
+    columns = [ids[i] for i in draw(st.permutations(range(n)))]
+    m = draw(st.integers(min_value=2, max_value=12))
+    row = st.lists(st.integers(min_value=1, max_value=5), min_size=n, max_size=n)
+    values = np.array(draw(st.lists(row, min_size=m, max_size=m)), dtype=float)
+    matrix = DecisionMatrix([f"a{i + 1}" for i in range(m)], columns, values, [h.objectives[c] for c in columns])
+    raw = np.array(draw(st.lists(st.integers(min_value=1, max_value=4), min_size=n, max_size=n)), dtype=float)
+    weights = WeightVector(raw / raw.sum(), columns)
+    subset = draw(st.sampled_from(enumerate_group_subsets(h.dimension_ids())))
+    return matrix, weights, h, subset, draw(st.sampled_from(default_s_grid().tolist()))
+
+
+@given(grouped_problem())
+@settings(max_examples=150, deadline=None)
+def test_evaluate_group_evaluation_and_sweep_cell_agree_bit_for_bit(problem):
+    matrix, weights, h, subset, c = problem
+    dim_of = dict(flatten_hierarchy(h))
+    mask = np.array([dim_of[col] in subset for col in matrix.criterion_ids])
+    cell = run_sweep(SweepSpec(matrix=matrix, hierarchy=h, weights=weights, s_grid=[c], group_subsets=[subset]))
+    for result in (evaluate(matrix, weights, c * mask), evaluate_with_group_s(matrix, weights, h, subset, c)):
+        assert np.array_equal(result.utilities, cell.utilities[0, 0])
+        assert np.array_equal(result.ranking, cell.ranks[0, 0])
+    every = run_sweep(
+        SweepSpec(matrix=matrix, hierarchy=h, weights=weights, s_grid=[c], group_subsets=[h.dimension_ids()])
+    )
+    uniform = evaluate(matrix, weights, c)
+    assert np.array_equal(uniform.utilities, every.utilities[0, 0])
+    assert np.array_equal(uniform.ranking, every.ranks[0, 0])

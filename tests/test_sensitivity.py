@@ -756,27 +756,20 @@ def ordinal_ranks_oracle(scores):
 def penalty_oracle(spec):
     """Base utilities and each subset's penalty by plain loops, in the order the library states.
 
-    Q[d] adds dimension d's weighted deviations to zeros in matrix order;
-    each subset's penalty adds its dimensions' Q to zeros, the hierarchy's
-    last dimension first.
+    Each subset's penalty adds the weighted deviations of the criteria in
+    its dimensions to zeros, one criterion at a time in matrix column order.
     """
-    matrix, dimensions = spec.matrix, spec.hierarchy.dimension_ids()
+    matrix = spec.matrix
     w = spec.weights.aligned(matrix.criterion_ids)
     r = normalize_minmax(matrix).values
     dev = np.abs(r.mean(axis=0) - r) * w
     dim_of = dict(flatten_hierarchy(spec.hierarchy))
-    per_dimension = {}
-    for d in dimensions:
-        per_dimension[d] = np.zeros(matrix.m)
-        for j, c in enumerate(matrix.criterion_ids):
-            if dim_of[c] == d:
-                per_dimension[d] = per_dimension[d] + dev[:, j]
     penalties = []
     for subset in spec.group_subsets:
         penalty = np.zeros(matrix.m)
-        for d in reversed(dimensions):
-            if d in subset:
-                penalty = penalty + per_dimension[d]
+        for j, c in enumerate(matrix.criterion_ids):
+            if dim_of[c] in subset:
+                penalty = penalty + dev[:, j]
         penalties.append(penalty)
     return r @ w, np.array(penalties)
 
