@@ -34,11 +34,9 @@ _EXPORTS = {
         "Dimension",
         "NormalizedMatrix",
         "SubDimension",
-        "ValidationReport",
         "WeightVector",
         "flatten_hierarchy",
         "normalize_minmax",
-        "validate_matrix",
     ),
     "correlation": ("pearson", "rank_from_scores", "weighted_spearman"),
     "errors": (
@@ -49,7 +47,7 @@ _EXPORTS = {
         "NumericalError",
         "SspahpError",
     ),
-    "evaluation": ("EvaluationResult", "SustainabilityCoefficients", "evaluate", "evaluate_with_group_s"),
+    "evaluation": ("EvaluationResult", "evaluate", "evaluate_with_group_s"),
     "sensitivity": (
         "SweepResult",
         "SweepSpec",

@@ -108,8 +108,8 @@ class _Ranked:
 class DecisionMatrix:
     """Raw m x n performance table with a max/min objective per criterion.
 
-    Construction only coerces shapes; use :func:`validate_matrix` to check
-    the full set of invariants (finiteness, unique ids, arity).
+    Construction only coerces shapes; :func:`require_valid` checks the full
+    set of invariants (finiteness, unique ids, arity) once.
     """
 
     alternative_ids: tuple[str, ...]
@@ -134,26 +134,16 @@ class DecisionMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """List of invariant violations; empty means the matrix is usable."""
-
-    issues: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def __bool__(self) -> bool:
-        return self.ok
+def _counted(clause: str, count: int) -> str:
+    """``clause`` about the first of ``count`` like faults, counting the others."""
+    return clause if count == 1 else f"{clause} (and {count - 1} more)"
 
 
-def validate_matrix(matrix: DecisionMatrix) -> ValidationReport:
-    """Check every DecisionMatrix invariant and report violations.
+def _matrix_issues(matrix: DecisionMatrix) -> list[str]:
+    """Every DecisionMatrix invariant the matrix breaks, one clause each; empty means usable.
 
-    Report-style on purpose: callers decide whether to abort. Operations in
-    this package that require a valid matrix raise
-    :class:`~sspahp.errors.InputError` when the report is non-empty.
+    Repeated ids of a kind, and non-finite cells, take one clause that names
+    the first and counts the rest, so the list stays short at any size.
     """
     issues: list[str] = []
     m, n = matrix.values.shape
@@ -163,47 +153,36 @@ def validate_matrix(matrix: DecisionMatrix) -> ValidationReport:
     if n < 1:
         issues.append("need at least 1 criterion")
     if len(matrix.alternative_ids) != m:
-        issues.append(
-            f"alternative id arity: {len(matrix.alternative_ids)} ids for {m} rows"
-        )
+        issues.append(f"alternative id arity: {len(matrix.alternative_ids)} ids for {m} rows")
     if len(matrix.criterion_ids) != n:
-        issues.append(
-            f"criterion id arity: {len(matrix.criterion_ids)} ids for {n} columns"
-        )
+        issues.append(f"criterion id arity: {len(matrix.criterion_ids)} ids for {n} columns")
     if len(matrix.objectives) != n:
-        issues.append(
-            f"objective arity: {len(matrix.objectives)} directions for {n} criteria"
-        )
-    for label, ids in (
-        ("alternative", matrix.alternative_ids),
-        ("criterion", matrix.criterion_ids),
-    ):
-        seen = set()
-        for i in ids:
-            if i in seen:
-                issues.append(f"duplicate {label} id '{i}'")
-            seen.add(i)
+        issues.append(f"objective arity: {len(matrix.objectives)} directions for {n} criteria")
+    for label, ids in (("alternative", matrix.alternative_ids), ("criterion", matrix.criterion_ids)):
+        seen: set[str] = set()
+        repeats = [i for i in ids if i in seen or seen.add(i)]  # add() returns None, so only repeats are kept
+        if repeats:
+            issues.append(_counted(f"duplicate {label} id '{repeats[0]}'", len(repeats)))
     for tok in matrix.objectives:
         if tok not in OBJECTIVE_TOKENS:
             issues.append(f"unknown objective token '{tok}' (expected 'max' or 'min')")
-    bad = ~np.isfinite(matrix.values)
-    for i, j in zip(*np.nonzero(bad)):
-        issues.append(f"non-finite cell at row {i + 1}, column {j + 1}")
-
-    return ValidationReport(tuple(issues))
+    bad = np.argwhere(~np.isfinite(matrix.values))
+    if len(bad):
+        issues.append(_counted(f"non-finite cell at row {bad[0, 0] + 1}, column {bad[0, 1] + 1}", len(bad)))
+    return issues
 
 
 def require_valid(matrix: DecisionMatrix) -> None:
-    """Raise InputError if the matrix violates any invariant.
+    """Raise InputError naming each invariant the matrix violates, as ``_matrix_issues`` lists them.
 
     A passing check is recorded on the frozen matrix, outside its fields, so
     later calls return at once; a failing check is never recorded.
     """
     if getattr(matrix, "_valid", False):
         return
-    report = validate_matrix(matrix)
-    if not report.ok:
-        raise InputError("invalid decision matrix: " + "; ".join(report.issues))
+    issues = _matrix_issues(matrix)
+    if issues:
+        raise InputError("invalid decision matrix: " + "; ".join(issues))
     object.__setattr__(matrix, "_valid", True)
 
 

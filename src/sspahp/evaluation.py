@@ -17,31 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _membership, _penalties, _Ranked, _subset
+from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _membership, _penalties, _Ranked, _subset
 from .errors import InputError
-
-
-@dataclass(frozen=True, eq=False)
-class SustainabilityCoefficients:
-    """Per-criterion compensation-reduction strengths, each in [0, 1]."""
-
-    s: np.ndarray
-
-    __eq__ = _fields_equal
-
-    def __post_init__(self):
-        arr = _real(self.s)
-        if arr.ndim != 1:
-            raise InputError("coefficients must form a flat vector")
-        if not np.isfinite(arr).all():
-            raise InputError("coefficients must be finite")
-        if arr.min(initial=0.0) < 0.0 or arr.max(initial=0.0) > 1.0:
-            raise InputError("every coefficient must lie in [0, 1]")
-        _frozen_array(self, "s", arr)
-
-    @classmethod
-    def uniform(cls, n: int, value: float) -> "SustainabilityCoefficients":
-        return cls(np.full(n, _real(value)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +37,11 @@ class EvaluationResult(_Ranked):
 
 
 def _real(value) -> np.ndarray:
-    """``value`` as floats; a string, None, a complex number or another non-real value raises InputError naming it."""
-    arr = np.asarray(value)
+    """``value`` as floats; a string, None, a complex number, a ragged list or another non-real value raises InputError naming it."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list, such as [[0.5], 0.5]
+        arr = np.asarray(None)
     if arr.dtype.kind not in "biuf":
         raise InputError(f"coefficients must be real numbers, got {value!r}")
     return arr.astype(float)
@@ -70,8 +50,8 @@ def _real(value) -> np.ndarray:
 def evaluate(matrix: DecisionMatrix, weights: WeightVector, s=0.0) -> EvaluationResult:
     """Score and rank alternatives under compensation reduction ``s``.
 
-    ``s`` may be a scalar applied to every criterion, a vector, or a
-    SustainabilityCoefficients instance; a value that is not a real number
+    ``s`` is a scalar applied to every criterion or a flat vector with one
+    finite value in [0, 1] per criterion; a value that is not a real number
     raises InputError naming it. Each distinct positive coefficient c takes
     one penalty P_c from ``core._penalties`` over the criteria that carry
     it, and the utilities are r.w - sum_c c * P_c: a scalar ``s`` gives
@@ -79,12 +59,19 @@ def evaluate(matrix: DecisionMatrix, weights: WeightVector, s=0.0) -> Evaluation
     utilities descending with ties broken by input order (tie presence is
     flagged on the result).
     """
-    if not isinstance(s, SustainabilityCoefficients):
-        s = SustainabilityCoefficients.uniform(matrix.n, s) if np.ndim(s) == 0 else SustainabilityCoefficients(s)
-    if s.s.shape[0] != matrix.n:
-        raise InputError(f"{s.s.shape[0]} coefficients for {matrix.n} criteria")
-    levels = np.array(sorted(set(s.s.tolist()) - {0.0}))
-    base, penalty = _penalties(matrix, weights, s.s == levels[:, None])
+    s = _real(s)
+    if s.ndim == 0:
+        s = np.full(matrix.n, s)
+    if s.ndim != 1:
+        raise InputError("coefficients must form a flat vector")
+    if not np.isfinite(s).all():
+        raise InputError("coefficients must be finite")
+    if s.min(initial=0.0) < 0.0 or s.max(initial=0.0) > 1.0:
+        raise InputError("every coefficient must lie in [0, 1]")
+    if s.shape[0] != matrix.n:
+        raise InputError(f"{s.shape[0]} coefficients for {matrix.n} criteria")
+    levels = np.array(sorted(set(s.tolist()) - {0.0}))
+    base, penalty = _penalties(matrix, weights, s == levels[:, None])
     return EvaluationResult._from_scores(base - levels @ penalty, matrix.alternative_ids)
 
 

@@ -16,7 +16,6 @@ from sspahp import (
     NormalizedMatrix,
     PairwiseMatrix,
     SubDimension,
-    SustainabilityCoefficients,
     SweepResult,
     SweepSpec,
     WeightVector,
@@ -28,7 +27,6 @@ from sspahp import (
     run_all,
     run_sweep,
     topsis,
-    validate_matrix,
 )
 from sspahp import core
 from sspahp.io import load_decision_matrix, load_hierarchy, write_hierarchy_json, write_matrix_csv
@@ -37,18 +35,13 @@ from sspahp.sample import sample_hierarchy, sample_matrix
 from conftest import make_matrix, two_level_hierarchy
 
 
-class TestValidateMatrix:
-    def test_clean_matrix_yields_empty_report(self):
-        report = validate_matrix(make_matrix([[1.0, 2.0], [3.0, 4.0]]))
-        assert report.ok
-        assert report.issues == ()
-        assert bool(report)
+class TestMatrixIssues:
+    def test_clean_matrix_has_no_issues(self):
+        assert core._matrix_issues(make_matrix([[1.0, 2.0], [3.0, 4.0]])) == []
 
     def test_non_finite_cell_is_reported(self):
-        report = validate_matrix(make_matrix([[1.0, np.nan], [3.0, 4.0]]))
-        assert not report.ok
-        assert sum("non-finite cell" in i for i in report.issues) == 1
-        assert "row 1, column 2" in report.issues[0]
+        issues = core._matrix_issues(make_matrix([[1.0, np.nan], [3.0, 4.0]]))
+        assert issues == ["non-finite cell at row 1, column 2"]
 
     def test_objective_arity_is_reported(self):
         m = DecisionMatrix(
@@ -57,8 +50,8 @@ class TestValidateMatrix:
             values=[[1.0, 2.0], [3.0, 4.0]],
             objectives=("max",),
         )
-        report = validate_matrix(m)
-        assert sum("objective arity" in i for i in report.issues) == 1
+        issues = core._matrix_issues(m)
+        assert sum("objective arity" in i for i in issues) == 1
 
     def test_duplicate_ids_are_reported(self):
         m = DecisionMatrix(
@@ -67,16 +60,30 @@ class TestValidateMatrix:
             values=[[1.0, 2.0], [3.0, 4.0]],
             objectives=("max", "max"),
         )
-        issues = validate_matrix(m).issues
+        issues = core._matrix_issues(m)
         assert any("duplicate alternative id 'a1'" in i for i in issues)
 
     def test_single_alternative_is_rejected(self):
-        report = validate_matrix(make_matrix([[1.0, 2.0]]))
-        assert any("at least 2 alternatives" in i for i in report.issues)
+        issues = core._matrix_issues(make_matrix([[1.0, 2.0]]))
+        assert any("at least 2 alternatives" in i for i in issues)
 
     def test_unknown_objective_token_is_reported(self):
         m = make_matrix([[1.0], [2.0]], objectives=("maximize",))
-        assert any("unknown objective" in i for i in validate_matrix(m).issues)
+        assert any("unknown objective" in i for i in core._matrix_issues(m))
+
+    def test_repeats_of_a_kind_name_the_first_and_count_the_rest(self):
+        m = DecisionMatrix(("a1", "a2", "a1", "a2", "a1"), ("c1", "c1"), np.full((5, 2), np.inf), ("max", "max"))
+        assert core._matrix_issues(m) == [
+            "duplicate alternative id 'a1' (and 2 more)",
+            "duplicate criterion id 'c1'",
+            "non-finite cell at row 1, column 1 (and 9 more)",
+        ]
+
+    def test_an_all_nan_matrix_of_ten_thousand_rows_gets_a_short_message(self):
+        m = make_matrix(np.full((10_000, 36), np.nan))
+        with pytest.raises(InputError) as info:
+            core.require_valid(m)
+        assert str(info.value) == "invalid decision matrix: non-finite cell at row 1, column 1 (and 359999 more)"
 
 
 class TestValidateOnce:
@@ -85,8 +92,8 @@ class TestValidateOnce:
         path = tmp_path / "matrix.csv"
         write_matrix_csv(sample_matrix(hierarchy=h), path)
         calls = []
-        checked = core.validate_matrix
-        monkeypatch.setattr(core, "validate_matrix", lambda m: calls.append(m) or checked(m))
+        checked = core._matrix_issues
+        monkeypatch.setattr(core, "_matrix_issues", lambda m: calls.append(m) or checked(m))
         matrix = load_decision_matrix(path, h)
         w = critic_weights(matrix)
         evaluate(matrix, w, 0.5)
@@ -500,11 +507,6 @@ _IDS = ("a1", "a2")
             id="PairwiseMatrix",
         ),
         pytest.param(
-            lambda a: SustainabilityCoefficients(a).s,
-            np.array([0.25, 0.75]),
-            id="SustainabilityCoefficients",
-        ),
-        pytest.param(
             lambda a: EvaluationResult(a, [2, 1], _IDS).utilities,
             np.array([0.25, 0.75]),
             id="EvaluationResult.utilities",
@@ -587,9 +589,6 @@ def _sweep_result(ranks):
         ),
         pytest.param(
             PairwiseMatrix, np.array([[1.0, 2.0], [0.5, 1.0]]), np.array([[1.0, 4.0], [0.25, 1.0]]), id="PairwiseMatrix"
-        ),
-        pytest.param(
-            SustainabilityCoefficients, np.array([0.25, 0.75]), np.array([0.25, 0.5]), id="SustainabilityCoefficients"
         ),
         pytest.param(
             lambda a: EvaluationResult([0.25, 0.75], a, _IDS), np.array([2, 1]), np.array([1, 2]), id="EvaluationResult"

@@ -12,7 +12,6 @@ from sspahp import (
     Dimension,
     InputError,
     SubDimension,
-    SustainabilityCoefficients,
     SweepSpec,
     WeightVector,
     default_s_grid,
@@ -63,28 +62,34 @@ def brute_force_utilities(values, objectives, weights, s):
     return np.array(utilities)
 
 
-class TestSustainabilityCoefficients:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InputError, match=r"\[0, 1\]"):
-            SustainabilityCoefficients(np.array([0.5, 1.2]))
-        with pytest.raises(InputError, match=r"\[0, 1\]"):
-            SustainabilityCoefficients(np.array([-0.1]))
+class TestCoefficientChecks:
+    """``evaluate`` refuses coefficients outside [0, 1], nested or non-finite, and broadcasts a scalar."""
+
+    @staticmethod
+    def evaluate_on_two_criteria(s):
+        m = make_matrix([[1.0, 2.0], [3.0, 1.0], [2.0, 5.0]])
+        return evaluate(m, WeightVector(np.array([0.5, 0.5]), m.criterion_ids), s)
+
+    @pytest.mark.parametrize("s", [[0.5, 1.2], [-0.1, 0.5], 1.5, -0.1])
+    def test_rejects_out_of_range(self, s):
+        with pytest.raises(InputError, match=r"^every coefficient must lie in \[0, 1\]$"):
+            self.evaluate_on_two_criteria(s)
 
     @pytest.mark.parametrize(
         "s, message",
         [
             ([[0.5], [0.5]], "coefficients must form a flat vector"),
             ([0.5, np.nan], "coefficients must be finite"),
-            ([np.inf], "coefficients must be finite"),
+            ([np.inf, 0.5], "coefficients must be finite"),
+            (np.nan, "coefficients must be finite"),
         ],
     )
     def test_rejects_a_nested_or_non_finite_vector(self, s, message):
         with pytest.raises(InputError, match=f"^{message}$"):
-            SustainabilityCoefficients(np.array(s))
+            self.evaluate_on_two_criteria(np.array(s))
 
-    def test_uniform_constructor(self):
-        c = SustainabilityCoefficients.uniform(3, 0.4)
-        assert np.allclose(c.s, [0.4, 0.4, 0.4])
+    def test_a_scalar_applies_to_every_criterion(self):
+        assert self.evaluate_on_two_criteria(0.4) == self.evaluate_on_two_criteria(np.full(2, 0.4))
 
 
 class TestEvaluateReduction:
@@ -308,7 +313,7 @@ class TestEvaluateWithGroupS:
 
 @pytest.mark.parametrize(
     "entry, value",
-    [(entry, value) for entry in ("evaluate", "evaluate_with_group_s") for value in ("abc", "0.5", None, 0.5j)]
+    [(entry, value) for entry in ("evaluate", "evaluate_with_group_s") for value in ("abc", "0.5", None, 0.5j, [[0.5], 0.5])]
     + [("evaluate_with_group_s", [0.5])],
 )
 def test_a_coefficient_that_is_not_a_real_number_is_refused_by_name(entry, value):
@@ -363,3 +368,28 @@ def test_evaluate_group_evaluation_and_sweep_cell_agree_bit_for_bit(problem):
     uniform = evaluate(matrix, weights, c)
     assert np.array_equal(uniform.utilities, every.utilities[0, 0])
     assert np.array_equal(uniform.ranking, every.ranks[0, 0])
+
+
+@st.composite
+def levelled_problem(draw):
+    """Integer cells 1..5 and coefficients drawn from a few levels, so that criteria share levels."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=2, max_value=10))
+    row = st.lists(st.integers(min_value=1, max_value=5), min_size=n, max_size=n)
+    matrix = make_matrix(np.array(draw(st.lists(row, min_size=m, max_size=m)), dtype=float))
+    raw = np.array(draw(st.lists(st.integers(min_value=1, max_value=4), min_size=n, max_size=n)), dtype=float)
+    weights = WeightVector(raw / raw.sum(), matrix.criterion_ids)
+    levels = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    return matrix, weights, np.array(draw(st.lists(levels, min_size=n, max_size=n))), draw(levels)
+
+
+@given(levelled_problem())
+@settings(max_examples=150, deadline=None)
+def test_shared_coefficient_levels_match_the_oracle_and_a_scalar_its_full_vector(problem):
+    matrix, weights, s, c = problem
+    expected = brute_force_utilities(matrix.values, list(matrix.objectives), weights.weights, s)
+    assert np.max(np.abs(evaluate(matrix, weights, s).utilities - expected)) < 1e-12
+    scalar, full = evaluate(matrix, weights, c), evaluate(matrix, weights, np.full(matrix.n, c))
+    assert np.array_equal(scalar.utilities, full.utilities)
+    assert np.array_equal(scalar.ranking, full.ranking)
+    assert scalar.has_ties == full.has_ties
