@@ -144,7 +144,8 @@ def codas(
         rows = slice(i, i + block)
         de = e[rows, None] - e
         dt = t[rows, None] - t
-        de += np.where(np.abs(de) >= tau, dt, 0.0)
+        dt *= np.abs(de) >= tau  # else +-0.0, which leaves de unchanged: e >= +0.0, so de is never -0.0
+        de += dt
         scores[rows] = de.sum(axis=1)
     return BenchmarkScore._from_scores(scores, matrix.alternative_ids, method=CODAS)
 

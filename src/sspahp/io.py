@@ -29,6 +29,12 @@ check every row's shape before any cell, then name a non-numeric, NaN or
 infinite cell by its row and column: the number columns after the label in
 a matrix or pairwise file, the file's columns otherwise.
 
+A plain matrix file (ASCII; no quote, NUL, blank row, lone ``\\r`` or line
+past csv's field size limit; the header's comma count on every line) has its
+number cells parsed by ``np.loadtxt``; any other file, and one with a cell
+numpy refuses or reads as NaN or infinite, by the csv reader. Both paths give
+the same matrix bit for bit and the same errors.
+
 ``records_to_csv`` turns a list of records into one CSV text: a header of
 ``fieldnames`` and one row per record, where every record must carry
 exactly those keys. Python floats are written by ``repr``, so they keep
@@ -47,6 +53,7 @@ quoted, whether its rows end in ``\\r\\n`` (``write_matrix_csv``) or in
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -81,29 +88,32 @@ def _is_blank(row) -> bool:
 
 
 @contextmanager
-def _csv_rows(path):
-    """The first non-blank row of a UTF-8 CSV file, and a ``csv.reader`` on the rows after it.
-
-    A leading byte-order mark is skipped. A missing, empty, directory or
-    undecodable file raises InputError.
-    """
+def _opened(path):
+    """A UTF-8 file open as text, line endings kept and a leading byte-order mark skipped; InputError if unreadable."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"file not found: {path}")
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            rows = csv.reader(fh)
-            header = next(itertools.filterfalse(_is_blank, rows), None)
-            if header is None:
-                raise InputError(f"empty file: {path}")
-            yield header, rows
+            yield fh
     except (IsADirectoryError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from None
 
 
-def _read_rows(path) -> list[list[str]]:
-    """The non-blank CSV rows of a file, header first."""
-    with _csv_rows(path) as (header, rows):
+@contextmanager
+def _csv_rows(path, text=None):
+    """The first non-blank row of a CSV file, or of its ``text`` read already, and a ``csv.reader`` on the rest."""
+    with _opened(path) if text is None else io.StringIO(text, newline="") as fh:
+        rows = csv.reader(fh)
+        header = next(itertools.filterfalse(_is_blank, rows), None)
+        if header is None:
+            raise InputError(f"empty file: {path}")
+        yield header, rows
+
+
+def _read_rows(path, text=None) -> list[list[str]]:
+    """The non-blank CSV rows of a file, or of its ``text`` read already, header first."""
+    with _csv_rows(path, text) as (header, rows):
         return [header, *itertools.filterfalse(_is_blank, rows)]
 
 
@@ -253,6 +263,22 @@ def write_hierarchy_json(h: CriteriaHierarchy, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+def _plain_table(text: str):
+    """The header cells, ids and values of a plain matrix text, as the module docstring defines it, or None."""
+    text = text.replace("\r\n", "\n")
+    lines = text.removesuffix("\n").split("\n")
+    commas = lines[0].count(",")
+    if not (text.isascii() and commas and len(lines) > 1) or any(c in text for c in '"\0\r'):  # csv < 3.11 refuses NUL
+        return None
+    if {line.count(",") for line in lines} != {commas} or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        values = np.loadtxt(lines[1:], delimiter=",", usecols=range(1, commas + 1), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return (lines[0].split(","), [line.partition(",")[0] for line in lines[1:]], values) if np.isfinite(values).all() else None
+
+
 def load_decision_matrix(path, hierarchy: CriteriaHierarchy) -> DecisionMatrix:
     """Read a decision matrix CSV and bind it to the hierarchy.
 
@@ -262,19 +288,22 @@ def load_decision_matrix(path, hierarchy: CriteriaHierarchy) -> DecisionMatrix:
     hierarchy. Ids unknown to the hierarchy, missing criteria, and
     malformed cells are ingestion errors naming the offending spot.
     """
-    header, *rows = _read_rows(path)
+    with _opened(path) as fh:
+        text = fh.read()
+    plain = _plain_table(text)
+    header, *rows = _read_rows(path, text) if plain is None else plain[:1]
     header = [cell.strip() for cell in header]
     if header[0].lower() != "alternative":
         raise InputError(f"{path}: first header cell must be 'alternative', got '{header[0]}'")
     canonical = hierarchy.criterion_ids()
     order = _canonical_order(path, header[1:], canonical, "column")
 
-    for r, row in enumerate(rows, start=1):
+    for r, row in enumerate(rows, start=1):  # none on the numpy path
         if len(row) != len(header):
             raise InputError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-    values = _numbers(path, [row[1:] for row in rows], len(header) - 1)
+    _, ids, values = plain or (header, [row[0] for row in rows], _numbers(path, [row[1:] for row in rows], len(header) - 1))
     matrix = DecisionMatrix(
-        alternative_ids=tuple(row[0].strip() for row in rows),
+        alternative_ids=tuple(alt.strip() for alt in ids),
         criterion_ids=canonical,
         values=values[:, order],
         objectives=tuple(hierarchy.objective_for(c) for c in canonical),

@@ -3,6 +3,9 @@
 import importlib.util
 from pathlib import Path
 
+from sspahp.io import _plain_table
+from sspahp.sample import DATA_DIR
+
 _spec = importlib.util.spec_from_file_location("cli_diff", Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py")
 cli_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cli_diff)
@@ -21,3 +24,16 @@ def test_every_command_runs_in_every_format():
     for command in ("weights", "eval", "benchmarks", "sweep", "corr"):
         formats = {argv[argv.index("--format") + 1] for argv in argvs if argv[0] == command and "--format" in argv}
         assert formats == set(cli_diff.FORMATS), command
+
+
+def test_eval_reads_every_matrix_variant_in_every_format_and_each_reader_path_is_taken():
+    argvs = list(cli_diff.cases().values())
+    for variant in cli_diff.MATRIX_VARIANTS:
+        runs = [argv for argv in argvs if f"{{matrix_{variant}}}" in argv]
+        assert {argv[0] for argv in runs} == {"eval"}, variant
+        assert {argv[argv.index("--format") + 1] for argv in runs} == set(cli_diff.FORMATS), variant
+    header, *lines = (DATA_DIR / "sample_matrix.csv").read_text().splitlines()
+    texts = cli_diff.matrix_variants(header, [line.split(",") for line in lines])
+    assert list(texts) == list(cli_diff.MATRIX_VARIANTS)
+    numpy_path = {variant for variant, text in texts.items() if _plain_table(text.removeprefix("\ufeff")) is not None}
+    assert numpy_path == {"crlf_bom", "hash_id", "m800"}

@@ -1155,6 +1155,102 @@ class TestMatrixRowParsing:
         assert np.array_equal(load_decision_matrix(path, h).values, load_matrix_cells_oracle(path, h))
 
 
+#: finite number cells in the forms of a float repr and an int
+_FINITE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["+1.5E3", ".5", "5.", "-0", "1e-320", "007"]),
+)
+#: cells that are non-finite, need Python's float() or the fraction parser, or are refused
+_ODD_CELLS = st.one_of(
+    st.sampled_from(["1e400", "-1e400", "nan", "-NaN", "inf", "-Infinity", "1_0", "1__0", "1/4", "3/8"]),
+    st.sampled_from(["1/0", "0x10", "one", "", "1 2", "1e", "--1", "1\x00"]),
+)
+_ASCII_SPACE = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f"])
+_ANY_SPACE = st.one_of(_ASCII_SPACE, st.sampled_from(["\u00a0", "\u2003", "\u3000", "\u0085"]))
+_TWO_CRITERIA = CriteriaHierarchy((Dimension("G1", "g", (SubDimension("sd", ("C1", "C2")),)),), {"C1": "max", "C2": "max"})
+
+
+@st.composite
+def matrix_text(draw):
+    """A hierarchy of one to three criteria and the text of a matrix file for it, plain or not.
+
+    A plain draw keeps to what the numpy path reads: ASCII, no quote, LF or
+    CRLF endings and no blank row. Any other draw may add a byte-order mark,
+    lone CR endings, blank rows, ragged rows, Unicode whitespace and ids
+    that are quoted, hold a comma, a CRLF, a ``#`` or non-ASCII letters.
+    """
+    plain = draw(st.booleans())
+    n = draw(st.integers(1, 3))
+    criteria = [f"C{j + 1}" for j in range(n)]
+    hierarchy = CriteriaHierarchy((Dimension("G1", "g", (SubDimension("sd", tuple(criteria)),)),), dict.fromkeys(criteria, "max"))
+    space = _ASCII_SPACE if plain else _ANY_SPACE
+    id_alphabet = "ab1 #-_." if plain else 'ab1 #-_.,"\r\n\u00e9\u4e2d'
+    header = ["alternative", *draw(st.permutations(criteria))]
+    if draw(st.integers(0, 9)) == 0:
+        header[draw(st.integers(0, n))] = draw(st.sampled_from(["name", "C9", "C1", ""]))
+    rows = [[draw(space) + cell + draw(space) for cell in header]]
+    for _ in range(draw(st.integers(0, 4))):
+        alt = draw(st.text(alphabet=id_alphabet, max_size=4))
+        cells = [draw(space) + draw(_FINITE_CELLS) + draw(space) for _ in criteria]
+        if draw(st.integers(0, 3)) == 0:
+            cells[draw(st.integers(0, n - 1))] = draw(_ODD_CELLS)
+        if not plain and draw(st.integers(0, 4)) == 0:
+            cells = cells[:-1] if draw(st.booleans()) else [*cells, "1"]
+        rows.append([alt, *cells])
+    out = io.StringIO()
+    quoting = csv.QUOTE_MINIMAL if plain or draw(st.booleans()) else csv.QUOTE_NONNUMERIC
+    csv.writer(out, lineterminator="\n", quoting=quoting).writerows(rows)
+    lines = out.getvalue().split("\n")[:-1]
+    if not plain:
+        for at in draw(st.lists(st.integers(0, len(lines)), max_size=2)):
+            lines.insert(at, draw(st.sampled_from(["", " ", " , ", "\t,,"])))
+    ending = draw(st.sampled_from(["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"]))
+    text = ending.join(lines) + (ending if draw(st.booleans()) else "")
+    bom = not plain and draw(st.booleans())
+    return hierarchy, "\ufeff" * bom + text
+
+
+def matrix_outcome(path, hierarchy):
+    """The ids, criterion ids and value bytes a matrix file loads as, or the error it raises."""
+    try:
+        m = load_decision_matrix(path, hierarchy)
+    except (InputError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    return m.alternative_ids, m.criterion_ids, m.values.tobytes()
+
+
+class TestPlainMatrixPath:
+    @settings(max_examples=600, deadline=None)
+    @given(matrix_text())
+    @example((_TWO_CRITERIA, "alternative,C1,C2\n#a,1e400,1_0\nb,2,3"))
+    @example((_TWO_CRITERIA, "alternative,C1,C2\r\n"))
+    @example((_TWO_CRITERIA, "alternative,C1\r,C2\na,1,2\nb,3,4\n"))  # a lone CR ends a csv row, header too
+    @example((_TWO_CRITERIA, "alternative,C1,C2\na\x00,1,2\nb,3,4\n"))  # csv before Python 3.11 refuses a NUL
+    @example((_TWO_CRITERIA, f"alternative,C1,C2\n{'a' * 131_073},1,2\nb,3,4\n"))  # past csv's field size limit
+    @example((_TWO_CRITERIA, '\ufeffalternative,C1,C2\r\n"a,\r\nb",1,2\r\n\r\n\u00e9,\u2003nan,3\r\n'))
+    def test_the_numpy_path_reads_what_the_csv_path_reads(self, tmp_path_factory, case):
+        hierarchy, text = case
+        path = tmp_path_factory.mktemp("matrix") / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(sspahp_io, "_plain_table", return_value=None):
+            want = matrix_outcome(path, hierarchy)
+        assert matrix_outcome(path, hierarchy) == want
+
+    def test_a_plain_file_is_read_without_the_csv_reader(self, tmp_path):
+        h = small_hierarchy_file(tmp_path, n=3)
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text("alternative,C3,C1,C2\r\n#a1, 1.5 ,2,-0.0\r\na2,1e3,4,5\r\n")
+        quoted.write_text('alternative,C3,C1,C2\r\n"#a1", 1.5 ,2,-0.0\r\na2,1e3,4,5\r\n')
+        want = load_decision_matrix(quoted, h)
+        with mock.patch.object(sspahp_io.csv, "reader", side_effect=AssertionError("csv.reader called")):
+            got = load_decision_matrix(plain, h)
+            with pytest.raises(AssertionError, match="csv.reader called"):
+                load_decision_matrix(quoted, h)
+        assert got.alternative_ids == want.alternative_ids == ("#a1", "a2")
+        assert got.values.tobytes() == want.values.tobytes()
+
+
 @st.composite
 def decision_matrix(draw):
     """A hierarchy of one to four criteria and a matrix bound to it, with finite cells of any magnitude or sign."""

@@ -4,19 +4,21 @@ Usage: python tools/cli_diff.py PARENT CHANGE
 
 Each case runs ``python -m sspahp`` in a fresh process, once with
 ``PYTHONPATH`` set to ``PARENT/src`` and once to ``CHANGE/src``, on the same
-input files: the bundled sample copied from PARENT, a pairwise judgment file
-and two plain rankings that this script writes. Stdout, stderr, the exit code
-and any ``--out`` file are compared. Each case is counted as identical, as
-differing only in utility digits (every difference is a float literal within
-1e-12 of the other side, and the text around the numbers, integer ranks
-included, is equal), or as differing otherwise; the first diff of each kind
-is printed. The exit status is 0 only when every case is identical.
+input files: the bundled sample copied from PARENT, and a pairwise judgment
+file, two plain rankings and the matrix variants of ``MATRIX_VARIANTS`` that
+this script writes. Stdout, stderr, the exit code and any ``--out`` file are
+compared. Each case is counted as identical, as differing only in utility
+digits (every difference is a float literal within 1e-12 of the other side,
+and the text around the numbers, integer ranks included, is equal), or as
+differing otherwise; the first diff of each kind is printed. The exit status
+is 0 only when every case is identical.
 """
 
 from __future__ import annotations
 
 import difflib
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -35,6 +37,10 @@ JUDGMENTS = (
     ("1/9", "1/7", "1/9", "1/7", "1"),
 )
 
+#: matrix files that ``eval`` reads in every format: the sample edited to give each
+#: reader path of ``load_decision_matrix`` its cases, and a plain m = 800 file
+MATRIX_VARIANTS = ("comma_id", "fraction", "crlf_bom", "blank_row", "hash_id", "m800")
+
 FLOAT = re.compile(r"-?(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+")
 
 
@@ -49,6 +55,8 @@ def cases() -> dict[str, list[str]]:
         "sweep": ["sweep", *data, "--weights-method", "critic"],
         "corr": ["corr", "{rank_a}", "{rank_b}"],
     }
+    for variant in MATRIX_VARIANTS:
+        commands[f"eval {variant}"] = ["eval", "--matrix", f"{{matrix_{variant}}}", *data[2:], "--weights-method", "critic"]
     out = {}
     for name, argv in commands.items():
         for fmt in FORMATS:
@@ -64,6 +72,23 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
+def matrix_variants(header: str, rows: list[list[str]]) -> dict[str, str]:
+    """The text of each of ``MATRIX_VARIANTS``, from the sample's header line and cells."""
+    def text(rows, end="\n"):
+        return "".join(line + end for line in [header, *map(",".join, rows)])
+
+    first = rows[0]
+    rng = random.Random(800)
+    return {
+        "comma_id": text([['"A,01"', *first[1:]], *rows[1:]]),
+        "fraction": text([[first[0], "1/4", *first[2:]], *rows[1:]]),
+        "crlf_bom": "\ufeff" + text(rows, "\r\n"),
+        "blank_row": text([*rows[:2], [], *rows[2:]]),
+        "hash_id": text([["#A01", *first[1:]], *rows[1:]]),
+        "m800": text([[f"A{i:03d}", *(repr(rng.uniform(1.0, 100.0)) for _ in first[1:])] for i in range(1, 801)]),
+    }
+
+
 def write_inputs(parent: Path, folder: Path) -> dict[str, str]:
     """The shared input files, by the names the cases use."""
     data = parent / "src" / "sspahp" / "data"
@@ -72,7 +97,12 @@ def write_inputs(parent: Path, folder: Path) -> dict[str, str]:
         shutil.copyfile(data / path.name, path)
     paths["judgments"] = folder / "judgments.csv"
     paths["judgments"].write_text("G1,G2,G3,G4,G5\n" + "".join(",".join(row) + "\n" for row in JUDGMENTS))
-    ids = [line.split(",", 1)[0] for line in paths["matrix"].read_text().splitlines()[1:]]
+    header, *lines = paths["matrix"].read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    for variant, text in matrix_variants(header, rows).items():
+        paths[f"matrix_{variant}"] = folder / f"matrix_{variant}.csv"
+        paths[f"matrix_{variant}"].write_bytes(text.encode("utf-8"))
+    ids = [row[0] for row in rows]
     for name, order in (("rank_a", ids), ("rank_b", ids[1:] + ids[:1])):
         paths[name] = folder / f"{name}.csv"
         paths[name].write_text("alternative,rank\n" + "".join(f"{a},{order.index(a) + 1}\n" for a in ids))
