@@ -102,11 +102,13 @@ def _warn_constant_columns(matrix) -> None:
         click.echo(f"warning: {warning}", err=True)
 
 
-def _load_inputs(matrix_path, hierarchy_path):
+def _load_inputs(matrix_path, hierarchy_path, method, pairwise, weights_file, strict_cr):
+    """The matrix, hierarchy and criterion weights that eval, benchmarks and sweep start from."""
     hierarchy = sio.load_hierarchy(hierarchy_path)
     matrix = sio.load_decision_matrix(matrix_path, hierarchy)
     _warn_constant_columns(matrix)
-    return matrix, hierarchy
+    w, _, _ = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
+    return matrix, hierarchy, w
 
 
 def _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr):
@@ -221,8 +223,7 @@ def eval_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, strict
     """Score and rank the alternatives."""
     from .evaluation import evaluate_with_group_s
 
-    matrix, hierarchy = _load_inputs(matrix_path, hierarchy_path)
-    w, _, _ = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
+    matrix, hierarchy, w = _load_inputs(matrix_path, hierarchy_path, method, pairwise, weights_file, strict_cr)
     # no --groups: every dimension, so every criterion gets s ("" is the empty subset)
     group_ids = hierarchy.dimension_ids() if groups is None else _parse_groups(groups)
     result = evaluate_with_group_s(matrix, w, hierarchy, group_ids, s_value)
@@ -257,8 +258,7 @@ def benchmarks_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, 
     from .correlation import pearson, weighted_spearman
     from .evaluation import evaluate
 
-    matrix, hierarchy = _load_inputs(matrix_path, hierarchy_path)
-    w, _, _ = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
+    matrix, hierarchy, w = _load_inputs(matrix_path, hierarchy_path, method, pairwise, weights_file, strict_cr)
     bounds = sio.load_bounds(bounds_path, hierarchy) if bounds_path else None
     if with_corr and fmt == "csv":
         raise InputError(
@@ -320,8 +320,7 @@ def sweep_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, stric
     """Trace rankings across compensation-reduction levels and group subsets."""
     from .sensitivity import SweepSpec, default_s_grid, run_sweep, subset_label
 
-    matrix, hierarchy = _load_inputs(matrix_path, hierarchy_path)
-    w, _, _ = _resolve_weights(method, matrix, hierarchy, pairwise, weights_file, strict_cr)
+    matrix, hierarchy, w = _load_inputs(matrix_path, hierarchy_path, method, pairwise, weights_file, strict_cr)
 
     # None: every dimension subset, enumerated by the spec after its size check
     subsets = None if groups.strip().lower() == "all" else (_parse_groups(groups),)
@@ -335,13 +334,9 @@ def sweep_cmd(matrix_path, hierarchy_path, method, pairwise, weights_file, stric
     result = run_sweep(spec)
 
     if fmt == "table":
-        final = result.final_rankings()
-        headers = ["subset", *result.alternative_ids]
-        rows = [
-            [subset_label(sub) or "(none)"] + [str(int(r)) for r in final[sub]]
-            for sub in result.subsets
-        ]
-        _emit(_table(headers, rows), out)
+        finals = result.ranks[:, -1].tolist()  # each subset's ranks at the deepest s
+        rows = [[subset_label(sub) or "(none)", *map(str, ranks)] for sub, ranks in zip(result.subsets, finals)]
+        _emit(_table(["subset", *result.alternative_ids], rows), out)
         return
     # one subset's text at a time, so the whole export is never held
     with _opened(out) as fh:

@@ -217,23 +217,14 @@ def normalize_minmax(matrix: DecisionMatrix) -> NormalizedMatrix:
     lo = x.min(axis=0)
     hi = x.max(axis=0)
     span = hi - lo
-
-    out = np.empty_like(x)
-    warnings = []
-    for j, cid in enumerate(matrix.criterion_ids):
-        if span[j] == 0.0:
-            out[:, j] = 0.5
-            warnings.append(f"criterion '{cid}' is constant; all cells set to 0.5")
-        elif matrix.objectives[j] == MAX:
-            out[:, j] = (x[:, j] - lo[j]) / span[j]
-        else:
-            out[:, j] = (hi[j] - x[:, j]) / span[j]
-
+    flat = span == 0.0
+    out = np.where(np.array(matrix.objectives) == MAX, x - lo, hi - x) / np.where(flat, 1.0, span)
+    out[:, flat] = 0.5
     return NormalizedMatrix(
         values=out,
         alternative_ids=matrix.alternative_ids,
         criterion_ids=matrix.criterion_ids,
-        warnings=tuple(warnings),
+        warnings=tuple(f"criterion '{matrix.criterion_ids[j]}' is constant; all cells set to 0.5" for j in np.flatnonzero(flat)),
     )
 
 

@@ -27,7 +27,9 @@ sits, the header is the first non-blank row, and data rows are counted from
 1 without the blank ones. The matrix, pairwise, weights and bounds readers
 check every row's shape before any cell, then name a non-numeric, NaN or
 infinite cell by its row and column: the number columns after the label in
-a matrix or pairwise file, the file's columns otherwise.
+a matrix or pairwise file, the file's columns otherwise. An error of the csv
+module itself, such as a field past ``csv.field_size_limit()``, is an
+InputError naming the file and line, so the CLI exits 2 on it.
 
 A plain matrix file (ASCII; no quote, NUL, blank row, lone ``\\r`` or line
 past csv's field size limit; the header's comma count on every line) has its
@@ -75,13 +77,6 @@ from .core import (
 from .errors import InputError
 
 
-def _unreadable(path, exc: IsADirectoryError | UnicodeDecodeError) -> InputError:
-    """The InputError for a path that is a directory or not UTF-8 text."""
-    if isinstance(exc, IsADirectoryError):
-        return InputError(f"{path}: is a directory, not a file")
-    return InputError(f"{path}: not UTF-8 text (cannot decode byte 0x{exc.object[exc.start]:02x})")
-
-
 def _is_blank(row) -> bool:
     """Whether every cell of a CSV row is empty or whitespace."""
     return not "".join(row).strip()
@@ -96,19 +91,24 @@ def _opened(path):
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             yield fh
-    except (IsADirectoryError, UnicodeDecodeError) as exc:
-        raise _unreadable(path, exc) from None
+    except IsADirectoryError:
+        raise InputError(f"{path}: is a directory, not a file") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (cannot decode byte 0x{exc.object[exc.start]:02x})") from None
 
 
 @contextmanager
 def _csv_rows(path, text=None):
-    """The first non-blank row of a CSV file, or of its ``text`` read already, and a ``csv.reader`` on the rest."""
+    """The first non-blank row of a CSV file, or of its ``text`` read already, and a ``csv.reader`` on the rest; a csv error names the file and line."""
     with _opened(path) if text is None else io.StringIO(text, newline="") as fh:
         rows = csv.reader(fh)
-        header = next(itertools.filterfalse(_is_blank, rows), None)
-        if header is None:
-            raise InputError(f"empty file: {path}")
-        yield header, rows
+        try:
+            header = next(itertools.filterfalse(_is_blank, rows), None)
+            if header is None:
+                raise InputError(f"empty file: {path}")
+            yield header, rows
+        except csv.Error as exc:
+            raise InputError(f"{path}: line {rows.line_num}: {exc}") from None
 
 
 def _read_rows(path, text=None) -> list[list[str]]:
@@ -199,14 +199,12 @@ def load_hierarchy(path) -> CriteriaHierarchy:
     entry, e.g. ``dimensions[1]``.
     """
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8-sig"))
+    with _opened(path) as fh:
+        text = fh.read()
+    try:  # line ends folded as universal newlines fold them, so an error names the same char
+        doc = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
-    except (IsADirectoryError, UnicodeDecodeError) as exc:
-        raise _unreadable(path, exc) from None
 
     if not isinstance(doc, dict) or not isinstance(doc.get("dimensions"), list):
         raise InputError(f"{path}: expected an object with a 'dimensions' list")

@@ -3,7 +3,7 @@ import pytest
 
 from sspahp import CriteriaHierarchy, DecisionMatrix, Dimension, PairwiseMatrix, SubDimension
 from sspahp.io import records_to_csv, records_to_json
-from sspahp.sample import sample_hierarchy, sample_matrix
+from sspahp.sample import DATA_DIR, sample_hierarchy, sample_matrix
 
 # Five-dimension consensus judgment matrix with known eigenvector weights
 # [0.3689, 0.3546, 0.1292, 0.1191, 0.0282] and consistency ratio 0.08.
@@ -21,6 +21,26 @@ EXPECTED_DIMENSION_WEIGHTS = np.array([0.3689, 0.3546, 0.1292, 0.1191, 0.0282])
 EXPECTED_CR = 0.08
 
 DIMENSION_IDS = ("G1", "G2", "G3", "G4", "G5")
+
+
+#: a cell past ``csv.field_size_limit()``, 131,072 characters by default
+LONG_ID = "x" * 140_000
+
+
+def write_long_field_inputs(folder):
+    """A matrix, ranking, pairwise and weights file in ``folder``, each with ``LONG_ID`` on one line: name -> (path, line)."""
+    header, first, *rest = (DATA_DIR / "sample_matrix.csv").read_text().splitlines(keepends=True)
+    texts = {
+        "matrix.csv": (header + LONG_ID + first[first.index(","):] + "".join(rest), 2),
+        "ranking.csv": (f"alternative,rank\na1,1\n{LONG_ID},2\n", 3),
+        "pairwise.csv": (f"G1,G2\nG1,1,3\n{LONG_ID},1/3,1\n", 3),
+        "weights.csv": (f"criterion_id,weight\nC1,0.5\n{LONG_ID},0.5\n", 3),
+    }
+    inputs = {}
+    for name, (text, line) in texts.items():
+        (folder / name).write_text(text, encoding="utf-8")
+        inputs[name] = (folder / name, line)
+    return inputs
 
 
 SWEEP_FIELDS = ["subset", "s", "alternative", "utility", "rank"]

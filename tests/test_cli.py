@@ -1,3 +1,4 @@
+import csv
 import errno
 import json
 import os
@@ -28,7 +29,7 @@ from sspahp.sample import DATA_DIR, sample_hierarchy, sample_matrix
 from sspahp.sensitivity import SweepSpec, compare_rankings, default_s_grid, run_sweep, subset_label
 from sspahp.weighting import aggregate_pairwise, ahp_weights, critic_weights, distribute_weights, entropy_weights, judgment_weights
 
-from conftest import CONSENSUS_JUDGMENTS, record_based_export
+from conftest import CONSENSUS_JUDGMENTS, record_based_export, write_long_field_inputs
 
 
 @pytest.fixture
@@ -792,6 +793,23 @@ class TestMalformedInputs:
         assert result.exit_code == 2
         assert result.stderr.startswith("input error: ")
         assert fragment in result.stderr
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("matrix.csv", ["eval", "--matrix", "{path}", "--hierarchy", str(DATA_DIR / "sample_hierarchy.json"), "--weights-method", "critic"]),
+            ("ranking.csv", ["corr", "{path}", "{path}"]),
+            ("pairwise.csv", ["weights", "--method", "ahp", "--pairwise", "{path}"]),
+            ("weights.csv", ["weights", "--method", "file", "--weights-file", "{path}"]),
+        ],
+        ids=["matrix", "ranking", "pairwise", "weights"],
+    )
+    def test_a_field_past_the_csv_field_size_limit(self, runner, tmp_path, name, argv):
+        path, line = write_long_field_inputs(tmp_path)[name]
+        result = runner.invoke(main, [arg.format(path=path) for arg in argv])
+        self.assert_input_error(result, f"{path}: line {line}: field larger than field limit ({csv.field_size_limit()})\n")
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
 
     def test_ragged_pairwise_file(self, runner, tmp_path):
         path = tmp_path / "ragged.csv"

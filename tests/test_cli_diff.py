@@ -1,5 +1,6 @@
 """The classifier and case list of ``tools/cli_diff.py``."""
 
+import csv
 import importlib.util
 from pathlib import Path
 
@@ -37,3 +38,19 @@ def test_eval_reads_every_matrix_variant_in_every_format_and_each_reader_path_is
     assert list(texts) == list(cli_diff.MATRIX_VARIANTS)
     numpy_path = {variant for variant, text in texts.items() if _plain_table(text.removeprefix("\ufeff")) is not None}
     assert numpy_path == {"crlf_bom", "hash_id", "m800"}
+
+
+def test_each_error_input_replaces_one_sample_file_in_one_eval_case():
+    cases = cli_diff.cases()
+    for name in cli_diff.ERROR_INPUTS:
+        argv = cases[f"eval {name}"]
+        replaced = name.partition("_")[0]
+        assert argv == [f"{{{name}}}" if token == f"{{{replaced}}}" else token for token in cases["eval table"][:-2]], name
+        assert f"{{{name}}}" in argv, name
+    header, *lines = (DATA_DIR / "sample_matrix.csv").read_text().splitlines()
+    files = cli_diff.error_files(header, [line.split(",") for line in lines])
+    assert set(files) <= set(cli_diff.ERROR_INPUTS)
+    long_id = files["matrix_long_id"].decode()
+    assert max(map(len, long_id.split(","))) > csv.field_size_limit()
+    assert _plain_table(long_id) is None
+    assert files["hierarchy_crlf"] == files["hierarchy_lf"].replace(b"\n", b"\r\n")

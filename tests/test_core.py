@@ -185,6 +185,48 @@ class TestNormalizeMinmax:
         assert norm.criterion_ids == m.criterion_ids
 
 
+def normalize_minmax_oracle(matrix):
+    """The values and warnings of ``normalize_minmax``, scaled one criterion at a time."""
+    x = matrix.values
+    lo = x.min(axis=0)
+    hi = x.max(axis=0)
+    span = hi - lo
+    out = np.empty_like(x)
+    warnings = []
+    for j, cid in enumerate(matrix.criterion_ids):
+        if span[j] == 0.0:
+            out[:, j] = 0.5
+            warnings.append(f"criterion '{cid}' is constant; all cells set to 0.5")
+        elif matrix.objectives[j] == "max":
+            out[:, j] = (x[:, j] - lo[j]) / span[j]
+        else:
+            out[:, j] = (hi[j] - x[:, j]) / span[j]
+    return out, tuple(warnings)
+
+
+@st.composite
+def tied_matrix(draw):
+    """Integer cells 1..5, so ties and constant columns occur, each column scaled by a factor of either sign; objectives mixed.
+
+    The factors make the differences and quotients round, so a scaling computed another way differs in the last bit.
+    """
+    m = draw(st.integers(min_value=2, max_value=50))
+    n = draw(st.integers(min_value=1, max_value=8))
+    cells = draw(st.lists(st.lists(st.integers(1, 5), min_size=n, max_size=n), min_size=m, max_size=m))
+    factors = draw(st.lists(st.floats(0.01, 100.0) | st.floats(-100.0, -0.01), min_size=n, max_size=n))
+    objectives = draw(st.lists(st.sampled_from(["max", "min"]), min_size=n, max_size=n))
+    return make_matrix(np.array(cells) * factors, objectives)
+
+
+@given(tied_matrix())
+@settings(max_examples=200, deadline=None)
+def test_normalize_minmax_matches_the_per_criterion_oracle_bit_for_bit(matrix):
+    values, warnings = normalize_minmax_oracle(matrix)
+    norm = normalize_minmax(matrix)
+    assert norm.values.tobytes() == values.tobytes()
+    assert norm.warnings == warnings
+
+
 # strategies for property tests: bounded floats, guaranteed column spread
 _cols = st.integers(min_value=1, max_value=6)
 _rows = st.integers(min_value=2, max_value=12)

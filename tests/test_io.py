@@ -31,7 +31,7 @@ from sspahp.sample import DATA_DIR, sample_hierarchy, sample_matrix, write_sampl
 from sspahp.sensitivity import default_s_grid, subset_label
 from sspahp.weighting import critic_weights
 
-from conftest import CONSENSUS_JUDGMENTS
+from conftest import CONSENSUS_JUDGMENTS, write_long_field_inputs
 
 
 def records_to_csv_oracle(records, fieldnames):
@@ -160,6 +160,19 @@ class TestLoadHierarchy:
         path.write_text('{"dimensions": [')
         with pytest.raises(InputError, match=r"^malformed JSON in .*h\.json: "):
             load_hierarchy(path)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_malformed_json_is_named_at_the_same_spot_whatever_ends_its_lines(self, tmp_path, end):
+        text = '{"dimensions": [\n  {"id": "G1",,\n]}\n'
+        (tmp_path / "lf.json").write_bytes(text.encode())
+        (tmp_path / "other.json").write_bytes(text.replace("\n", end).encode())
+        messages = []
+        for name in ("lf.json", "other.json"):
+            with pytest.raises(InputError) as caught:
+                load_hierarchy(tmp_path / name)
+            messages.append(str(caught.value).replace(name, "h.json"))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith("line 2 column 15 (char 31)")
 
     def test_single_criterion_hierarchy_is_valid(self, tmp_path):
         doc = {
@@ -692,6 +705,23 @@ class TestByteOrderMark:
         path, marked = tmp_path / name, tmp_path / f"bom_{name}"
         marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert self.READ[name](marked) == self.READ[name](path)
+
+
+class TestCsvModuleErrors:
+    READ = {
+        "matrix.csv": lambda path: load_decision_matrix(path, sample_hierarchy()),
+        "ranking.csv": load_ranking_file,
+        "pairwise.csv": load_pairwise,
+        "weights.csv": load_weights,
+    }
+
+    def test_a_field_past_the_csv_field_size_limit_names_the_file_and_line(self, tmp_path):
+        inputs = write_long_field_inputs(tmp_path)
+        assert set(inputs) == set(self.READ)
+        for name, (path, line) in inputs.items():
+            message = f"{path}: line {line}: field larger than field limit ({csv.field_size_limit()})"
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                self.READ[name](path)
 
 
 SWEEP_FIELDS = ["subset", "s", "alternative", "utility", "rank"]

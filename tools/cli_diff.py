@@ -5,13 +5,13 @@ Usage: python tools/cli_diff.py PARENT CHANGE
 Each case runs ``python -m sspahp`` in a fresh process, once with
 ``PYTHONPATH`` set to ``PARENT/src`` and once to ``CHANGE/src``, on the same
 input files: the bundled sample copied from PARENT, and a pairwise judgment
-file, two plain rankings and the matrix variants of ``MATRIX_VARIANTS`` that
-this script writes. Stdout, stderr, the exit code and any ``--out`` file are
-compared. Each case is counted as identical, as differing only in utility
-digits (every difference is a float literal within 1e-12 of the other side,
-and the text around the numbers, integer ranks included, is equal), or as
-differing otherwise; the first diff of each kind is printed. The exit status
-is 0 only when every case is identical.
+file, two plain rankings, the matrix variants of ``MATRIX_VARIANTS`` and the
+inputs of ``ERROR_INPUTS`` that this script writes. Stdout, stderr, the exit
+code and any ``--out`` file are compared. Each case is counted as identical,
+as differing only in utility digits (every difference is a float literal
+within 1e-12 of the other side, and the text around the numbers, integer
+ranks included, is equal), or as differing otherwise; the first diff of each
+kind is printed. The exit status is 0 only when every case is identical.
 """
 
 from __future__ import annotations
@@ -41,6 +41,15 @@ JUDGMENTS = (
 #: reader path of ``load_decision_matrix`` its cases, and a plain m = 800 file
 MATRIX_VARIANTS = ("comma_id", "fraction", "crlf_bom", "blank_row", "hash_id", "m800")
 
+#: inputs that ``eval`` refuses or warns about, each read once in the table format
+#: in place of the sample file named before the first underscore: a missing
+#: matrix, one not UTF-8, one with two constant columns, one with an id past csv's
+#: field size limit, a directory, and malformed JSON with LF and CRLF line ends
+ERROR_INPUTS = (
+    "matrix_missing", "matrix_latin1", "matrix_constant", "matrix_long_id",
+    "hierarchy_directory", "hierarchy_lf", "hierarchy_crlf",
+)
+
 FLOAT = re.compile(r"-?(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+")
 
 
@@ -69,6 +78,9 @@ def cases() -> dict[str, list[str]]:
                 out[" ".join(["eval --s", s, *groups, fmt])] = [*commands["eval"], "--s", s, *groups, "--format", fmt]
     for s in ("1.5", "nan"):
         out[f"eval --s {s} (refused)"] = [*commands["eval"], "--s", s]
+    for name in ERROR_INPUTS:
+        replaced = "{" + name.partition("_")[0] + "}"
+        out[f"eval {name}"] = [f"{{{name}}}" if token == replaced else token for token in commands["eval"]]
     return out
 
 
@@ -89,6 +101,22 @@ def matrix_variants(header: str, rows: list[list[str]]) -> dict[str, str]:
     }
 
 
+def error_files(header: str, rows: list[list[str]]) -> dict[str, bytes]:
+    """The bytes of each file of ``ERROR_INPUTS`` that is written, from the sample's header line and cells."""
+    def text(rows):
+        return "".join(line + "\n" for line in [header, *map(",".join, rows)])
+
+    first = rows[0]
+    malformed = '{"dimensions": [\n  {"id": "G1",,\n]}\n'
+    return {
+        "matrix_latin1": text([["Aé01", *first[1:]], *rows[1:]]).encode("latin-1"),
+        "matrix_constant": text([[row[0], "7", row[2], "7", *row[4:]] for row in rows]).encode(),
+        "matrix_long_id": text([["A" * 140_000, *first[1:]], *rows[1:]]).encode(),
+        "hierarchy_lf": malformed.encode(),
+        "hierarchy_crlf": malformed.replace("\n", "\r\n").encode(),
+    }
+
+
 def write_inputs(parent: Path, folder: Path) -> dict[str, str]:
     """The shared input files, by the names the cases use."""
     data = parent / "src" / "sspahp" / "data"
@@ -102,6 +130,11 @@ def write_inputs(parent: Path, folder: Path) -> dict[str, str]:
     for variant, text in matrix_variants(header, rows).items():
         paths[f"matrix_{variant}"] = folder / f"matrix_{variant}.csv"
         paths[f"matrix_{variant}"].write_bytes(text.encode("utf-8"))
+    for name, content in error_files(header, rows).items():
+        paths[name] = folder / (f"{name}.json" if name.startswith("hierarchy") else f"{name}.csv")
+        paths[name].write_bytes(content)
+    paths["matrix_missing"] = folder / "matrix_missing.csv"  # never written
+    paths["hierarchy_directory"] = folder
     ids = [row[0] for row in rows]
     for name, order in (("rank_a", ids), ("rank_b", ids[1:] + ids[:1])):
         paths[name] = folder / f"{name}.csv"
