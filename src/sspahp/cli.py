@@ -392,7 +392,3 @@ def corr_cmd(file_a, file_b, fmt, out):
         ]
         text = _table(["subset", "r_w", "pearson"], rows)
     _emit(text, out)
-
-
-if __name__ == "__main__":
-    main()

@@ -31,11 +31,12 @@ a matrix or pairwise file, the file's columns otherwise. An error of the csv
 module itself, such as a field past ``csv.field_size_limit()``, is an
 InputError naming the file and line, so the CLI exits 2 on it.
 
-A plain matrix file (ASCII; no quote, NUL, blank row, lone ``\\r`` or line
-past csv's field size limit; the header's comma count on every line) has its
-number cells parsed by ``np.loadtxt``; any other file, and one with a cell
-numpy refuses or reads as NaN or infinite, by the csv reader. Both paths give
-the same matrix bit for bit and the same errors.
+A plain matrix file (no quote, NUL, blank row, lone ``\\r`` or line past
+csv's field size limit; the header's comma count on every line), whatever
+letters its ids hold, has its number cells parsed by ``np.loadtxt``; any
+other file, and one with a cell numpy refuses (a non-ASCII digit among them)
+or reads as NaN or infinite, by the csv reader. Both paths give the same
+matrix bit for bit and the same errors.
 
 ``records_to_csv`` turns a list of records into one CSV text: a header of
 ``fieldnames`` and one row per record, where every record must carry
@@ -62,6 +63,7 @@ import math
 import operator
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -266,7 +268,7 @@ def _plain_table(text: str):
     text = text.replace("\r\n", "\n")
     lines = text.removesuffix("\n").split("\n")
     commas = lines[0].count(",")
-    if not (text.isascii() and commas and len(lines) > 1) or any(c in text for c in '"\0\r'):  # csv < 3.11 refuses NUL
+    if not (commas and len(lines) > 1) or any(c in text for c in '"\0\r'):  # csv < 3.11 refuses NUL
         return None
     if {line.count(",") for line in lines} != {commas} or max(map(len, lines)) > csv.field_size_limit():
         return None
@@ -538,12 +540,6 @@ def _key_mismatch(records, fieldnames) -> ValueError:
 _BLOCK_ROWS = 2048
 
 
-class _Lines(list):
-    """A list that ``csv.writer`` writes to: each row it writes is one item."""
-
-    write = list.append
-
-
 def _csv_texts(values, lone: bool) -> list[str]:
     """Each value's text as ``csv.writer`` writes it in a row of the table.
 
@@ -554,8 +550,8 @@ def _csv_texts(values, lone: bool) -> list[str]:
     an empty field: ``""`` when it is the table's only field (``lone``),
     empty otherwise.
     """
-    lines = _Lines()
-    csv.writer(lines, lineterminator="\r\n").writerows([value] for value in values)
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows([value] for value in values)
     texts = [line[:-2] for line in lines]
     if not lone:
         texts = ["" if text == '""' else text for text in texts]
@@ -568,8 +564,9 @@ def _render_column(cells: list, lone: bool) -> list[str]:
     A column of exact ``str``s, or of exact ``int``s, renders each distinct
     value once, and a ``str`` column that needs no quoting is its own text.
     A column of exact floats that are all distinct goes through
-    ``float.__repr__``, the text ``csv.writer`` writes for a float. Any other
-    column renders each distinct object once.
+    ``float.__repr__``, the text ``csv.writer`` writes for a float; any other
+    exact float column renders each distinct value once, and each zero again
+    on its own, as ``0.0 == -0.0``. Any other column renders cell by cell.
     """
     kinds = set(map(type, cells))
     if kinds == {str} or kinds == {int}:
@@ -577,16 +574,13 @@ def _render_column(cells: list, lone: bool) -> list[str]:
         values = list(set(cells))
         texts = _csv_texts(values, lone)
         return cells if texts == values else list(map(dict(zip(values, texts)).__getitem__, cells))
-    # Other distinct objects are found by id(), not by value, which would
-    # merge 0.0 with -0.0, and 1 with 1.0 and True. An id names one object
-    # only while that object lives: ``cells`` keeps every object alive until
-    # the texts are dropped at the end of this call.
-    keys = list(map(id, cells))
-    distinct = dict(zip(keys, cells))
-    if len(distinct) == len(cells) and kinds == {float}:
+    if kinds != {float}:
+        return _csv_texts(cells, lone)
+    distinct = set(cells)
+    if len(distinct) == len(cells):
         return list(map(float.__repr__, cells))
-    text_of = dict(zip(distinct, _csv_texts(distinct.values(), lone)))
-    return list(map(text_of.__getitem__, keys))
+    text_of = dict(zip(distinct, map(float.__repr__, distinct)))
+    return [text_of[cell] if cell else float.__repr__(cell) for cell in cells]
 
 
 def records_to_csv(records: list[dict], fieldnames: list[str]) -> str:
@@ -596,9 +590,8 @@ def records_to_csv(records: list[dict], fieldnames: list[str]) -> str:
     ``\\r\\n``, so a cell holding ``\\r`` or ``\\n`` is quoted, and each row
     is ended by ``\\n``. A record with a missing or an extra key raises
     ValueError naming its index and keys. The rows are built column by
-    column, ``_BLOCK_ROWS`` records at a time, and each block renders each
-    distinct cell of a column once; nothing is kept from one block to the
-    next.
+    column, ``_BLOCK_ROWS`` records at a time, as ``_render_column`` renders
+    them; nothing is kept from one block to the next.
     """
     # with every field present, a record of the right size has no extra key
     if set(map(len, records)) - {len(set(fieldnames))}:

@@ -398,9 +398,10 @@ def stability_report(result: SweepResult) -> dict[str, dict]:
 
     span is the max minus min rank over every cell; alternatives with
     span <= 1 are flagged stable. The direction label classifies the rank
-    trajectory along the grid for the last (most inclusive) subset:
-    improving ranks move toward 1, declining away, flat never moves, mixed
-    does both. All alternatives are summarized with array reductions.
+    trajectory along the grid for the last subset of the sweep (every
+    dimension, under the default enumeration): improving ranks move toward
+    1, declining away, flat never moves, mixed does both. All alternatives
+    are summarized with array reductions.
     """
     lowest = result.ranks.min(axis=(0, 1))
     highest = result.ranks.max(axis=(0, 1))

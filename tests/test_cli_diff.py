@@ -37,7 +37,7 @@ def test_eval_reads_every_matrix_variant_in_every_format_and_each_reader_path_is
     texts = cli_diff.matrix_variants(header, [line.split(",") for line in lines])
     assert list(texts) == list(cli_diff.MATRIX_VARIANTS)
     numpy_path = {variant for variant, text in texts.items() if _plain_table(text.removeprefix("\ufeff")) is not None}
-    assert numpy_path == {"crlf_bom", "hash_id", "m800"}
+    assert numpy_path == {"crlf_bom", "hash_id", "nonascii_id", "m800"}
 
 
 def test_each_error_input_replaces_one_sample_file_in_one_eval_case():

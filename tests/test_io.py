@@ -797,6 +797,22 @@ class TestRecordsToCsv:
         with mock.patch.object(sspahp_io, "_BLOCK_ROWS", block_rows):
             assert records_to_csv(records, fieldnames) == records_to_csv_oracle(records, fieldnames)
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [0.0, -0.0, 0.0, math.nan, -0.0, math.nan, 0.5, 0.5],
+            [-0.0, 0.0, -0.0, float("nan"), float("nan"), 0.0, 2.5, -0.0],
+            [0.5, 0.5, -0.0, 0.0, math.nan, math.nan, -0.0, -0.0, 0.0],
+        ],
+    )
+    def test_a_float_column_with_repeats_zeros_of_both_signs_and_nan_matches_the_oracle(self, column, block_rows):
+        # equal values share one text, but 0.0 == -0.0 and each keeps its own sign
+        tables = [([{"u": u} for u in column], ["u"]), ([{"u": u, "i": i} for i, u in enumerate(column)], ["u", "i"])]
+        with mock.patch.object(sspahp_io, "_BLOCK_ROWS", block_rows):
+            for records, fieldnames in tables:
+                assert records_to_csv(records, fieldnames) == records_to_csv_oracle(records, fieldnames)
+
     def test_a_bad_record_in_a_later_block_is_named_by_its_index(self):
         records = [{"a": 1, "b": 2}] * 5 + [{"a": 1}]
         with mock.patch.object(sspahp_io, "_BLOCK_ROWS", 2):
@@ -1195,6 +1211,7 @@ _FINITE_CELLS = st.one_of(
 _ODD_CELLS = st.one_of(
     st.sampled_from(["1e400", "-1e400", "nan", "-NaN", "inf", "-Infinity", "1_0", "1__0", "1/4", "3/8"]),
     st.sampled_from(["1/0", "0x10", "one", "", "1 2", "1e", "--1", "1\x00"]),
+    st.sampled_from(["\uff11", "\u0663.5", "\u00b2", "1\u2009000"]),  # float() reads the first two, numpy none
 )
 _ASCII_SPACE = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f"])
 _ANY_SPACE = st.one_of(_ASCII_SPACE, st.sampled_from(["\u00a0", "\u2003", "\u3000", "\u0085"]))
@@ -1205,24 +1222,24 @@ _TWO_CRITERIA = CriteriaHierarchy((Dimension("G1", "g", (SubDimension("sd", ("C1
 def matrix_text(draw):
     """A hierarchy of one to three criteria and the text of a matrix file for it, plain or not.
 
-    A plain draw keeps to what the numpy path reads: ASCII, no quote, LF or
-    CRLF endings and no blank row. Any other draw may add a byte-order mark,
-    lone CR endings, blank rows, ragged rows, Unicode whitespace and ids
-    that are quoted, hold a comma, a CRLF, a ``#`` or non-ASCII letters.
+    A plain draw keeps to what the numpy path reads: no quote, LF or CRLF
+    endings and no blank row, with ids that may hold non-ASCII letters and
+    cells that may carry Unicode whitespace. Any other draw may add a
+    byte-order mark, lone CR endings, blank rows, ragged rows and ids that
+    are quoted or hold a comma, a CRLF or a ``#``.
     """
     plain = draw(st.booleans())
     n = draw(st.integers(1, 3))
     criteria = [f"C{j + 1}" for j in range(n)]
     hierarchy = CriteriaHierarchy((Dimension("G1", "g", (SubDimension("sd", tuple(criteria)),)),), dict.fromkeys(criteria, "max"))
-    space = _ASCII_SPACE if plain else _ANY_SPACE
-    id_alphabet = "ab1 #-_." if plain else 'ab1 #-_.,"\r\n\u00e9\u4e2d'
+    id_alphabet = "ab1 #-_.\u00e9\u010c\u4e2d" + ("" if plain else ',"\r\n')
     header = ["alternative", *draw(st.permutations(criteria))]
     if draw(st.integers(0, 9)) == 0:
         header[draw(st.integers(0, n))] = draw(st.sampled_from(["name", "C9", "C1", ""]))
-    rows = [[draw(space) + cell + draw(space) for cell in header]]
+    rows = [[draw(_ANY_SPACE) + cell + draw(_ANY_SPACE) for cell in header]]
     for _ in range(draw(st.integers(0, 4))):
         alt = draw(st.text(alphabet=id_alphabet, max_size=4))
-        cells = [draw(space) + draw(_FINITE_CELLS) + draw(space) for _ in criteria]
+        cells = [draw(_ANY_SPACE) + draw(_FINITE_CELLS) + draw(_ANY_SPACE) for _ in criteria]
         if draw(st.integers(0, 3)) == 0:
             cells[draw(st.integers(0, n - 1))] = draw(_ODD_CELLS)
         if not plain and draw(st.integers(0, 4)) == 0:
@@ -1259,6 +1276,11 @@ class TestPlainMatrixPath:
     @example((_TWO_CRITERIA, "alternative,C1,C2\na\x00,1,2\nb,3,4\n"))  # csv before Python 3.11 refuses a NUL
     @example((_TWO_CRITERIA, f"alternative,C1,C2\n{'a' * 131_073},1,2\nb,3,4\n"))  # past csv's field size limit
     @example((_TWO_CRITERIA, '\ufeffalternative,C1,C2\r\n"a,\r\nb",1,2\r\n\r\n\u00e9,\u2003nan,3\r\n'))
+    @example((_TWO_CRITERIA, "alternative,C1,C2\n\u010cesko,1,2\n\u00d6sterreich,3,4\n\u00cdsland,5,6\n"))
+    @example((_TWO_CRITERIA, "alternative,C1,C2\n\u010cesko,\uff11,2\nb,3,4\n"))  # fullwidth 1: float() reads it, numpy does not
+    @example((_TWO_CRITERIA, "alternative,C1,C2\na,1,\u0663\n\u00cdsland,3,4\n"))  # Arabic-Indic 3
+    @example((_TWO_CRITERIA, "alternative,C1,C2\na,\u00b2,2\nb,3,4\n"))  # superscript 2: refused by both
+    @example((_TWO_CRITERIA, "alternative,C1,C2\na,\u00a01\u00a0,2\n\u00d6sterreich,3,\u30004\u3000\n"))  # NBSP, U+3000
     def test_the_numpy_path_reads_what_the_csv_path_reads(self, tmp_path_factory, case):
         hierarchy, text = case
         path = tmp_path_factory.mktemp("matrix") / "m.csv"
@@ -1278,6 +1300,17 @@ class TestPlainMatrixPath:
             with pytest.raises(AssertionError, match="csv.reader called"):
                 load_decision_matrix(quoted, h)
         assert got.alternative_ids == want.alternative_ids == ("#a1", "a2")
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_a_plain_file_with_non_ascii_ids_is_read_without_the_csv_reader(self, tmp_path):
+        h = small_hierarchy_file(tmp_path, n=2)
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text("alternative,C2,C1\n\u010cesko,1.5,2\n\u00d6sterreich,3,-4e2\n \u00cdsland ,0.25,7\n", encoding="utf-8")
+        quoted.write_text('alternative,C2,C1\n"\u010cesko",1.5,2\n\u00d6sterreich,3,-4e2\n \u00cdsland ,0.25,7\n', encoding="utf-8")
+        want = load_decision_matrix(quoted, h)
+        with mock.patch.object(sspahp_io.csv, "reader", side_effect=AssertionError("csv.reader called")):
+            got = load_decision_matrix(plain, h)
+        assert got.alternative_ids == want.alternative_ids == ("\u010cesko", "\u00d6sterreich", "\u00cdsland")
         assert got.values.tobytes() == want.values.tobytes()
 
 

@@ -17,6 +17,7 @@ kind is printed. The exit status is 0 only when every case is identical.
 from __future__ import annotations
 
 import difflib
+import itertools
 import os
 import random
 import re
@@ -38,8 +39,9 @@ JUDGMENTS = (
 )
 
 #: matrix files that ``eval`` reads in every format: the sample edited to give each
-#: reader path of ``load_decision_matrix`` its cases, and a plain m = 800 file
-MATRIX_VARIANTS = ("comma_id", "fraction", "crlf_bom", "blank_row", "hash_id", "m800")
+#: reader path of ``load_decision_matrix`` its cases, non-ASCII ids among them, and a
+#: plain m = 800 file
+MATRIX_VARIANTS = ("comma_id", "fraction", "crlf_bom", "blank_row", "hash_id", "nonascii_id", "m800")
 
 #: inputs that ``eval`` refuses or warns about, each read once in the table format
 #: in place of the sample file named before the first underscore: a missing
@@ -90,6 +92,7 @@ def matrix_variants(header: str, rows: list[list[str]]) -> dict[str, str]:
         return "".join(line + end for line in [header, *map(",".join, rows)])
 
     first = rows[0]
+    countries = ("Česko", "Österreich", "Ísland", "România")
     rng = random.Random(800)
     return {
         "comma_id": text([['"A,01"', *first[1:]], *rows[1:]]),
@@ -97,6 +100,7 @@ def matrix_variants(header: str, rows: list[list[str]]) -> dict[str, str]:
         "crlf_bom": "\ufeff" + text(rows, "\r\n"),
         "blank_row": text([*rows[:2], [], *rows[2:]]),
         "hash_id": text([["#A01", *first[1:]], *rows[1:]]),
+        "nonascii_id": text([[f"{country} {row[0]}", *row[1:]] for country, row in zip(itertools.cycle(countries), rows)]),
         "m800": text([[f"A{i:03d}", *(repr(rng.uniform(1.0, 100.0)) for _ in first[1:])] for i in range(1, 801)]),
     }
 
