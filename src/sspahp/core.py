@@ -314,11 +314,13 @@ class CriteriaHierarchy:
 
     The flattened criterion order (dimension-major, then sub-dimension-major)
     is the canonical order every aligned vector follows. Construction walks
-    the tree once: a repeated dimension id or a criterion listed twice raises
-    InputError naming the entry, e.g. ``dimensions[1]: duplicate dimension
-    id 'G1'``. Failing that, the first dimension with no sub-dimensions or
-    sub-dimension with no criteria raises, e.g. ``dimensions[5]: dimension
-    'G6' has no sub-dimensions``.
+    the tree once: a repeated dimension id, a criterion listed twice, or a
+    criterion without a 'max' or 'min' objective raises InputError naming
+    the entry, e.g. ``dimensions[1]: duplicate dimension id 'G1'``. Failing
+    that, the first dimension with no sub-dimensions or sub-dimension with
+    no criteria raises, e.g. ``dimensions[5]: dimension 'G6' has no
+    sub-dimensions``, and then objectives for criteria the tree does not
+    hold, naming their ids.
     """
 
     dimensions: tuple[Dimension, ...]
@@ -342,13 +344,21 @@ class CriteriaHierarchy:
                         f"dimensions[{i}].sub_dimensions[{j}]: sub-dimension '{sub.name}' of '{dim.id}' has no criteria"
                     )
                 for k, cid in enumerate(sub.criterion_ids):
+                    where = f"dimensions[{i}].sub_dimensions[{j}].criteria[{k}]"
                     if cid in dimension_of:
+                        raise InputError(f"{where}: duplicate criterion '{cid}'")
+                    if cid not in self.objectives:
+                        raise InputError(f"{where}: no objective declared for criterion '{cid}'")
+                    if self.objectives[cid] not in OBJECTIVE_TOKENS:
                         raise InputError(
-                            f"dimensions[{i}].sub_dimensions[{j}].criteria[{k}]: duplicate criterion '{cid}'"
+                            f"{where}: unknown objective token '{self.objectives[cid]}' for '{cid}' (expected 'max' or 'min')"
                         )
                     dimension_of[cid] = dim.id
         if empty:
             raise InputError(empty)
+        stray = [cid for cid in self.objectives if cid not in dimension_of]
+        if stray:
+            raise InputError(f"objectives for criteria not in the hierarchy: {', '.join(map(str, stray))}")
         # the canonical order, kept outside the fields: not compared, not in the repr
         object.__setattr__(self, "_dimension_of", dimension_of)
 
@@ -414,17 +424,25 @@ def _membership(hierarchy: CriteriaHierarchy, subsets, criterion_ids) -> np.ndar
     return table[:, [column[dim_of[c]] for c in criterion_ids]]
 
 
+def _deviations(matrix: DecisionMatrix, weights: WeightVector):
+    """Base utilities r.w and the [criterion, alternative] weighted deviations |mean(r) - r| * w."""
+    w = weights.aligned(matrix.criterion_ids)
+    r = _normalized(matrix).values
+    return r @ w, np.abs(r.mean(axis=0) - r).T * w[:, None]
+
+
 def _penalties(matrix: DecisionMatrix, weights: WeightVector, mask):
     """Base utilities r.w and [row, alternative] penalties P: the one formula U = r.w - s * P.
 
     ``mask`` is a boolean [row, criterion] table. P[row] adds that row's
     weighted deviations |mean(r) - r| * w to zeros, one criterion at a time
-    in matrix column order, so no row depends on the others.
+    in matrix column order, so no row depends on the others. This is the
+    builder of ``evaluate``, ``evaluate_with_group_s`` and every sweep but
+    a default one over canonical columns, which
+    ``sensitivity._penalties_by_parent`` builds to the same bits.
     """
-    w = weights.aligned(matrix.criterion_ids)
-    r = _normalized(matrix).values
-    deviation = np.abs(r.mean(axis=0) - r).T * w[:, None]  # [criterion, alternative]
+    base, deviation = _deviations(matrix, weights)
     penalty = np.zeros((len(mask), matrix.m))
     for j in range(matrix.n):
         np.add(penalty, deviation[j], out=penalty, where=mask[:, j, None])
-    return r @ w, penalty
+    return base, penalty

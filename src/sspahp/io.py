@@ -71,7 +71,6 @@ from .core import (
     CriteriaHierarchy,
     DecisionMatrix,
     Dimension,
-    OBJECTIVE_TOKENS,
     SubDimension,
     WeightVector,
     require_valid,
@@ -196,9 +195,9 @@ def _field(entry, key, kind):
 def load_hierarchy(path) -> CriteriaHierarchy:
     """Read a criteria hierarchy with objectives from JSON.
 
-    A malformed entry, a dimension or criterion that repeats, or a dimension
-    or sub-dimension left empty raises InputError naming the file and the
-    entry, e.g. ``dimensions[1]``.
+    A malformed entry, a dimension or criterion that repeats, an objective
+    other than 'max' or 'min', or a dimension or sub-dimension left empty
+    raises InputError naming the file and the entry, e.g. ``dimensions[1]``.
     """
     path = Path(path)
     with _opened(path) as fh:
@@ -225,10 +224,8 @@ def load_hierarchy(path) -> CriteriaHierarchy:
                 cids = []
                 for k, c in enumerate(_field(sd, "criteria", list)):
                     where = f"dimensions[{i}].sub_dimensions[{j}].criteria[{k}]"
-                    cid, obj = _field(c, "id", str), _field(c, "objective", str)
-                    if obj not in OBJECTIVE_TOKENS:
-                        raise InputError(f"unknown objective token '{obj}' for '{cid}' (expected 'max' or 'min')")
-                    objectives[cid] = obj
+                    cid = _field(c, "id", str)
+                    objectives[cid] = _field(c, "objective", str)
                     cids.append(cid)
                 subs.append(SubDimension(name=sub_name, criterion_ids=tuple(cids)))
             dimensions.append(Dimension(id=dim_id, name=dim_name, sub_dimensions=tuple(subs)))

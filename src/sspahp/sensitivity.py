@@ -5,8 +5,10 @@ subset, coefficient value) on a grid, tracking how each alternative's rank
 evolves as compensation is progressively reduced inside the selected
 groups. Each utility is affine in the coefficient, so the whole sweep
 follows from the base utility ``r.w`` of each alternative and one penalty
-per (subset, alternative), both from ``core._penalties``, as in ``evaluate``.
-A result keeps those factors and the grid, with int32 ``ranks`` shaped
+per (subset, alternative), both from ``core._penalties``, as in ``evaluate``,
+or, for a default sweep over canonical columns, each subset's penalty from
+its parent's by ``_penalties_by_parent``, to the same bits. A result keeps
+those factors and the grid, with int32 ``ranks`` shaped
 [subset, s, alternative]. Utilities are rebuilt from the factors by the
 same expression on each access, so serialized output is byte-stable across
 runs. ``write_csv`` and ``write_json`` stream the long export straight from
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_STEP, CriteriaHierarchy, DecisionMatrix, WeightVector, _fields_equal, _frozen_array, _membership, _penalties, _Ranked, _subset
+from .core import DEFAULT_STEP, CriteriaHierarchy, DecisionMatrix, WeightVector, _deviations, _fields_equal, _frozen_array, _membership, _penalties, _Ranked, _subset
 from .correlation import _BLOCK_BYTES, _checked_rows, _pearson_rows, _ranks_in_blocks, _weighted_spearman_rows
 from .errors import InputError, SspahpError
 
@@ -91,6 +93,29 @@ def enumerate_group_subsets(dimension_ids) -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
+def _penalties_by_parent(hierarchy: CriteriaHierarchy, deviation: np.ndarray) -> np.ndarray:
+    """[subset, alternative] penalties of ``enumerate_group_subsets(hierarchy.dimension_ids())``.
+
+    ``deviation`` holds the [criterion, alternative] weighted deviations in
+    the hierarchy's canonical criterion order. Row 0, the empty subset, is
+    zeros. The rows whose last dimension is d are the slice
+    ``2^(k-1-d)::2^(k-d)``, and their parents, the same subsets without d,
+    the slice ``::2^(k-d)``, built before d. Each row is its parent plus
+    d's deviations, added one criterion at a time in column order: the
+    additions of ``core._penalties`` in its order, so the bits are the same.
+    """
+    k = len(hierarchy.dimensions)
+    penalty = np.zeros((2**k, deviation.shape[1]))
+    rows = iter(deviation)
+    for d, dim in enumerate(hierarchy.dimensions):
+        step = 2 ** (k - d)
+        block = penalty[step // 2 :: step]
+        block[...] = penalty[::step]
+        for _ in range(sum(len(sub.criterion_ids) for sub in dim.sub_dimensions)):
+            block += next(rows)
+    return penalty
+
+
 def _check_sweep_size(n_subsets: int, n_grid: int, m: int) -> None:
     ranks, penalty, block = _sweep_bytes(n_subsets, n_grid, m)
     if ranks + penalty + block > MAX_SWEEP_BYTES:
@@ -139,18 +164,22 @@ class SweepSpec:
         _frozen_array(self, "s_grid", grid)
 
         subsets = self.group_subsets
-        if subsets is None:
+        enumerated = subsets is None
+        if enumerated:  # 2^k distinct subsets, counted before any is built
             dimension_ids = self.hierarchy.dimension_ids()
             if len(dimension_ids) <= MAX_DIMENSIONS:  # past it the enumeration names the cap
                 _check_sweep_size(2 ** len(dimension_ids), grid.size, self.matrix.m)
             subsets = enumerate_group_subsets(dimension_ids)
-        subsets = tuple(_subset(s, "group subset") for s in subsets)  # any iterable, read once
-        if not subsets:
-            raise InputError("need at least one group subset")
-        if len(set(map(frozenset, subsets))) != len(subsets):  # the same dimensions in any order
-            raise InputError("group subsets must be unique")
-        _check_sweep_size(len(subsets), grid.size, self.matrix.m)
+        else:
+            subsets = tuple(_subset(s, "group subset") for s in subsets)  # any iterable, read once
+            if not subsets:
+                raise InputError("need at least one group subset")
+            if len(set(map(frozenset, subsets))) != len(subsets):  # the same dimensions in any order
+                raise InputError("group subsets must be unique")
+            _check_sweep_size(len(subsets), grid.size, self.matrix.m)
         object.__setattr__(self, "group_subsets", subsets)
+        # whether run_sweep may build the penalties by parent, kept outside the fields
+        object.__setattr__(self, "_enumerated", enumerated)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +205,8 @@ class SweepResult(_Ranked):
     _ARRAYS = {"s_grid": float, "base": float, "penalty": float, "ranks": np.int32}
 
     def __post_init__(self, _owned):
-        object.__setattr__(self, "subsets", tuple(_subset(s, "subset") for s in self.subsets))
+        if not _owned:  # an owned result holds its spec's checked subsets
+            object.__setattr__(self, "subsets", tuple(_subset(s, "subset") for s in self.subsets))
         super().__post_init__(_owned)
 
     @property
@@ -297,7 +327,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     For a fixed subset S every utility is affine in s: U[S, s] =
     r.w - s * P[S], with r.w and P from ``core._penalties`` given each
     subset's criteria, so each cell equals ``evaluate_with_group_s`` bit
-    for bit. The cells are ranked in blocks of rows, each from the key
+    for bit. A spec that enumerated its own subsets, over a matrix whose
+    columns are in the hierarchy's canonical order (every loaded or sample
+    matrix), has P built by ``_penalties_by_parent`` instead, to the same
+    bits. The cells are ranked in blocks of rows, each from the key
     s * P[S] - r.w: the negated utility, which sorts the same way, ties
     included. Only the factors and the int32 ranks are kept. Matrix and
     weight errors name the first cell; an unknown group id names its own
@@ -305,7 +338,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     matrix, grid, subsets = spec.matrix, spec.s_grid, spec.group_subsets
     try:
-        base, penalty = _penalties(matrix, spec.weights, _membership(spec.hierarchy, subsets, matrix.criterion_ids))
+        if spec._enumerated and matrix.criterion_ids == spec.hierarchy.criterion_ids():
+            base, deviation = _deviations(matrix, spec.weights)
+            penalty = _penalties_by_parent(spec.hierarchy, deviation)
+        else:
+            base, penalty = _penalties(matrix, spec.weights, _membership(spec.hierarchy, subsets, matrix.criterion_ids))
     except SspahpError as exc:
         subset = getattr(exc, "subset", subsets[0])
         raise type(exc)(

@@ -54,3 +54,11 @@ def test_each_error_input_replaces_one_sample_file_in_one_eval_case():
     assert max(map(len, long_id.split(","))) > csv.field_size_limit()
     assert _plain_table(long_id) is None
     assert files["hierarchy_crlf"] == files["hierarchy_lf"].replace(b"\n", b"\r\n")
+
+
+def test_sweep_runs_one_given_subset_and_a_coarse_default_grid_in_every_format():
+    cases = cli_diff.cases()
+    for option in (["--groups", "G2,G4"], ["--step", "0.25"]):
+        runs = [argv for argv in cases.values() if argv[0] == "sweep" and argv[-4:-2] == option]
+        assert {argv[argv.index("--format") + 1] for argv in runs} == set(cli_diff.FORMATS), option
+    assert len(cases) == 74

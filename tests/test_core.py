@@ -450,6 +450,29 @@ class TestFlattenHierarchy:
             )
 
 
+class TestHierarchyObjectives:
+    _DIMENSIONS = (
+        Dimension("G1", "g1", (SubDimension("sd1", ("C1",)),)),
+        Dimension("G2", "g2", (SubDimension("sd1", ("C2",)), SubDimension("sd2", ("C3", "C4")))),
+    )
+
+    def test_a_criterion_without_an_objective_is_named(self):
+        with pytest.raises(
+            InputError, match=r"^dimensions\[1\]\.sub_dimensions\[1\]\.criteria\[0\]: no objective declared for criterion 'C3'$"
+        ):
+            CriteriaHierarchy(self._DIMENSIONS, {"C1": "max", "C2": "min", "C4": "max"})
+
+    def test_an_unknown_objective_token_is_named(self):
+        message = r"^dimensions\[1\]\.sub_dimensions\[1\]\.criteria\[1\]: unknown objective token 'maximize' for 'C4' \(expected 'max' or 'min'\)$"
+        with pytest.raises(InputError, match=message):
+            CriteriaHierarchy(self._DIMENSIONS, {"C1": "max", "C2": "min", "C3": "max", "C4": "maximize"})
+
+    def test_objectives_for_criteria_outside_the_tree_are_named(self):
+        objectives = {"C1": "max", "C9": "min", "C2": "min", "C3": "max", "C4": "max", "X1": "max"}
+        with pytest.raises(InputError, match=r"^objectives for criteria not in the hierarchy: C9, X1$"):
+            CriteriaHierarchy(self._DIMENSIONS, objectives)
+
+
 def flatten_oracle(dimensions) -> list[tuple[str, str]]:
     """The tree walk ``flatten_hierarchy`` once ran on every call, naming each entry it refuses.
 

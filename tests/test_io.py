@@ -211,6 +211,18 @@ class TestLoadHierarchy:
         with pytest.raises(InputError, match="maximize"):
             load_hierarchy(path)
 
+    def test_an_unknown_objective_token_names_the_file_and_the_entry(self, tmp_path):
+        criteria = [{"id": "C1", "objective": "max"}, {"id": "C2", "objective": "maximize"}]
+        doc = {"dimensions": [{"id": "G1", "sub_dimensions": [{"name": "sd", "criteria": criteria}]}]}
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError) as info:
+            load_hierarchy(path)
+        assert str(info.value) == (
+            f"{path}: dimensions[0].sub_dimensions[0].criteria[1]: "
+            "unknown objective token 'maximize' for 'C2' (expected 'max' or 'min')"
+        )
+
     def test_duplicate_criterion_is_schema_error(self, tmp_path):
         doc = {
             "dimensions": [

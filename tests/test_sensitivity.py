@@ -1006,3 +1006,74 @@ def test_lines_crossing_on_a_grid_point_tie_in_input_order(block_rows):
     assert len(ties) >= 2 * 20  # each crossing is found as (a, b) and as (b, a)
     for si, gi, a, b in ties[ties[:, 2] < ties[:, 3]]:
         assert result.ranks[si, gi, a] < result.ranks[si, gi, b]
+
+
+@st.composite
+def canonical_sweep(draw):
+    """A default k = 1..6 sweep over canonical columns: 1-3 sub-dimensions of 1-3 criteria each,
+    integer cells 1..5, cost criteria, one zero weight and one constant column."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    dims, ids = [], []
+    for d in range(k):
+        subs = []
+        for j, count in enumerate(draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3))):
+            crits = tuple(f"C{len(ids) + i + 1}" for i in range(count))
+            ids += crits
+            subs.append(SubDimension(f"sd{j + 1}", crits))
+        dims.append(Dimension(f"G{d + 1}", f"g{d + 1}", tuple(subs)))
+    n = len(ids)
+    objectives = draw(st.lists(st.sampled_from(["max", "min"]), min_size=n, max_size=n))
+    h = CriteriaHierarchy(dimensions=tuple(dims), objectives=dict(zip(ids, objectives)))
+    m = draw(st.integers(min_value=2, max_value=8))
+    cells = st.lists(st.lists(st.integers(min_value=1, max_value=5), min_size=n, max_size=n), min_size=m, max_size=m)
+    values = np.array(draw(cells), dtype=float)
+    values[:, draw(st.integers(min_value=0, max_value=n - 1))] = 3.0
+    levels = np.array(draw(st.lists(st.integers(min_value=1, max_value=4), min_size=n, max_size=n)), dtype=float)
+    if n > 1:
+        levels[draw(st.integers(min_value=0, max_value=n - 1))] = 0.0
+    matrix = DecisionMatrix(tuple(f"a{i + 1}" for i in range(m)), h.criterion_ids(), values, tuple(objectives))
+    return SweepSpec(matrix=matrix, hierarchy=h, weights=WeightVector(levels / levels.sum(), ids), s_grid=np.arange(5) / 4)
+
+
+def assert_same_sweep_bits(a, b):
+    assert a.subsets == b.subsets
+    for name in ("base", "penalty", "ranks"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+@given(canonical_sweep())
+@settings(max_examples=100, deadline=None)
+def test_penalties_built_by_parent_equal_the_fold_bit_for_bit(spec):
+    folded = dataclasses.replace(spec, group_subsets=enumerate_group_subsets(spec.hierarchy.dimension_ids()))
+    assert_same_sweep_bits(run_sweep(spec), run_sweep(folded))
+
+
+def test_interleaved_columns_take_the_fold_and_equal_the_explicit_sweep(monkeypatch):
+    h = two_level_hierarchy()
+    order = ("C1", "C3", "C4", "C2", "C5", "C6")  # G1, G2, G3, G1, G3, G3
+    rng = np.random.default_rng(7)
+    matrix = DecisionMatrix(tuple(f"a{i + 1}" for i in range(9)), order, rng.integers(1, 6, (9, 6)), ("max", "min") * 3)
+    spec = SweepSpec(matrix, h, random_weights(rng, matrix), default_s_grid(0.25))
+    folds = []
+    monkeypatch.setattr(sensitivity, "_penalties", lambda *args: folds.append(args) or core._penalties(*args))
+    result = run_sweep(spec)
+    assert len(folds) == 1
+    assert_same_sweep_bits(result, run_sweep(dataclasses.replace(spec, group_subsets=spec.group_subsets)))
+    assert len(folds) == 2
+
+
+def test_a_default_sweep_of_the_sample_needs_no_fold(monkeypatch):
+    from sspahp.sample import sample_hierarchy, sample_matrix
+    from sspahp.weighting import critic_weights
+
+    matrix, h = sample_matrix(), sample_hierarchy()
+    spec = SweepSpec(matrix, h, critic_weights(matrix))
+    folded = run_sweep(dataclasses.replace(spec, group_subsets=spec.group_subsets))
+
+    def refuse(*args):
+        raise AssertionError("a default sweep over canonical columns folded its penalties")
+
+    monkeypatch.setattr(core, "_penalties", refuse)
+    monkeypatch.setattr(sensitivity, "_penalties", refuse)
+    assert_same_sweep_bits(run_sweep(spec), folded)

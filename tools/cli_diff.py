@@ -78,6 +78,9 @@ def cases() -> dict[str, list[str]]:
         for groups in ([], ["--groups", "G1,G4"]):
             for fmt in FORMATS:
                 out[" ".join(["eval --s", s, *groups, fmt])] = [*commands["eval"], "--s", s, *groups, "--format", fmt]
+    for option in (["--groups", "G2,G4"], ["--step", "0.25"]):  # one caller-given subset; a default sweep on 5 points
+        for fmt in FORMATS:
+            out[" ".join(["sweep", *option, fmt])] = [*commands["sweep"], *option, "--format", fmt]
     for s in ("1.5", "nan"):
         out[f"eval --s {s} (refused)"] = [*commands["eval"], "--s", s]
     for name in ERROR_INPUTS:
