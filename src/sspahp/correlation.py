@@ -10,10 +10,21 @@ INPUT_ORDER = "input-order"
 AVERAGE = "average"
 
 
+def _real(value, what: str) -> np.ndarray:
+    """``value`` as floats; a string, None, a complex number, a ragged list or another non-real value raises InputError naming it."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list, such as [[0.5], 0.5]
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "biuf":
+        raise InputError(f"{what} must be real numbers, got {value!r}")
+    return arr.astype(float, copy=False)
+
+
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Two flat vectors as the single rows of two [1, N] tables."""
-    a = np.asarray(x, dtype=float)
-    b = np.asarray(y, dtype=float)
+    a = _real(x, "vectors")
+    b = _real(y, "vectors")
     if a.ndim != 1 or b.ndim != 1:
         raise InputError("expected flat vectors")
     if a.shape[0] != b.shape[0]:
@@ -27,8 +38,8 @@ def _checked_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     An error found in one row carries that row's index as its ``row``
     attribute; the first offending row is reported.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = _real(a, "vectors")
+    b = _real(b, "vectors")
     if a.ndim != 2 or b.ndim != 2:
         raise InputError("expected flat vectors")
     if a.shape[1] < 2:
@@ -96,8 +107,10 @@ def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 #: rows are ranked in blocks of about this many cells, so a block's temporaries stay small
 _BLOCK_CELLS = 2**17
 
-#: bytes ranking one block may take: the float key, sort order, sorted keys
-#: and a stable re-sort of every row peak at 42 bytes a cell when all rows tie
+#: bytes ranking one block may take: its 8-byte float keys and what
+#: ``_rank_rows`` allocates besides them, which peaks at 17 bytes a cell when
+#: no two keys of a row are near, 24-25 when rows tie, and 32-33 when every
+#: row is sorted again (tracemalloc, blocks of 48 to 2^17 columns)
 _BLOCK_BYTES = _BLOCK_CELLS * 48
 
 
@@ -131,24 +144,57 @@ def _ranks_in_blocks(shape, key_rows, dtype) -> tuple[np.ndarray, bool]:
 def _rank_rows(key: np.ndarray, out: np.ndarray) -> bool:
     """Write the ranks of each row of a C-ordered [row, n] key into ``out``, ties in input order.
 
-    Numpy's default argsort is faster than the stable one but may put equal
-    keys in any order. So the sorted keys are gathered through one flat
-    index, and only rows with equal neighbours (``-0.0 == 0.0`` among them)
-    are sorted again stably. Keys must be finite: NaNs never compare equal,
-    so their ties would go unseen. The sort order of each row is offset to
-    flat positions, so the ranks go in with one scatter into ``out``, which
-    must be C-ordered too. Returns whether any row holds equal keys.
+    Each key becomes one int64 word that sorts as the key does: the bits of
+    ``key + 0.0`` (so ``-0.0`` and ``0.0`` agree), with the 63 low bits of a
+    negative key flipped. The low ``bits = max(1, (n - 1).bit_length())``
+    bits of each word are replaced by the key's column, so one in-place sort
+    of the words leaves each row's order in their low bits, equal keys in
+    input order. Keys within 2^bits ulps of each other may share their high
+    bits and so come out in column order, right or wrong: only rows in which
+    two sorted neighbours share their high bits are gathered and compared
+    exactly. That check finds the tied rows, and a row found out of order is
+    sorted again stably from its nearly sorted packed order, which holds
+    equal keys in input order. A row whose keys are all farther apart needs
+    no gather. The worst case is a block in which every key lies that near
+    another, unequal key: the gathers and the stable re-sort make it up to
+    about 4 times as slow as a block of distinct keys. Keys must be finite:
+    NaNs never compare equal, so their ties would go unseen. The order of
+    each row is offset to flat positions, so the ranks go in with one
+    scatter into ``out``, which must be C-ordered too. Returns whether any
+    row holds equal keys.
     """
     n = key.shape[1]
-    order = np.argsort(key, axis=-1)
-    offsets = np.arange(0, key.size, n)[:, None]
-    order += offsets
-    ordered = key.reshape(-1)[order]
-    tied = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-    if tied.size:
-        order[tied] = np.argsort(key[tied], axis=-1, kind="stable") + offsets[tied]
+    bits = max(1, (n - 1).bit_length())
+    words = (key + 0.0).view(np.int64)
+    flip = words >> 63
+    flip &= 2**63 - 1
+    words ^= flip
+    del flip
+    words &= -1 << bits
+    words |= np.arange(n)
+    words.sort(axis=-1)
+    flat = words.reshape(-1)
+    near = (flat[1:] ^ flat[:-1]).view(np.uint64) < 1 << bits
+    near[n - 1 :: n] = False  # a row's last word and the next row's first are not neighbours
+    check = np.flatnonzero(np.bincount(np.flatnonzero(near) // n, minlength=len(words)))
+    del near
+    order = words
+    order &= (1 << bits) - 1
+    order += np.arange(0, key.size, n)[:, None]
+    tied = False
+    if check.size:
+        ordered = key.reshape(-1)[order[check]]
+        misordered = (ordered[:, 1:] < ordered[:, :-1]).any(axis=1)
+        if misordered.any():
+            fix = np.argsort(ordered[misordered], axis=-1, kind="stable")
+            del ordered
+            rows = check[misordered]
+            order[rows] = np.take_along_axis(order[rows], fix, axis=-1)
+            del fix
+            ordered = key.reshape(-1)[order[check]]
+        tied = bool((ordered[:, 1:] == ordered[:, :-1]).any())
     out.reshape(-1)[order] = np.arange(1, n + 1)
-    return bool(tied.size)
+    return tied
 
 
 def _tie_sums(key: np.ndarray, out: np.ndarray) -> None:
@@ -194,12 +240,18 @@ def rank_from_scores(values, higher_better: bool = True, ties: str = INPUT_ORDER
     coefficients expect). Under ``input-order`` an array with more than one
     axis is ranked along its last axis; ``average`` takes a flat vector.
 
-    Both rules take numpy's default argsort. ``input-order`` ranks as a
-    sweep does: only a vector with equal scores is sorted again, stably.
-    Under ``average`` a tie group at sorted positions ``[start, end)`` gets
-    rank ``(start + 1 + end) / 2``, whatever the order inside it.
+    ``input-order`` ranks as a sweep does: one sort of int64 words that
+    order as the scores do and carry each score's position in their low
+    bits, so equal scores keep input order. Only a vector in which two
+    sorted neighbours agree in all but those bits is compared exactly, to
+    flag ties and to sort again, stably, a vector whose near but unequal
+    scores came out of order; a vector full of such scores takes up to about
+    4 times as long. ``average`` takes numpy's default argsort: a tie group
+    at sorted positions ``[start, end)`` gets rank ``(start + 1 + end) / 2``,
+    whatever the order inside it. A value that is not a real number, or a
+    ragged list, raises InputError naming it.
     """
-    v = np.asarray(values, dtype=float)
+    v = _real(values, "scores")
     if v.ndim == 0 or (v.ndim > 1 and ties == AVERAGE):
         raise InputError("expected a flat score vector")
     key = _finite_key(v, higher_better)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _membership, _penalties, _Ranked, _subset
+from .correlation import _real
 from .errors import InputError
 
 
@@ -36,17 +37,6 @@ class EvaluationResult(_Ranked):
         return int(self.ranking[self._position(alternative_id)])
 
 
-def _real(value) -> np.ndarray:
-    """``value`` as floats; a string, None, a complex number, a ragged list or another non-real value raises InputError naming it."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # a ragged list, such as [[0.5], 0.5]
-        arr = np.asarray(None)
-    if arr.dtype.kind not in "biuf":
-        raise InputError(f"coefficients must be real numbers, got {value!r}")
-    return arr.astype(float)
-
-
 def evaluate(matrix: DecisionMatrix, weights: WeightVector, s=0.0) -> EvaluationResult:
     """Score and rank alternatives under compensation reduction ``s``.
 
@@ -59,7 +49,7 @@ def evaluate(matrix: DecisionMatrix, weights: WeightVector, s=0.0) -> Evaluation
     utilities descending with ties broken by input order (tie presence is
     flagged on the result).
     """
-    s = _real(s)
+    s = _real(s, "coefficients")
     if s.ndim == 0:
         s = np.full(matrix.n, s)
     if s.ndim != 1:
@@ -88,7 +78,7 @@ def evaluate_with_group_s(
     0 elsewhere, and the sweep's cell for ``groups`` at ``s_value`` bit for
     bit, ranks included: the utilities are ``r.w - s_value * P[groups]``.
     """
-    s = _real(s_value)
+    s = _real(s_value, "coefficients")
     if s.ndim or not 0.0 <= s <= 1.0:
         raise InputError(f"s must lie in [0, 1], got {s_value}")
     mask = _membership(hierarchy, (_subset(groups, "groups"),), matrix.criterion_ids)[0]

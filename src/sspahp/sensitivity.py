@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_STEP, CriteriaHierarchy, DecisionMatrix, WeightVector, _deviations, _fields_equal, _frozen_array, _membership, _penalties, _Ranked, _subset
-from .correlation import _BLOCK_BYTES, _checked_rows, _pearson_rows, _ranks_in_blocks, _weighted_spearman_rows
+from .correlation import _BLOCK_BYTES, _checked_rows, _pearson_rows, _ranks_in_blocks, _real, _weighted_spearman_rows
 from .errors import InputError, SspahpError
 
 #: largest dimension count a subset enumeration accepts (2^20 subsets)
@@ -372,7 +372,7 @@ def _subset_rankings(result):
     """Subsets and their rankings: a [subset, N] array for a sweep, a list otherwise."""
     if isinstance(result, SweepResult):
         return result.subsets, result.ranks[:, -1]
-    rankings = {_subset(k, "subset key"): np.asarray(v) for k, v in dict(result).items()}
+    rankings = {_subset(k, "subset key"): _real(v, "rankings") for k, v in dict(result).items()}
     return tuple(rankings), list(rankings.values())
 
 

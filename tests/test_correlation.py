@@ -1,11 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sspahp import InputError, NumericalError, pearson, rank_from_scores, weighted_spearman
+from sspahp import InputError, NumericalError, correlation, pearson, rank_from_scores, weighted_spearman
 from sspahp.correlation import _tie_sums
 from sspahp.sensitivity import compare_rankings
 
@@ -142,6 +143,34 @@ def test_nested_rankings_are_refused(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: rank_from_scores([[1, 2], [3]]), [[1, 2], [3]]),
+        (lambda: rank_from_scores([1j, 1]), [1j, 1]),
+        (lambda: rank_from_scores(["0.5", "0.1"]), ["0.5", "0.1"]),
+        (lambda: pearson(["a", "b"], [1, 2]), ["a", "b"]),
+        (lambda: pearson([1, 2], [[1], 2]), [[1], 2]),
+        (lambda: weighted_spearman([1, 2], [None, 1]), [None, 1]),
+        (lambda: compare_rankings({("G1",): ["a", "b"]}, {("G1",): [1, 2]}), ["a", "b"]),
+        (lambda: compare_rankings({("G1",): [1, 2]}, {("G1",): [[1, 2], [2]]}), [[1, 2], [2]]),
+    ],
+    ids=[
+        "rank_from_scores-ragged",
+        "rank_from_scores-complex",
+        "rank_from_scores-strings",
+        "pearson-strings",
+        "pearson-ragged",
+        "weighted_spearman-none",
+        "compare_rankings-strings",
+        "compare_rankings-ragged",
+    ],
+)
+def test_a_value_that_is_not_a_real_number_is_refused_by_name(call, value):
+    with pytest.raises(InputError, match=f"must be real numbers, got {re.escape(repr(value))}$"):
+        call()
+
+
 class TestRankFromScores:
     def test_higher_better_input_order(self):
         assert rank_from_scores([0.9, 0.1, 0.5]).tolist() == [1.0, 3.0, 2.0]
@@ -227,3 +256,97 @@ def test_tie_sums_equal_the_searchsorted_oracle(rows, m, layout, data):
         out = np.empty(key.shape[::-1], dtype=np.intp).T
     _tie_sums(key, out)
     assert np.array_equal(out, tie_sums_oracle(key))
+
+
+def rank_rows_oracle(key, out):
+    """Ranks by numpy's default argsort, each row with equal sorted neighbours sorted again stably."""
+    n = key.shape[1]
+    order = np.argsort(key, axis=-1)
+    offsets = np.arange(0, key.size, n)[:, None]
+    order += offsets
+    ordered = key.reshape(-1)[order]
+    tied = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if tied.size:
+        order[tied] = np.argsort(key[tied], axis=-1, kind="stable") + offsets[tied]
+    out.reshape(-1)[order] = np.arange(1, n + 1)
+    return bool(tied.size)
+
+
+def family_keys(family, shape, rng):
+    """A [row, n] key block of one family, each drawn for a distinct way of sharing high bits."""
+    n = shape[1]
+    sign = rng.choice([-1.0, 1.0], size=shape)
+    if family == "continuous":
+        return rng.normal(size=shape)
+    if family == "integer":
+        return rng.integers(1, 6, size=shape).astype(float)
+    if family == "low bits":
+        # each row: one magnitude, its lowest 1..bits bits redrawn per key, either sign, where
+        # bits = max(1, (n - 1).bit_length()) low bits of a packed word carry the key's column
+        low = rng.integers(1, max(1, (n - 1).bit_length()) + 1, size=(shape[0], 1))
+        scale = rng.choice([1.0, 1e300, 1e-300], size=(shape[0], 1))
+        base = (np.abs(rng.normal(size=(shape[0], 1))) * scale).view(np.int64) >> low << low
+        return (base | rng.integers(0, 2**low, size=shape)).view(np.float64) * sign
+    if family == "zeros and denormals":
+        pool = np.array([0.0, 5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308])
+        return rng.choice(pool, size=shape) * sign
+    if family == "exponents near 300":
+        return rng.normal(size=shape) * 10.0 ** rng.choice([-300, 300], size=shape)
+    raise ValueError(family)
+
+
+#: row lengths on both sides of each change of the packed index width
+ROW_LENGTHS = sorted({1, 2, 3} | {m for j in range(1, 11) for m in (2**j, 2**j + 1)})
+
+
+@pytest.mark.parametrize("family", ["continuous", "integer", "low bits", "zeros and denormals", "exponents near 300"])
+@given(
+    n=st.sampled_from(ROW_LENGTHS),
+    rows=st.integers(min_value=1, max_value=6),
+    block_rows=st.sampled_from([1, 2, 3]),
+    dtype=st.sampled_from([np.int32, np.intp]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_packed_sort_ranks_equal_the_argsort_oracle_bit_for_bit(family, n, rows, block_rows, dtype, seed):
+    """Each block of 1-3 rows, as ``ranking_blocks`` cuts a sweep, gets the oracle's ranks and tie flag."""
+    key = family_keys(family, (rows, n), np.random.default_rng(seed))
+    for lo in range(0, rows, block_rows):
+        block = key[lo : lo + block_rows]
+        got, want = np.zeros(block.shape, dtype), np.zeros(block.shape, dtype)
+        assert correlation._rank_rows(block, got) == rank_rows_oracle(block, want)
+        assert np.array_equal(got, want)
+
+
+def near_tie_keys(shape, rng):
+    """Keys in pairs one ulp apart, shuffled along each row: every key near another, none equal."""
+    rows, n = shape
+    half = rng.normal(size=(rows, (n + 1) // 2))
+    keys = np.repeat(half, 2, axis=1)[:, :n]
+    keys[:, 1::2] = np.nextafter(keys[:, 1::2], np.inf)
+    return np.ascontiguousarray(keys[:, rng.permutation(n)])
+
+
+@pytest.mark.parametrize("kind", ["continuous", "all-equal", "integer", "all-near-tie"])
+@pytest.mark.parametrize("n", [48, correlation._BLOCK_CELLS])
+def test_one_full_block_ranks_within_its_byte_budget(kind, n):
+    shape = (correlation._BLOCK_CELLS // n, n)
+    rng = np.random.default_rng(19)
+    key = {
+        "continuous": lambda: rng.normal(size=shape),
+        "all-equal": lambda: np.full(shape, 0.25),
+        "integer": lambda: rng.integers(1, 6, size=shape).astype(float),
+        "all-near-tie": lambda: near_tie_keys(shape, rng),
+    }[kind]()
+    out = np.empty(shape, dtype=np.int32)
+    tracemalloc.start()
+    try:
+        tied = correlation._rank_rows(key, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert key.nbytes + peak <= correlation._BLOCK_BYTES  # the block budget holds its keys too
+    assert tied == (kind in ("all-equal", "integer"))
+    want = np.empty(shape, dtype=np.int32)
+    rank_rows_oracle(key, want)
+    assert np.array_equal(out, want)
