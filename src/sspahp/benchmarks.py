@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TAU, MAX, DecisionMatrix, WeightVector, _normalized, _Ranked, require_valid
+from .core import DEFAULT_TAU, MAX, DecisionMatrix, WeightVector, _normalized, _Ranked
 from .correlation import _tie_sums
 from .errors import InputError, NumericalError
 
@@ -47,7 +47,6 @@ class BenchmarkScore(_Ranked):
 
 
 def _prepare(matrix: DecisionMatrix, weights: WeightVector):
-    require_valid(matrix)
     w = weights.aligned(matrix.criterion_ids)
     profit = np.array([obj == MAX for obj in matrix.objectives])
     return matrix.values, w, profit

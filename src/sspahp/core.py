@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import KW_ONLY, InitVar, dataclass, field, fields
 
 import numpy as np
@@ -24,8 +25,20 @@ DEFAULT_STEP = 0.05
 CR_THRESHOLD = 0.1
 
 
+def _real(value, what: str) -> np.ndarray:
+    """``value`` as floats; a string, None, a complex number, a ragged list or another non-real value raises InputError naming it, shown in at most 100 characters."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list, such as [[0.5], 0.5]
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "biuf":
+        shown = reprlib.repr(value)  # a few items of a few levels; a table of them can still run long
+        raise InputError(f"{what} must be real numbers, got {shown if len(shown) <= 100 else shown[:97] + '...'}")
+    return arr.astype(float, copy=False)
+
+
 def _as_2d(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = _real(values, "values")
     if arr.ndim != 2:
         raise InputError(f"expected a 2-D value table, got {arr.ndim} dimension(s)")
     return arr
@@ -108,8 +121,8 @@ class _Ranked:
 class DecisionMatrix:
     """Raw m x n performance table with a max/min objective per criterion.
 
-    Construction only coerces shapes; :func:`require_valid` checks the full
-    set of invariants (finiteness, unique ids, arity) once.
+    Construction checks every invariant once: a matrix that breaks any
+    raises InputError listing each, as ``_matrix_issues`` names them.
     """
 
     alternative_ids: tuple[str, ...]
@@ -124,6 +137,9 @@ class DecisionMatrix:
         object.__setattr__(self, "criterion_ids", tuple(self.criterion_ids))
         object.__setattr__(self, "objectives", tuple(self.objectives))
         _frozen_array(self, "values", _as_2d(self.values))
+        issues = _matrix_issues(self)
+        if issues:
+            raise InputError("invalid decision matrix: " + "; ".join(issues))
 
     @property
     def m(self) -> int:
@@ -172,20 +188,6 @@ def _matrix_issues(matrix: DecisionMatrix) -> list[str]:
     return issues
 
 
-def require_valid(matrix: DecisionMatrix) -> None:
-    """Raise InputError naming each invariant the matrix violates, as ``_matrix_issues`` lists them.
-
-    A passing check is recorded on the frozen matrix, outside its fields, so
-    later calls return at once; a failing check is never recorded.
-    """
-    if getattr(matrix, "_valid", False):
-        return
-    issues = _matrix_issues(matrix)
-    if issues:
-        raise InputError("invalid decision matrix: " + "; ".join(issues))
-    object.__setattr__(matrix, "_valid", True)
-
-
 @dataclass(frozen=True, eq=False)
 class NormalizedMatrix:
     """Min-max scaled values in [0, 1], ids carried through from the source."""
@@ -212,7 +214,6 @@ def normalize_minmax(matrix: DecisionMatrix) -> NormalizedMatrix:
     column has no spread to scale, so every cell becomes the neutral 0.5 and
     a warning is attached to the result.
     """
-    require_valid(matrix)
     x = matrix.values
     lo = x.min(axis=0)
     hi = x.max(axis=0)
@@ -231,8 +232,8 @@ def normalize_minmax(matrix: DecisionMatrix) -> NormalizedMatrix:
 def _normalized(matrix: DecisionMatrix) -> NormalizedMatrix:
     """``normalize_minmax(matrix)``, computed once and kept on the frozen matrix.
 
-    Like :func:`require_valid`, the result is recorded outside the fields,
-    warnings included, so every later caller shares it.
+    The result is recorded outside the fields, warnings included, so every
+    later caller shares it.
     """
     norm = getattr(matrix, "_normalized", None)
     if norm is None:
@@ -252,7 +253,7 @@ class WeightVector:
 
     def __post_init__(self):
         object.__setattr__(self, "criterion_ids", tuple(self.criterion_ids))
-        arr = np.asarray(self.weights, dtype=float)
+        arr = _real(self.weights, "weights")
         if arr.ndim != 1:
             raise InputError("weights must be a flat vector")
         if len(self.criterion_ids) != arr.shape[0]:
@@ -372,7 +373,7 @@ class CriteriaHierarchy:
         try:
             return self.objectives[criterion_id]
         except KeyError:
-            raise InputError(f"no objective declared for criterion '{criterion_id}'")
+            raise InputError(f"no objective declared for criterion '{criterion_id}'") from None
 
 
 def flatten_hierarchy(h: CriteriaHierarchy) -> list[tuple[str, str]]:

@@ -4,21 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _real
 from .errors import InputError, NumericalError
 
 INPUT_ORDER = "input-order"
 AVERAGE = "average"
-
-
-def _real(value, what: str) -> np.ndarray:
-    """``value`` as floats; a string, None, a complex number, a ragged list or another non-real value raises InputError naming it."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # a ragged list, such as [[0.5], 0.5]
-        arr = np.asarray(None)
-    if arr.dtype.kind not in "biuf":
-        raise InputError(f"{what} must be real numbers, got {value!r}")
-    return arr.astype(float, copy=False)
 
 
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:

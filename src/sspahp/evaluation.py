@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _membership, _penalties, _Ranked, _subset
-from .correlation import _real
+from .core import CriteriaHierarchy, DecisionMatrix, WeightVector, _membership, _penalties, _Ranked, _real, _subset
 from .errors import InputError
 
 

@@ -73,7 +73,6 @@ from .core import (
     Dimension,
     SubDimension,
     WeightVector,
-    require_valid,
 )
 from .errors import InputError
 
@@ -299,14 +298,12 @@ def load_decision_matrix(path, hierarchy: CriteriaHierarchy) -> DecisionMatrix:
         if len(row) != len(header):
             raise InputError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
     _, ids, values = plain or (header, [row[0] for row in rows], _numbers(path, [row[1:] for row in rows], len(header) - 1))
-    matrix = DecisionMatrix(
+    return DecisionMatrix(
         alternative_ids=tuple(alt.strip() for alt in ids),
         criterion_ids=canonical,
         values=values[:, order],
         objectives=tuple(hierarchy.objective_for(c) for c in canonical),
     )
-    require_valid(matrix)
-    return matrix
 
 
 def write_matrix_csv(matrix: DecisionMatrix, path) -> None:
@@ -315,11 +312,11 @@ def write_matrix_csv(matrix: DecisionMatrix, path) -> None:
     The text is what ``csv.writer`` writes for a header row of
     ``alternative`` and the criterion ids, then a row per alternative of its
     id and the ``repr`` of each value: ids quoted by the csv module's own
-    rule, each value written by ``float.__repr__`` (``nan``, ``inf`` and
-    ``-0.0`` included) and every row ended by ``\\r\\n``.
+    rule, each value written by ``float.__repr__`` (``-0.0`` included) and
+    every row ended by ``\\r\\n``.
     """
     header = _csv_texts(["alternative", *matrix.criterion_ids], lone=False)
-    ids = _csv_texts(matrix.alternative_ids, lone=matrix.n == 0)
+    ids = _csv_texts(matrix.alternative_ids, lone=False)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join([alt, *map(float.__repr__, row)]) + "\r\n" for alt, row in zip(ids, matrix.values.tolist()))

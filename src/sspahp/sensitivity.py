@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_STEP, CriteriaHierarchy, DecisionMatrix, WeightVector, _deviations, _fields_equal, _frozen_array, _membership, _penalties, _Ranked, _subset
-from .correlation import _BLOCK_BYTES, _checked_rows, _pearson_rows, _ranks_in_blocks, _real, _weighted_spearman_rows
+from .core import DEFAULT_STEP, CriteriaHierarchy, DecisionMatrix, WeightVector, _deviations, _fields_equal, _frozen_array, _membership, _penalties, _Ranked, _real, _subset
+from .correlation import _BLOCK_BYTES, _checked_rows, _pearson_rows, _ranks_in_blocks, _weighted_spearman_rows
 from .errors import InputError, SspahpError
 
 #: largest dimension count a subset enumeration accepts (2^20 subsets)
@@ -55,11 +55,12 @@ def default_s_grid(step: float = DEFAULT_STEP) -> np.ndarray:
     """Evenly spaced grid over [0, 1] starting at 0 with the given step.
 
     When the step divides 1 the grid ends exactly at 1 (21 points for the
-    default 0.05); otherwise it stops at the last multiple below 1. Points
-    are counted first: more than ``MAX_GRID_POINTS`` raise InputError
-    before any is built.
+    default 0.05); otherwise it stops at the last multiple below 1. A step
+    that is not one real number in (0, 1] raises InputError. Points are
+    counted first: more than ``MAX_GRID_POINTS`` raise InputError before
+    any is built.
     """
-    if not 0.0 < step <= 1.0:
+    if _real(step, "step").ndim or not 0.0 < step <= 1.0:
         raise InputError(f"step must lie in (0, 1], got {step}")
     span = 1.0 / step  # inf for a subnormal step, so the count is a float
     exact = abs(np.round(span) * step - 1.0) < 1e-9
@@ -154,7 +155,7 @@ class SweepSpec:
         grid = self.s_grid
         if grid is None:
             grid = default_s_grid()
-        grid = np.asarray(grid, dtype=float)
+        grid = _real(grid, "s grid")
         if grid.ndim != 1 or grid.size == 0:
             raise InputError("s grid must be a non-empty vector")
         if not ((grid >= 0.0) & (grid <= 1.0)).all():  # NaN fails both

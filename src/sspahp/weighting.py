@@ -26,7 +26,7 @@ from .core import (
     _fields_equal,
     _frozen_array,
     _normalized,
-    require_valid,
+    _real,
 )
 from .errors import ConvergenceError, DegenerateWeightsError, InconsistentJudgmentsError, InputError
 
@@ -65,7 +65,7 @@ class PairwiseMatrix:
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = _real(self.values, "pairwise entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InputError("pairwise matrix must be square")
         if not np.isfinite(arr).all() or (arr <= 0).any():
@@ -200,7 +200,6 @@ def entropy_weights(matrix: DecisionMatrix) -> WeightVector:
     0 * ln 0 taken as 0, and the weight assigned proportionally to 1 - h_j.
     Columns with identical values carry no information and get weight 0.
     """
-    require_valid(matrix)
     x = matrix.values
     m = x.shape[0]
 

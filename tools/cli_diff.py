@@ -46,9 +46,11 @@ MATRIX_VARIANTS = ("comma_id", "fraction", "crlf_bom", "blank_row", "hash_id", "
 #: inputs that ``eval`` refuses or warns about, each read once in the table format
 #: in place of the sample file named before the first underscore: a missing
 #: matrix, one not UTF-8, one with two constant columns, one with an id past csv's
-#: field size limit, a directory, and malformed JSON with LF and CRLF line ends
+#: field size limit, one with only its header, one with a single row, one that
+#: repeats A01, a directory, and malformed JSON with LF and CRLF line ends
 ERROR_INPUTS = (
     "matrix_missing", "matrix_latin1", "matrix_constant", "matrix_long_id",
+    "matrix_header_only", "matrix_one_row", "matrix_repeated_id",
     "hierarchy_directory", "hierarchy_lf", "hierarchy_crlf",
 )
 
@@ -119,6 +121,9 @@ def error_files(header: str, rows: list[list[str]]) -> dict[str, bytes]:
         "matrix_latin1": text([["Aé01", *first[1:]], *rows[1:]]).encode("latin-1"),
         "matrix_constant": text([[row[0], "7", row[2], "7", *row[4:]] for row in rows]).encode(),
         "matrix_long_id": text([["A" * 140_000, *first[1:]], *rows[1:]]).encode(),
+        "matrix_header_only": text([]).encode(),
+        "matrix_one_row": text([first]).encode(),
+        "matrix_repeated_id": text([*rows, rows[0]]).encode(),
         "hierarchy_lf": malformed.encode(),
         "hierarchy_crlf": malformed.replace("\n", "\r\n").encode(),
     }
